@@ -25,7 +25,6 @@ from .geometry import (
     IntensityGrid,
     OccupancyGrid,
     PatchSpec,
-    Point,
     PointCloud,
     VoxelGridSpec,
     assemble_grid,

@@ -32,7 +32,7 @@ from .quantizer import (
     KIND_OCC,
     QuantizerConfig,
     read_codebook,
-    train_codebook,
+    train_dual,
     write_codebook,
 )
 from .seeds import derive_seed
@@ -199,6 +199,18 @@ def _scene_files(directory) -> list:
     return files
 
 
+def _training_vectors(clouds, spec, patch):
+    """Stacked (N, D) occupancy and intensity patch vectors of ``clouds``."""
+    dim = patch.vector_dim(spec)
+    occ_vecs, int_vecs = [], []
+    for cloud in clouds:
+        occ, inten, _ = voxelize(cloud, spec)
+        ov, iv = patchify(occ, inten, patch)
+        occ_vecs.append(ov.reshape(-1, dim))
+        int_vecs.append(iv.reshape(-1, dim))
+    return np.vstack(occ_vecs), np.vstack(int_vecs)
+
+
 def _fill_policy(name: str, fill_occ, fill_int) -> FillPolicy:
     if name == "empty":
         return FillPolicy.empty()
@@ -245,16 +257,8 @@ def cmd_train(args) -> int:
     if k < 1:
         raise _usage("--k must be >= 1")
     dim = patch.vector_dim(spec)
-
-    occ_vecs, int_vecs = [], []
-    for path in _scene_files(args.scenes):
-        cloud = _read_cloud(path)
-        occ, inten, _ = voxelize(cloud, spec)
-        ov, iv = patchify(occ, inten, patch)
-        occ_vecs.append(ov.reshape(-1, dim))
-        int_vecs.append(iv.reshape(-1, dim))
-    occ_samples = np.vstack(occ_vecs)
-    int_samples = np.vstack(int_vecs)
+    clouds = map(_read_cloud, _scene_files(args.scenes))
+    occ_samples, int_samples = _training_vectors(clouds, spec, patch)
 
     try:
         base = dict(
@@ -269,16 +273,17 @@ def cmd_train(args) -> int:
         cfg_int = QuantizerConfig(seed=derive_seed(seed, 1), **base)
     except ValueError as exc:
         raise _usage(str(exc)) from exc
-    cb_occ = train_codebook(occ_samples, cfg_occ, kind=KIND_OCC)
-    cb_int = train_codebook(int_samples, cfg_int, kind=KIND_INT)
+    cb_occ, cb_int = train_dual(occ_samples, int_samples, cfg_occ, cfg_int)
     fill_occ = fit_fill_vector(occ_samples)
     fill_int = fit_fill_vector(int_samples)
     _atomic(args.out_occ, lambda p: write_codebook(p, cb_occ, fill=fill_occ))
     _atomic(args.out_int, lambda p: write_codebook(p, cb_int, fill=fill_int))
-    print(
-        f"trained K={k} D={dim} on {occ_samples.shape[0]} vectors: "
-        f"occ err {cb_occ.trace.errors[-1]:.6g}, int err {cb_int.trace.errors[-1]:.6g}"
+    summary = ", ".join(
+        f"{cb.kind} err {cb.trace.errors[-1]:.6g} "
+        f"(dead {int((cb.usage == 0).sum())}, refreshes {len(cb.trace.refresh_iters)})"
+        for cb in (cb_occ, cb_int)
     )
+    print(f"trained K={k} D={dim} on {occ_samples.shape[0]} vectors: {summary}")
     return 0
 
 
@@ -425,20 +430,12 @@ def cmd_sweep(args) -> int:
         if cb_occ.dim != dim:
             raise _data(f"codebook dim {cb_occ.dim} != patch vector dim {dim}")
     else:
-        occ_vecs, int_vecs = [], []
-        for cloud in scenes:
-            occ, inten, _ = voxelize(cloud, spec)
-            ov, iv = patchify(occ, inten, patch)
-            occ_vecs.append(ov.reshape(-1, dim))
-            int_vecs.append(iv.reshape(-1, dim))
-        occ_samples = np.vstack(occ_vecs)
-        int_samples = np.vstack(int_vecs)
+        occ_samples, int_samples = _training_vectors(scenes, spec, patch)
         k = args.k if args.k is not None else PRESETS[args.preset]["k"]
-        cb_occ = train_codebook(
-            occ_samples, QuantizerConfig(k=k, dim=dim, seed=derive_seed(seed, 100)), kind=KIND_OCC
-        )
-        cb_int = train_codebook(
-            int_samples, QuantizerConfig(k=k, dim=dim, seed=derive_seed(seed, 101)), kind=KIND_INT
+        cb_occ, cb_int = train_dual(
+            occ_samples, int_samples,
+            QuantizerConfig(k=k, dim=dim, seed=derive_seed(seed, 100)),
+            QuantizerConfig(k=k, dim=dim, seed=derive_seed(seed, 101)),
         )
         fill_occ = fit_fill_vector(occ_samples)
         fill_int = fit_fill_vector(int_samples)

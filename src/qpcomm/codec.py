@@ -22,6 +22,7 @@ from .geometry import (
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
+    _to_patch_vectors,
     assemble_grid,
     patchify,
     unpatchify,
@@ -231,7 +232,7 @@ def vq_loss(grid, codebook: Codebook, patch: PatchSpec) -> VqLossTerms:
     thresholded at 0.5, intensity clamped to [0, 1]).
     """
     spec = grid.spec
-    vectors = _to_stream_vectors(grid, patch)
+    vectors = _to_patch_vectors(np.asarray(grid.data, dtype=np.float64), patch, spec)
     idx, commitment = quantize(codebook, vectors)
     recon_vec = codebook.entries[idx]
     raw = assemble_grid(recon_vec, patch, spec)
@@ -241,9 +242,3 @@ def vq_loss(grid, codebook: Codebook, patch: PatchSpec) -> VqLossTerms:
         recon = np.clip(raw, 0.0, 1.0)
     reconstruction = float(((grid.data.astype(np.float64) - recon) ** 2).mean())
     return VqLossTerms(reconstruction, commitment, commitment)
-
-
-def _to_stream_vectors(grid, patch: PatchSpec) -> np.ndarray:
-    from .geometry import _to_patch_vectors
-
-    return _to_patch_vectors(np.asarray(grid.data, dtype=np.float64), patch, grid.spec)

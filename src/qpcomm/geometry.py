@@ -14,13 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-class Point(NamedTuple):
-    x: float
-    y: float
-    z: float
-    intensity: float
-
-
 @dataclass
 class PointCloud:
     """A LiDAR-style scan: ``points`` is an (N, 4) float array, columns
@@ -46,10 +39,6 @@ class PointCloud:
     @classmethod
     def empty(cls, frame_id: str = "") -> "PointCloud":
         return cls(np.empty((0, 4)), frame_id)
-
-    @classmethod
-    def from_points(cls, pts, frame_id: str = "") -> "PointCloud":
-        return cls(np.asarray([tuple(p) for p in pts], dtype=np.float64).reshape(-1, 4), frame_id)
 
     @property
     def xyz(self) -> np.ndarray:

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -35,7 +35,6 @@ from .wire import (
     IncompleteFrameError,
     Pose,
     bits_for,
-    comm_volume_log2_bytes,
     deserialize,
     packetize,
     reassemble,
@@ -81,8 +80,6 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
 
 
 def _volume_field(n_cells: int, k_occ: int, k_int: int) -> float:
-    if k_occ == k_int and k_occ >= 2 and (k_occ & (k_occ - 1)) == 0:
-        return comm_volume_log2_bytes(n_cells, k_occ)
     bits = n_cells * (bits_for(k_occ) + bits_for(k_int)) + 6 * 32
     return math.log2(bits / 8.0)
 
@@ -106,13 +103,7 @@ def evaluate_roundtrip(
     im = encode(scene, spec, patch, cb_occ, cb_int)
     frame = serialize(im, pose or Pose())
     packets = packetize(frame, mtu)
-    ch_cfg = ChannelConfig(
-        drop_rate=channel_cfg.drop_rate,
-        latency_ms=channel_cfg.latency_ms,
-        jitter_ms=channel_cfg.jitter_ms,
-        seed=derive_seed(seed, 1),
-    )
-    delivered, _report = transmit(packets, ch_cfg)
+    delivered, _report = transmit(packets, replace(channel_cfg, seed=derive_seed(seed, 1)))
     try:
         frame_rx, missing = reassemble(delivered)
         im_rx, mask = deserialize(frame_rx, missing)
@@ -122,12 +113,7 @@ def evaluate_roundtrip(
         im_rx, mask = im, LossMask.all_lost(im.h, im.w)
 
     occ_vec, int_vec = fill(im_rx, mask, fill_policy, cb_occ, cb_int)
-    dec_cfg = DecodeConfig(
-        sigma=decode_cfg.sigma,
-        points_per_voxel=decode_cfg.points_per_voxel,
-        clip_to_voxel=decode_cfg.clip_to_voxel,
-        seed=derive_seed(seed, 2),
-    )
+    dec_cfg = replace(decode_cfg, seed=derive_seed(seed, 2))
     recon = decode_vectors(occ_vec, int_vec, spec, patch, dec_cfg)
 
     bce = occupancy_bce(occ_truth, assemble_grid(occ_vec, patch, spec))

@@ -8,6 +8,12 @@ previous entry and the new batch mean, so the training error is
 non-increasing between refresh events.  Entries whose (bias-corrected) EMA
 usage falls below ``dead_limit`` at a refresh point are re-seeded from a
 reservoir sample of the data.
+
+Training keeps one CSR copy of the samples and their squared norms, so each
+k-means++ pick and each centroid update costs O(nnz) instead of O(N·D); the
+nearest-entry search stays a dense O(N·K·D) GEMM per pass.  Distances from the
+expanded form ``‖x‖² + ‖c‖² − 2·x·c`` are recomputed directly where they cancel
+to near zero, so training is bit-identical to the dense ``(x − c)²`` form.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 KIND_OCC = "occ"
 KIND_INT = "int"
@@ -68,8 +75,6 @@ class TrainingTrace:
 class Codebook:
     entries: np.ndarray  # (K, D) float64
     usage: np.ndarray  # (K,) int64, assignment counts of the last pass
-    ema_counts: np.ndarray  # (K,) float64
-    ema_sums: np.ndarray  # (K, D) float64
     kind: str = KIND_OCC
     trace: TrainingTrace | None = None
 
@@ -79,16 +84,13 @@ class Codebook:
             raise ValueError("entries must be a (K, D) array")
         k = self.entries.shape[0]
         self.usage = np.asarray(self.usage, dtype=np.int64).reshape(k)
-        self.ema_counts = np.asarray(self.ema_counts, dtype=np.float64).reshape(k)
-        self.ema_sums = np.asarray(self.ema_sums, dtype=np.float64).reshape(self.entries.shape)
         if self.kind not in _KIND_CODES:
             raise ValueError(f"kind must be one of {sorted(_KIND_CODES)}")
 
     @classmethod
     def from_entries(cls, entries, kind: str = KIND_OCC) -> "Codebook":
         entries = np.asarray(entries, dtype=np.float64)
-        k = entries.shape[0]
-        return cls(entries, np.zeros(k, np.int64), np.zeros(k), np.zeros_like(entries), kind)
+        return cls(entries, np.zeros(entries.shape[0], np.int64), kind)
 
     @property
     def k(self) -> int:
@@ -115,16 +117,23 @@ def nearest(codebook: Codebook, z: np.ndarray) -> int:
     return int(np.argmin(d))
 
 
-def _assign(vectors: np.ndarray, entries: np.ndarray, chunk: int = 8192) -> np.ndarray:
-    """Nearest-entry index per row of ``vectors`` (n, D), lowest-index ties."""
+def _assign(vectors: np.ndarray, entries: np.ndarray, chunk: int = 8192):
+    """Nearest-entry index per row of ``vectors`` (n, D), lowest-index ties,
+    and that entry's ``‖e‖² − 2·v·e`` (the squared distance minus ``‖v‖²``)."""
     n = vectors.shape[0]
     idx = np.empty(n, dtype=np.int64)
+    dmin = np.empty(n)
     ent_sq = (entries**2).sum(axis=1)
     for start in range(0, n, chunk):
         block = vectors[start : start + chunk]
         d = ent_sq - 2.0 * (block @ entries.T)  # ||v||^2 constant per row
         idx[start : start + chunk] = np.argmin(d, axis=1)
-    return idx
+        dmin[start : start + chunk] = d[np.arange(d.shape[0]), idx[start : start + chunk]]
+    return idx, dmin
+
+
+def _direct_error(samples, entries, idx) -> float:
+    return float(((samples - entries[idx]) ** 2).sum(axis=1).mean())
 
 
 def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float]:
@@ -141,18 +150,33 @@ def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float
     flat = vectors.reshape(-1, codebook.dim)
     if flat.shape[0] == 0:
         return np.empty(lead_shape, dtype=np.int64), 0.0
-    idx = _assign(flat, codebook.entries)
-    diff = flat - codebook.entries[idx]
-    commitment = float((diff**2).sum(axis=1).mean())
-    return idx.reshape(lead_shape), commitment
+    idx, _ = _assign(flat, codebook.entries)
+    return idx.reshape(lead_shape), _direct_error(flat, codebook.entries, idx)
 
 
-def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _exact_small(d, scale, samples, centers):
+    """Clamp expanded-form squared distances ``d`` at 0 in place and recompute
+    directly the rows below ``1e-9 * scale``, where cancellation may have left
+    no correct digit; ``centers(rows)`` gives those rows' centres."""
+    np.maximum(d, 0.0, out=d)
+    rows = np.flatnonzero(d < 1e-9 * scale)
+    if rows.size:
+        d[rows] = ((samples[rows] - centers(rows)) ** 2).sum(axis=1)
+    return d
+
+
+def _kmeanspp_init(samples, sparse, sq_norms, k: int, rng: np.random.Generator) -> np.ndarray:
     n = samples.shape[0]
     entries = np.empty((k, samples.shape[1]), dtype=np.float64)
+
+    def dist_to(pick):
+        c = samples[pick]
+        scale = sq_norms + sq_norms[pick]
+        return _exact_small(scale - 2.0 * (sparse @ c), scale, samples, lambda rows: c)
+
     pick = int(rng.integers(n))
     entries[0] = samples[pick]
-    min_d = ((samples - entries[0]) ** 2).sum(axis=1)
+    min_d = dist_to(pick)
     for j in range(1, k):
         total = float(min_d.sum())
         if total > 0.0:
@@ -161,7 +185,7 @@ def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.
             # every sample already coincides with a chosen entry
             pick = int(rng.integers(n))
         entries[j] = samples[pick]
-        min_d = np.minimum(min_d, ((samples - entries[j]) ** 2).sum(axis=1))
+        np.minimum(min_d, dist_to(pick), out=min_d)
     return entries
 
 
@@ -189,25 +213,40 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
     else:
         reservoir = samples[rng.choice(n, size=cfg.reservoir_size, replace=False)]
 
-    entries = _kmeanspp_init(samples, cfg.k, rng)
+    sparse = sp.csr_array(samples)
+    sq_norms = np.einsum("ij,ij->i", samples, samples)
+    entries = _kmeanspp_init(samples, sparse, sq_norms, cfg.k, rng)
     ema_counts = np.zeros(cfg.k)
     ema_sums = np.zeros_like(entries)
     age = np.zeros(cfg.k, dtype=np.int64)  # passes since (re)initialization
     trace = TrainingTrace()
     decay = cfg.ema_decay
-    prev_err = None
+    prev = None  # (err, slack, entries, idx) of the previous pass
 
     for it in range(1, cfg.max_iters + 1):
-        idx = _assign(samples, entries)
-        diff = samples - entries[idx]
-        err = float((diff**2).sum(axis=1).mean())
+        idx, dmin = _assign(samples, entries)
+        scale = sq_norms + (entries**2).sum(axis=1)[idx]
+        dist = _exact_small(sq_norms + dmin, scale, samples, lambda rows: entries[idx[rows]])
+        err = float(dist.mean())
+        # |err - direct error| <= slack: ~4D ulps of the scale per row, plus the means
+        slack = 8 * (cfg.dim + 64) * np.finfo(np.float64).eps * float(scale.mean())
+        converged = False
+        if prev is not None:
+            p_err, p_slack, p_entries, p_idx = prev
+            margin = p_err - err - cfg.tol * max(p_err, 1e-300)
+            if abs(margin) <= (2.0 + cfg.tol) * max(slack, p_slack):
+                # too close to call: decide on the direct errors the stop rule is defined on
+                p_err = trace.errors[-1] = _direct_error(samples, p_entries, p_idx)
+                err = _direct_error(samples, entries, idx)
+            converged = (p_err - err) <= cfg.tol * max(p_err, 1e-300)
         trace.errors.append(err)
-        converged = prev_err is not None and (prev_err - err) <= cfg.tol * max(prev_err, 1e-300)
-        prev_err = err
+        prev = (err, slack, entries.copy(), idx)
 
         counts = np.bincount(idx, minlength=cfg.k).astype(np.float64)
-        sums = np.zeros_like(entries)
-        np.add.at(sums, idx, samples)
+        # one-hot (K, N) @ (N, D) sums each cluster's rows in ascending sample
+        # order starting from 0: the same additions as a per-row scatter-add
+        one_hot = sp.csr_array((np.ones(n), (idx, np.arange(n))), shape=(cfg.k, n))
+        sums = (one_hot @ sparse).toarray()
         age += 1
         ema_counts = decay * ema_counts + (1.0 - decay) * counts
         ema_sums = decay * ema_sums + (1.0 - decay) * sums
@@ -228,14 +267,13 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
             ema_sums[mature_dead] = 0.0
             age[mature_dead] = 0
             trace.refresh_iters.append(it)
-            prev_err = None  # refresh may bump the error; restart the stop test
+            prev = None  # refresh may bump the error; restart the stop test
 
-    # final pass so usage reflects the returned entries
-    idx = _assign(samples, entries)
-    diff = samples - entries[idx]
-    trace.errors.append(float((diff**2).sum(axis=1).mean()))
+    # final pass so usage reflects the returned entries; its error is direct
+    idx, _ = _assign(samples, entries)
+    trace.errors.append(_direct_error(samples, entries, idx))
     usage = np.bincount(idx, minlength=cfg.k).astype(np.int64)
-    return Codebook(entries, usage, ema_counts, ema_sums, kind, trace)
+    return Codebook(entries, usage, kind, trace)
 
 
 def train_dual(
@@ -268,9 +306,7 @@ def write_codebook(path, codebook: Codebook, fill: np.ndarray | None = None) -> 
 
 
 def read_codebook(path) -> tuple[Codebook, np.ndarray | None]:
-    """Read a QPCB file; returns (codebook, fill vector or None).  EMA state
-    is not persisted, so the loaded codebook starts with zeroed accumulators.
-    """
+    """Read a QPCB file; returns (codebook, fill vector or None)."""
     from .pcio import FormatError
 
     path = Path(path)
@@ -283,6 +319,8 @@ def read_codebook(path) -> tuple[Codebook, np.ndarray | None]:
     if kind_code not in _KIND_NAMES:
         raise FormatError(f"{path}: unknown codebook kind {kind_code}")
     k, dim = struct.unpack_from("<II", data, 6)
+    if k == 0 or dim == 0:
+        raise FormatError(f"{path}: empty codebook (K={k}, D={dim})")
     off = 14
     need = k * dim * 4 + k * 8
     if len(data) < off + need:
@@ -299,11 +337,4 @@ def read_codebook(path) -> tuple[Codebook, np.ndarray | None]:
         off += 4 + dim * 4
         if len(data) != off:
             raise FormatError(f"{path}: trailing bytes after FILL block")
-    cb = Codebook(
-        entries.astype(np.float64),
-        usage,
-        np.zeros(k),
-        np.zeros((k, dim)),
-        _KIND_NAMES[kind_code],
-    )
-    return cb, fill
+    return Codebook(entries.astype(np.float64), usage, _KIND_NAMES[kind_code]), fill

@@ -76,3 +76,83 @@ def trained_codebooks_for(occ_vec, int_vec, k=16, seed=0, dead_limit=0):
         kind="int",
     )
     return cb_occ, cb_int
+
+
+def _dense_assign(vectors, entries, chunk=8192):
+    idx = np.empty(vectors.shape[0], dtype=np.int64)
+    ent_sq = (entries**2).sum(axis=1)
+    for start in range(0, vectors.shape[0], chunk):
+        d = ent_sq - 2.0 * (vectors[start : start + chunk] @ entries.T)
+        idx[start : start + chunk] = np.argmin(d, axis=1)
+    return idx
+
+
+def _dense_kmeanspp_init(samples, k, rng):
+    n = samples.shape[0]
+    entries = np.empty((k, samples.shape[1]), dtype=np.float64)
+    pick = int(rng.integers(n))
+    entries[0] = samples[pick]
+    min_d = ((samples - entries[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(min_d.sum())
+        if total > 0.0:
+            pick = int(rng.choice(n, p=min_d / total))
+        else:
+            pick = int(rng.integers(n))
+        entries[j] = samples[pick]
+        min_d = np.minimum(min_d, ((samples - entries[j]) ** 2).sum(axis=1))
+    return entries
+
+
+def dense_train_codebook(samples, cfg):
+    """Reference trainer: dense k-means++ seeding, ``np.add.at`` centroid sums
+    and the direct per-pass error.  ``train_codebook`` must return the same
+    entries, usage and refresh iterations bit for bit, and the same errors up
+    to rounding.  Returns ``(entries, usage, errors, refresh_iters)``."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    if n <= cfg.reservoir_size:
+        reservoir = samples
+    else:
+        reservoir = samples[rng.choice(n, size=cfg.reservoir_size, replace=False)]
+
+    entries = _dense_kmeanspp_init(samples, cfg.k, rng)
+    ema_counts = np.zeros(cfg.k)
+    ema_sums = np.zeros_like(entries)
+    age = np.zeros(cfg.k, dtype=np.int64)
+    errors, refresh_iters = [], []
+    decay = cfg.ema_decay
+    prev_err = None
+    for it in range(1, cfg.max_iters + 1):
+        idx = _dense_assign(samples, entries)
+        err = float(((samples - entries[idx]) ** 2).sum(axis=1).mean())
+        errors.append(err)
+        converged = prev_err is not None and (prev_err - err) <= cfg.tol * max(prev_err, 1e-300)
+        prev_err = err
+
+        counts = np.bincount(idx, minlength=cfg.k).astype(np.float64)
+        sums = np.zeros_like(entries)
+        np.add.at(sums, idx, samples)
+        age += 1
+        ema_counts = decay * ema_counts + (1.0 - decay) * counts
+        ema_sums = decay * ema_sums + (1.0 - decay) * sums
+        served = counts > 0
+        entries[served] = ema_sums[served] / ema_counts[served, None]
+
+        dead = ema_counts / (1.0 - decay**age) < cfg.dead_limit
+        mature_dead = dead & (age >= min(cfg.refresh_period, cfg.max_iters))
+        if converged and not dead.any():
+            break
+        if mature_dead.any() and (converged or it % cfg.refresh_period == 0):
+            n_dead = int(mature_dead.sum())
+            entries[mature_dead] = reservoir[rng.integers(len(reservoir), size=n_dead)]
+            ema_counts[mature_dead] = 0.0
+            ema_sums[mature_dead] = 0.0
+            age[mature_dead] = 0
+            refresh_iters.append(it)
+            prev_err = None
+
+    idx = _dense_assign(samples, entries)
+    errors.append(float(((samples - entries[idx]) ** 2).sum(axis=1).mean()))
+    return entries, np.bincount(idx, minlength=cfg.k).astype(np.int64), errors, refresh_iters

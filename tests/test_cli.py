@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -66,6 +67,17 @@ class TestPipelineCommands:
         )
         cloud = read_qpcd(workspace / "dec.qpcd")
         assert len(cloud) > 0
+
+    def test_train_summary_reports_dead_and_refreshes(self, workspace, capsys):
+        from qpcomm.quantizer import read_codebook
+
+        scenes = make_scenes(workspace, n=1)
+        capsys.readouterr()
+        occ, inten = train_codebooks(workspace, scenes)
+        line = capsys.readouterr().out.strip()
+        for kind, path in (("occ", occ), ("int", inten)):
+            dead = int((read_codebook(path)[0].usage == 0).sum())
+            assert re.search(rf"{kind} err \S+ \(dead {dead}, refreshes \d+\)", line), line
 
     def test_encode_deterministic(self, workspace):
         scenes = make_scenes(workspace, n=1)

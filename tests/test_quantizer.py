@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from helpers import dense_train_codebook
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpcomm.pcio import FormatError
 from qpcomm.quantizer import (
     Codebook,
     QuantizerConfig,
@@ -238,3 +242,84 @@ class TestCodebookFile:
         path.write_bytes(b"XXXX" + bytes(32))
         with pytest.raises(ValueError):
             read_codebook(path)
+
+    @pytest.mark.parametrize("k,dim", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_codebook_header_rejected(self, tmp_path, k, dim):
+        path = tmp_path / "cb.qpcb"
+        path.write_bytes(b"QPCB" + bytes([1, 0]) + k.to_bytes(4, "little") + dim.to_bytes(4, "little"))
+        with pytest.raises(FormatError):
+            read_codebook(path)
+
+
+def assert_matches_dense_oracle(samples, cfg):
+    cb = train_codebook(samples, cfg)
+    entries, usage, errors, refresh_iters = dense_train_codebook(samples, cfg)
+    assert cb.entries.tobytes() == entries.tobytes()
+    np.testing.assert_array_equal(cb.usage, usage)
+    assert cb.trace.refresh_iters == refresh_iters
+    # in-loop errors come from the expanded form, whose cancellation error is
+    # a few ulps of the squared norms; the final pass is direct
+    atol = 1e-12 * float((np.asarray(samples) ** 2).sum(axis=1).mean())
+    np.testing.assert_allclose(cb.trace.errors, errors, rtol=1e-12, atol=atol)
+    assert cb.trace.errors[-1] == errors[-1]
+
+
+class TestSparseTrainingOracle:
+    """``train_codebook`` seeds and updates through a sparse copy of the
+    samples; it must return what the dense formulation returns."""
+
+    def test_sparse_binary(self):
+        rng = np.random.default_rng(20)
+        samples = (rng.random((600, 48)) < 0.04).astype(np.float64)
+        assert_matches_dense_oracle(samples, QuantizerConfig(k=24, dim=48, dead_limit=8, seed=3))
+
+    def test_sparse_float_with_duplicate_rows(self):
+        rng = np.random.default_rng(21)
+        base = (rng.random((300, 40)) < 0.08) * rng.random((300, 40))
+        samples = np.vstack([base, base[:120], base[5:9]])[rng.permutation(424)]
+        assert_matches_dense_oracle(samples, QuantizerConfig(k=32, dim=40, dead_limit=4, seed=4))
+
+    @pytest.mark.parametrize("dead_limit", [0, 256])
+    def test_all_identical_samples(self, dead_limit):
+        samples = np.tile([0.0, 1.5, 0.0, -2.0, 0.25], (50, 1))
+        cfg = QuantizerConfig(k=6, dim=5, dead_limit=dead_limit, seed=5)
+        assert_matches_dense_oracle(samples, cfg)
+
+    def test_more_codes_than_distinct_samples(self):
+        rng = np.random.default_rng(22)
+        distinct = (rng.random((5, 16)) < 0.2) * rng.normal(size=(5, 16))
+        samples = distinct[rng.integers(5, size=80)]
+        assert_matches_dense_oracle(samples, QuantizerConfig(k=12, dim=16, dead_limit=2, seed=6))
+
+    def test_stop_rule_at_rounding_level(self):
+        # with tol=0 the stop test compares errors that differ only by rounding
+        # once entries settle, so it must see the direct errors
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n, dim, k = int(rng.integers(2, 60)), int(rng.integers(1, 24)), int(rng.integers(1, 12))
+            samples = (rng.random((n, dim)) < rng.random()) * rng.normal(size=(n, dim))
+            cfg = QuantizerConfig(k=k, dim=dim, dead_limit=0, max_iters=30, seed=seed, tol=0.0)
+            assert_matches_dense_oracle(samples, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 60), st.integers(1, 24)),
+        k=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        dup_frac=st.floats(0.0, 0.8),
+        binary=st.booleans(),
+        dead_limit=st.sampled_from([0, 2, 256]),
+        tol=st.sampled_from([1e-5, 0.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_sparse_family(self, shape, k, density, dup_frac, binary, dead_limit, tol, seed):
+        rng = np.random.default_rng(seed)
+        n, dim = shape
+        mask = rng.random((n, dim)) < density
+        samples = mask.astype(np.float64) if binary else mask * rng.normal(size=(n, dim))
+        n_dup = int(dup_frac * n)
+        samples[:n_dup] = samples[rng.integers(n, size=n_dup)]
+        cfg = QuantizerConfig(
+            k=k, dim=dim, dead_limit=dead_limit, refresh_period=3, max_iters=30, tol=tol, seed=seed,
+        )
+        assert_matches_dense_oracle(samples, cfg)
