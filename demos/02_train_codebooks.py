@@ -8,8 +8,6 @@ quantization loss terms, and shows the codebook file roundtrip.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 import qpcomm as q
 from qpcomm.quantizer import QuantizerConfig, train_dual
 
@@ -17,15 +15,8 @@ spec = q.VoxelGridSpec((0, 0, 0), (0.15625, 0.15625, 0.15), (64, 64, 8))
 patch = q.PatchSpec(2, 2)
 dim = patch.vector_dim(spec)
 
-occ_samples, int_samples = [], []
-for seed in range(4):
-    cloud, _ = q.generate(q.SceneConfig(seed=seed))
-    occupancy, intensity, _ = q.voxelize(cloud, spec)
-    ov, iv = q.patchify(occupancy, intensity, patch)
-    occ_samples.append(ov.reshape(-1, dim))
-    int_samples.append(iv.reshape(-1, dim))
-occ_samples = np.vstack(occ_samples)
-int_samples = np.vstack(int_samples)
+clouds = [q.generate(q.SceneConfig(seed=seed))[0] for seed in range(4)]
+occ_samples, int_samples = q.training_vectors(clouds, spec, patch)
 print(f"training on {occ_samples.shape[0]} patch vectors of dimension {dim}")
 
 cfg = dict(k=64, dim=dim, dead_limit=0)

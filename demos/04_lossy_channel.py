@@ -7,8 +7,6 @@ chunks of geometry; the fitted constant fill restores the typical structure
 (here: the ground plane) and keeps the error curve flat much longer.
 """
 
-import numpy as np
-
 import qpcomm as q
 from qpcomm.quantizer import QuantizerConfig, train_dual
 
@@ -17,12 +15,7 @@ patch = q.PatchSpec(2, 2)
 dim = patch.vector_dim(spec)
 
 scenes = [q.generate(q.SceneConfig(seed=s))[0] for s in range(3)]
-occ_s = np.vstack([
-    q.patchify(*q.voxelize(c, spec)[:2], patch)[0].reshape(-1, dim) for c in scenes
-])
-int_s = np.vstack([
-    q.patchify(*q.voxelize(c, spec)[:2], patch)[1].reshape(-1, dim) for c in scenes
-])
+occ_s, int_s = q.training_vectors(scenes, spec, patch)
 cb_occ, cb_int = train_dual(
     occ_s, int_s,
     QuantizerConfig(k=64, dim=dim, seed=1, dead_limit=0),

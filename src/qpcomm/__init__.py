@@ -29,6 +29,7 @@ from .geometry import (
     VoxelGridSpec,
     assemble_grid,
     patchify,
+    training_vectors,
     unpatchify,
     voxelize,
 )
@@ -66,6 +67,7 @@ from .wire import (
     read_frame,
     read_packet_trace,
     reassemble,
+    receive,
     serialize,
     write_frame,
     write_packet_trace,

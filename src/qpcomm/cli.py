@@ -7,9 +7,11 @@ variable ``QPC_SEED`` overrides any ``--seed`` flag.  Output files are
 written to a temporary name and renamed on success, so a failing command
 never leaves a partial file behind.
 
-Every command accepts ``--config FILE`` (JSON).  Keys are the flag names
-with dashes replaced by underscores; explicit flags win over the config
-file, which wins over built-in defaults.
+Every command but ``volume`` accepts ``--config FILE`` (JSON).  Keys are
+the flag names with dashes replaced by underscores.  The values are parsed
+as flags placed right after the command name, so they are validated exactly
+like flags, and an explicit flag, coming later, wins over the config file,
+which wins over built-in defaults.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, pcio, scenegen, wire
 from .channel import ChannelConfig, transmit
 from .codec import DecodeConfig, decode, decode_vectors, encode
-from .geometry import PatchSpec, VoxelGridSpec, patchify, voxelize
+from .geometry import PatchSpec, VoxelGridSpec, training_vectors
 from .metrics import sweep as run_sweep
 from .quantizer import (
     KIND_INT,
@@ -60,28 +60,19 @@ PRESETS = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _usage(msg: str) -> CliError:
-    return CliError(msg, USAGE_ERROR)
-
-
-def _data(msg: str) -> CliError:
-    return CliError(msg, DATA_ERROR)
+class UsageError(Exception):
+    """A bad flag value or flag combination (exit 2); data errors are
+    ``ValueError`` or ``OSError`` (exit 3)."""
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
     parts = text.split(",")
     if len(parts) != n:
-        raise _usage(f"{what} needs {n} comma-separated values, got {len(parts)}")
+        raise UsageError(f"{what} needs {n} comma-separated values, got {len(parts)}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise _usage(f"{what}: {exc}") from exc
+        raise UsageError(f"{what}: {exc}") from exc
 
 
 def _resolve_seed(seed: int) -> int:
@@ -90,7 +81,7 @@ def _resolve_seed(seed: int) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise _usage(f"QPC_SEED must be an integer, got {env!r}") from exc
+            raise UsageError(f"QPC_SEED must be an integer, got {env!r}") from exc
     return seed
 
 
@@ -106,31 +97,34 @@ def _atomic(path, write_fn) -> None:
         raise
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise _data(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _data(f"bad config JSON: {exc}") from exc
+def _config_tokens(path, command: argparse.ArgumentParser) -> list:
+    """The --config JSON object as flag tokens of ``command``."""
+    with open(path) as fh:
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise _data("config file must contain a JSON object")
-    return cfg
-
-
-def _overlay(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Fill namespace values from the --config file where flags were left at
-    their built-in defaults."""
-    cfg = _load_config(getattr(args, "config", None))
+        raise ValueError("config file must contain a JSON object")
+    actions = {a.dest: a for a in command._actions if a.option_strings}
+    del actions["help"]
+    tokens = []
     for key, value in cfg.items():
-        if not hasattr(args, key):
-            raise _usage(f"unknown config key {key!r}")
-        if getattr(args, key) == parser_defaults.get(key):
-            setattr(args, key, value)
-    return args
+        action = actions.get(key)
+        if action is None:
+            raise UsageError(f"unknown config key {key!r}")
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a store_true switch
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false")
+            tokens += [flag] if value else []
+        elif action.nargs is not None:
+            if not isinstance(value, list):
+                raise UsageError(f"config key {key!r} must be a list")
+            tokens += [flag, *map(str, value)]
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            # one token, so a value starting with '-' is not taken for a flag
+            tokens.append(f"{flag}={value}")
+        else:
+            raise UsageError(f"config key {key!r} must be a string or a number")
+    return tokens
 
 
 def _grid_spec(args) -> VoxelGridSpec:
@@ -140,75 +134,45 @@ def _grid_spec(args) -> VoxelGridSpec:
         cell = vals[:3]
         dims = tuple(int(v) for v in vals[3:])
         if any(v != int(v) for v in vals[3:]):
-            raise _usage("--grid dims must be integers")
+            raise UsageError("--grid dims must be integers")
     else:
         cell, dims = preset["cell"], preset["dims"]
     origin = _parse_floats(args.origin, 3, "--origin")
     try:
         return VoxelGridSpec(origin, cell, dims)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _patch_spec(args) -> PatchSpec:
     if args.dim_patch is not None:
         vals = _parse_floats(args.dim_patch, 2, "--dim-patch")
         if any(v != int(v) for v in vals):
-            raise _usage("--dim-patch values must be integers")
+            raise UsageError("--dim-patch values must be integers")
         p_h, p_w = (int(v) for v in vals)
     else:
         p_h, p_w = PRESETS[args.preset]["patch"]
     try:
         return PatchSpec(p_h, p_w)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
-
-
-def _read_cloud(path):
-    try:
-        return pcio.read_cloud(path)
-    except FileNotFoundError as exc:
-        raise _data(f"missing input file: {path}") from exc
-    except ValueError as exc:
-        raise _data(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _read_codebooks(paths):
-    loaded = []
-    for path in paths:
-        try:
-            loaded.append(read_codebook(path))
-        except FileNotFoundError as exc:
-            raise _data(f"missing codebook file: {path}") from exc
-        except ValueError as exc:
-            raise _data(str(exc)) from exc
-    (cb_a, fill_a), (cb_b, fill_b) = loaded
-    by_kind = {cb_a.kind: (cb_a, fill_a), cb_b.kind: (cb_b, fill_b)}
+    by_kind = {cb.kind: (cb, fill) for cb, fill in map(read_codebook, paths)}
     if set(by_kind) != {KIND_OCC, KIND_INT}:
-        raise _data("need one occupancy codebook and one intensity codebook")
+        raise ValueError("need one occupancy codebook and one intensity codebook")
     return by_kind[KIND_OCC], by_kind[KIND_INT]
 
 
 def _scene_files(directory) -> list:
     d = Path(directory)
     if not d.is_dir():
-        raise _data(f"--scenes is not a directory: {directory}")
+        raise ValueError(f"--scenes is not a directory: {directory}")
     files = sorted(p for p in d.iterdir() if p.suffix.lower() in (".qpcd", ".csv"))
     if not files:
-        raise _data(f"no .qpcd or .csv scenes in {directory}")
+        raise ValueError(f"no .qpcd or .csv scenes in {directory}")
     return files
-
-
-def _training_vectors(clouds, spec, patch):
-    """Stacked (N, D) occupancy and intensity patch vectors of ``clouds``."""
-    dim = patch.vector_dim(spec)
-    occ_vecs, int_vecs = [], []
-    for cloud in clouds:
-        occ, inten, _ = voxelize(cloud, spec)
-        ov, iv = patchify(occ, inten, patch)
-        occ_vecs.append(ov.reshape(-1, dim))
-        int_vecs.append(iv.reshape(-1, dim))
-    return np.vstack(occ_vecs), np.vstack(int_vecs)
 
 
 def _fill_policy(name: str, fill_occ, fill_int) -> FillPolicy:
@@ -216,7 +180,7 @@ def _fill_policy(name: str, fill_occ, fill_int) -> FillPolicy:
         return FillPolicy.empty()
     if name == "learned_constant":
         if fill_occ is None or fill_int is None:
-            raise _data("learned_constant fill requires codebooks with FILL blocks")
+            raise ValueError("learned_constant fill requires codebooks with FILL blocks")
         return FillPolicy.learned_constant(fill_occ, fill_int)
     return FillPolicy.neighbor_copy(fill_occ, fill_int)
 
@@ -236,11 +200,11 @@ def cmd_gen_scene(args) -> int:
             surface_density=args.surface_density,
         )
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     try:
         cloud, boxes = scenegen.generate(cfg)
     except RuntimeError as exc:
-        raise _data(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     if args.boxes:
         payload = json.dumps([b.to_dict() for b in boxes], indent=2, sort_keys=True)
@@ -255,10 +219,10 @@ def cmd_train(args) -> int:
     patch = _patch_spec(args)
     k = args.k if args.k is not None else PRESETS[args.preset]["k"]
     if k < 1:
-        raise _usage("--k must be >= 1")
+        raise UsageError("--k must be >= 1")
     dim = patch.vector_dim(spec)
-    clouds = map(_read_cloud, _scene_files(args.scenes))
-    occ_samples, int_samples = _training_vectors(clouds, spec, patch)
+    clouds = map(pcio.read_cloud, _scene_files(args.scenes))
+    occ_samples, int_samples = training_vectors(clouds, spec, patch)
 
     try:
         base = dict(
@@ -272,7 +236,7 @@ def cmd_train(args) -> int:
         cfg_occ = QuantizerConfig(seed=derive_seed(seed, 0), **base)
         cfg_int = QuantizerConfig(seed=derive_seed(seed, 1), **base)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     cb_occ, cb_int = train_dual(occ_samples, int_samples, cfg_occ, cfg_int)
     fill_occ = fit_fill_vector(occ_samples)
     fill_int = fit_fill_vector(int_samples)
@@ -290,13 +254,10 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     spec = _grid_spec(args)
     patch = _patch_spec(args)
-    cloud = _read_cloud(args.infile)
+    cloud = pcio.read_cloud(args.infile)
     (cb_occ, _), (cb_int, _) = _read_codebooks(args.codebooks)
     pose = Pose(*_parse_floats(args.pose, 6, "--pose"))
-    try:
-        im = encode(cloud, spec, patch, cb_occ, cb_int)
-    except ValueError as exc:
-        raise _data(str(exc)) from exc
+    im = encode(cloud, spec, patch, cb_occ, cb_int)
     frame = wire.serialize(im, pose, agent_id=args.agent_id, frame_id=args.frame_id)
     _atomic(args.out, lambda p: write_frame(p, frame))
     print(f"wrote frame ({frame.total_nbytes} bytes, {im.h}x{im.w} cells) to {args.out}")
@@ -312,23 +273,15 @@ def _decode_cfg(args, seed) -> DecodeConfig:
             seed=seed,
         )
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_decode(args) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        frame = read_frame(args.infile)
-    except FileNotFoundError as exc:
-        raise _data(f"missing input file: {args.infile}") from exc
-    except ValueError as exc:
-        raise _data(str(exc)) from exc
+    frame = read_frame(args.infile)
     (cb_occ, _), (cb_int, _) = _read_codebooks(args.codebooks)
-    try:
-        im, _mask = wire.deserialize(frame)
-        cloud = decode(im, cb_occ, cb_int, _decode_cfg(args, seed))
-    except ValueError as exc:
-        raise _data(str(exc)) from exc
+    im, _mask = wire.deserialize(frame)
+    cloud = decode(im, cb_occ, cb_int, _decode_cfg(args, seed))
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     print(f"decoded {len(cloud)} points to {args.out}")
     return 0
@@ -337,25 +290,19 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     if not 0.0 <= args.drop_rate <= 1.0:
-        raise _usage("--drop-rate must lie in [0, 1]")
-    try:
-        frame = read_frame(args.infile)
-    except FileNotFoundError as exc:
-        raise _data(f"missing input file: {args.infile}") from exc
-    except ValueError as exc:
-        raise _data(str(exc)) from exc
+        raise UsageError("--drop-rate must lie in [0, 1]")
+    if args.trace_in and (args.drop_rate or args.latency_ms or args.jitter_ms):
+        raise UsageError("--trace-in replays recorded packets; it takes no channel flags")
+    frame = read_frame(args.infile)
     (cb_occ, fill_occ), (cb_int, fill_int) = _read_codebooks(args.codebooks)
     policy = _fill_policy(args.fill, fill_occ, fill_int)
 
     try:
         packets = wire.packetize(frame, args.mtu)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     if args.trace_in:
-        try:
-            delivered = wire.read_packet_trace(args.trace_in)
-        except ValueError as exc:
-            raise _data(str(exc)) from exc
+        delivered = wire.read_packet_trace(args.trace_in)
         report = None
     else:
         cfg = ChannelConfig(
@@ -368,26 +315,9 @@ def cmd_simulate(args) -> int:
     if args.trace_out:
         _atomic(args.trace_out, lambda p: wire.write_packet_trace(p, delivered))
 
-    try:
-        frame_rx, missing = wire.reassemble(delivered)
-        im, mask = wire.deserialize(frame_rx, missing)
-    except wire.IncompleteFrameError:
-        im, _ = wire.deserialize(frame)
-        from .tolerance import LossMask
-
-        mask = LossMask.all_lost(im.h, im.w)
-    except ValueError as exc:
-        raise _data(str(exc)) from exc
-
-    from .tolerance import fill as fill_cells
-
-    try:
-        occ_vec, int_vec = fill_cells(im, mask, policy, cb_occ, cb_int)
-    except ValueError as exc:
-        raise _data(str(exc)) from exc
-    cloud = decode_vectors(
-        occ_vec, int_vec, frame.spec, frame.patch, _decode_cfg(args, derive_seed(seed, 2))
-    )
+    spec, patch = frame.spec, frame.patch
+    occ_vec, int_vec, mask = wire.receive(delivered, spec, patch, cb_occ, cb_int, policy)
+    cloud = decode_vectors(occ_vec, int_vec, spec, patch, _decode_cfg(args, derive_seed(seed, 2)))
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     if args.report:
         payload = {
@@ -417,20 +347,20 @@ def cmd_sweep(args) -> int:
     patch = _patch_spec(args)
     p_values = list(_parse_floats(args.p_list, len(args.p_list.split(",")), "--p-list"))
     if any(not 0.0 <= p <= 1.0 for p in p_values):
-        raise _usage("--p-list values must lie in [0, 1]")
+        raise UsageError("--p-list values must lie in [0, 1]")
     if args.trials < 1:
-        raise _usage("--trials must be >= 1")
+        raise UsageError("--trials must be >= 1")
 
     files = _scene_files(args.scenes)
-    scenes = [_read_cloud(p) for p in files]
+    scenes = [pcio.read_cloud(p) for p in files]
     dim = patch.vector_dim(spec)
 
     if args.codebooks:
         (cb_occ, fill_occ), (cb_int, fill_int) = _read_codebooks(args.codebooks)
         if cb_occ.dim != dim:
-            raise _data(f"codebook dim {cb_occ.dim} != patch vector dim {dim}")
+            raise ValueError(f"codebook dim {cb_occ.dim} != patch vector dim {dim}")
     else:
-        occ_samples, int_samples = _training_vectors(scenes, spec, patch)
+        occ_samples, int_samples = training_vectors(scenes, spec, patch)
         k = args.k if args.k is not None else PRESETS[args.preset]["k"]
         cb_occ, cb_int = train_dual(
             occ_samples, int_samples,
@@ -475,11 +405,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_volume(args) -> int:
     if args.n < 1:
-        raise _usage("--n must be >= 1")
+        raise UsageError("--n must be >= 1")
     try:
         value = comm_volume_log2_bytes(args.n, args.k)
     except ValueError as exc:
-        raise _usage(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     print(f"{value:.2f}")
     return 0
 
@@ -508,15 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpc", description="quantized point-cloud communication toolkit"
     )
-    parser.subparser_map = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, **kwargs):
-        cmd = sub.add_parser(name, **kwargs)
-        parser.subparser_map[name] = cmd
+    def add_command(name, run, help):
+        cmd = sub.add_parser(name, help=help)
+        # the command's own parser tells _config_tokens its flags
+        cmd.set_defaults(run=run, parser=cmd)
         return cmd
 
-    p = add_command("gen-scene", help="generate a synthetic scene as QPCD")
+    p = add_command("gen-scene", cmd_gen_scene, help="generate a synthetic scene as QPCD")
     _add_common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--boxes", default=None, help="also write ground-truth boxes as JSON")
@@ -524,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent", default="0,10,0,10,0,1.2", metavar="x0,x1,y0,y1,z0,z1")
     p.add_argument("--ground-density", type=float, default=120.0)
     p.add_argument("--surface-density", type=float, default=160.0)
-    p.set_defaults(run=cmd_gen_scene)
 
-    p = add_command("train", help="train dual codebooks from a scene directory")
+    p = add_command("train", cmd_train, help="train dual codebooks from a scene directory")
     _add_common(p, grid=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--k", type=int, default=None, help="codebook size (preset default)")
@@ -536,9 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ema-decay", type=float, default=0.99)
     p.add_argument("--refresh-period", type=int, default=10)
     p.add_argument("--reservoir-size", type=int, default=4096)
-    p.set_defaults(run=cmd_train)
 
-    p = add_command("encode", help="encode a cloud into a frame file")
+    p = add_command("encode", cmd_encode, help="encode a cloud into a frame file")
     _add_common(p, grid=True, seed=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--codebooks", nargs=2, required=True, metavar=("OCC", "INT"))
@@ -546,17 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent-id", type=int, default=0)
     p.add_argument("--frame-id", type=int, default=0)
     p.add_argument("--pose", default="0,0,0,0,0,0", metavar="x,y,z,roll,pitch,yaw")
-    p.set_defaults(run=cmd_encode)
 
-    p = add_command("decode", help="decode a frame file back into a cloud")
+    p = add_command("decode", cmd_decode, help="decode a frame file back into a cloud")
     _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--codebooks", nargs=2, required=True, metavar=("OCC", "INT"))
     p.add_argument("--out", required=True)
     _add_decode_flags(p)
-    p.set_defaults(run=cmd_decode)
 
-    p = add_command("simulate", help="packetize, drop, reassemble, and decode")
+    p = add_command("simulate", cmd_simulate, help="packetize, drop, reassemble, and decode")
     _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--codebooks", nargs=2, required=True, metavar=("OCC", "INT"))
@@ -574,9 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None, help="dump delivered packets to a trace file")
     p.add_argument("--trace-in", default=None, help="replay delivered packets from a trace file")
     _add_decode_flags(p)
-    p.set_defaults(run=cmd_simulate)
 
-    p = add_command("sweep", help="drop-rate sweep over a scene directory")
+    p = add_command("sweep", cmd_sweep, help="drop-rate sweep over a scene directory")
     _add_common(p, grid=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--p-list", default="0,0.1,0.2,0.3,0.4")
@@ -593,29 +518,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobs", type=int, default=1)
     _add_decode_flags(p)
-    p.set_defaults(run=cmd_sweep)
 
-    p = add_command("volume", help="print the communication-volume metric")
+    p = add_command("volume", cmd_volume, help="print the communication-volume metric")
     p.add_argument("--n", type=int, default=11520, help="number of latent cells")
     p.add_argument("--k", type=int, default=2048, help="codebook size (power of two)")
-    p.set_defaults(run=cmd_volume)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    defaults = {
-        a.dest: a.default for a in parser.subparser_map[args.command]._actions
-    }
     try:
-        if hasattr(args, "config"):
-            args = _overlay(args, defaults)
+        if getattr(args, "config", None) is not None:
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, args.parser)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return args.run(args)
-    except CliError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

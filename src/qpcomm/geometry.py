@@ -70,8 +70,8 @@ class VoxelGridSpec:
             raise ValueError("origin, cell and dims must have three components")
         if not all(np.isfinite(self.origin)):
             raise ValueError("grid origin must be finite")
-        if any(c <= 0 for c in self.cell):
-            raise ValueError("cell sizes must be strictly positive")
+        if not all(0 < c < np.inf for c in self.cell):  # NaN fails too
+            raise ValueError("cell sizes must be positive and finite")
         if any(d <= 0 for d in self.dims):
             raise ValueError("grid dims must be strictly positive")
 
@@ -243,6 +243,21 @@ def patchify(
     occ_vec = _to_patch_vectors(occ.data.astype(np.float64), patch, occ.spec)
     int_vec = _to_patch_vectors(inten.data, patch, inten.spec)
     return occ_vec, int_vec
+
+
+def training_vectors(
+    clouds, spec: VoxelGridSpec, patch: PatchSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (N, D) occupancy and intensity patch vectors of ``clouds``,
+    the samples codebooks and fill constants are fitted to."""
+    dim = patch.vector_dim(spec)
+    occ_vecs, int_vecs = [], []
+    for cloud in clouds:
+        occ, inten, _ = voxelize(cloud, spec)
+        ov, iv = patchify(occ, inten, patch)
+        occ_vecs.append(ov.reshape(-1, dim))
+        int_vecs.append(iv.reshape(-1, dim))
+    return np.vstack(occ_vecs), np.vstack(int_vecs)
 
 
 def unpatchify(

@@ -30,16 +30,8 @@ from .geometry import (
 )
 from .quantizer import Codebook
 from .seeds import derive_seed
-from .tolerance import FillPolicy, LossMask, fill
-from .wire import (
-    IncompleteFrameError,
-    Pose,
-    bits_for,
-    deserialize,
-    packetize,
-    reassemble,
-    serialize,
-)
+from .tolerance import FillPolicy
+from .wire import Pose, bits_for, packetize, receive, serialize
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_reconstruction"
@@ -104,15 +96,7 @@ def evaluate_roundtrip(
     frame = serialize(im, pose or Pose())
     packets = packetize(frame, mtu)
     delivered, _report = transmit(packets, replace(channel_cfg, seed=derive_seed(seed, 1)))
-    try:
-        frame_rx, missing = reassemble(delivered)
-        im_rx, mask = deserialize(frame_rx, missing)
-    except IncompleteFrameError:
-        # unrecoverable header: the whole frame counts as lost; the receiver
-        # still knows the stream configuration (codebooks are pre-shared)
-        im_rx, mask = im, LossMask.all_lost(im.h, im.w)
-
-    occ_vec, int_vec = fill(im_rx, mask, fill_policy, cb_occ, cb_int)
+    occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, fill_policy)
     dec_cfg = replace(decode_cfg, seed=derive_seed(seed, 2))
     recon = decode_vectors(occ_vec, int_vec, spec, patch, dec_cfg)
 

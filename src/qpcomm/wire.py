@@ -25,6 +25,7 @@ file is exactly this byte stream on disk.
 Packets carry successive ``mtu``-sized byte ranges of the stream (no header
 replication); a latent cell is lost when any byte its bit-field touches is
 missing, the latent-level version of the all-or-nothing cell rule.
+``receive`` is the one receive path: reassemble, mark lost cells, fill them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numpy as np
 from .codec import IndexMap
 from .geometry import PatchSpec, VoxelGridSpec
 from .pcio import FormatError
-from .tolerance import LossMask
+from .quantizer import Codebook
+from .tolerance import FillPolicy, LossMask, fill
 
 FRAME_MAGIC = b"QPFR"
 FRAME_VERSION = 1
@@ -118,9 +120,12 @@ class Frame:
         if version != FRAME_VERSION:
             raise FormatError(f"unsupported frame version {version}")
         agent_id, frame_id, k_occ, k_int, h, w = fields[2:8]
-        spec = VoxelGridSpec(fields[8:11], fields[11:14], fields[14:17])
-        patch = PatchSpec(fields[17], fields[18])
-        pose = Pose(*fields[19:25])
+        try:
+            spec = VoxelGridSpec(fields[8:11], fields[11:14], fields[14:17])
+            patch = PatchSpec(fields[17], fields[18])
+            pose = Pose(*fields[19:25])
+        except ValueError as exc:
+            raise FormatError(f"bad frame header: {exc}") from exc
         return cls(agent_id, frame_id, k_occ, k_int, h, w, spec, patch, pose, b"")
 
     @classmethod
@@ -273,35 +278,86 @@ def packetize(frame: Frame, mtu: int) -> list[Packet]:
     return packets
 
 
+def _place(packets, nbytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``nbytes`` of the stream as the packets carry them, and
+    which of those bytes arrived.  A byte carried twice must carry the same
+    value both times."""
+    buf = np.zeros(nbytes, dtype=np.uint8)
+    present = np.zeros(nbytes, dtype=bool)
+    for p in packets:
+        lo, hi = p.byte_offset, min(p.byte_offset + len(p.payload), nbytes)
+        if lo >= hi:
+            continue
+        data = np.frombuffer(p.payload, dtype=np.uint8, count=hi - lo)
+        seen = present[lo:hi]
+        if (buf[lo:hi][seen] != data[seen]).any():
+            raise FormatError("duplicate packets carry conflicting bytes")
+        buf[lo:hi] = data
+        present[lo:hi] = True
+    return buf, present
+
+
 def reassemble(packets) -> tuple[Frame, np.ndarray]:
     """Rebuild a frame from delivered packets.
 
     Missing byte ranges are zero-filled; returns the frame plus a boolean
-    ``missing`` array over the full byte stream.  The expected stream length
-    comes from the header, so if any header byte is absent (or no packets
-    arrived at all) :class:`IncompleteFrameError` is raised -- the whole
-    frame counts as lost.
+    ``missing`` array over the full byte stream.  The header is read first
+    and fixes the stream length, so if any header byte is absent (or no
+    packets arrived at all) :class:`IncompleteFrameError` is raised -- the
+    whole frame counts as lost.  Packets of more than one frame, packets
+    whose frame id differs from the header's, duplicates with conflicting
+    bytes and bytes past the declared length raise :class:`FormatError`.
     """
-    packets = sorted(packets, key=lambda p: p.seq)
+    packets = list(packets)
     if not packets:
         raise IncompleteFrameError("no packets delivered")
-    end = max(p.byte_offset + len(p.payload) for p in packets)
-    buf = bytearray(max(end, HEADER_LEN))
-    present = np.zeros(len(buf), dtype=bool)
-    for p in packets:
-        buf[p.byte_offset : p.byte_offset + len(p.payload)] = p.payload
-        present[p.byte_offset : p.byte_offset + len(p.payload)] = True
-    if not present[:HEADER_LEN].all():
+    if len({p.frame_id for p in packets}) > 1:
+        raise FormatError("packets from more than one frame")
+    head, head_present = _place(packets, HEADER_LEN)
+    if not head_present.all():
         raise IncompleteFrameError("frame header bytes were lost")
-    head = Frame._parse_header(bytes(buf[:HEADER_LEN]))
-    total = head.total_nbytes
-    if len(buf) < total:
-        buf.extend(b"\x00" * (total - len(buf)))
-        present = np.concatenate([present, np.zeros(total - present.shape[0], dtype=bool)])
-    elif len(buf) > total:
+    header = Frame._parse_header(head.tobytes())
+    if header.frame_id != packets[0].frame_id:
+        raise FormatError("packet frame id differs from the header's")
+    total = header.total_nbytes
+    if any(p.byte_offset + len(p.payload) > total for p in packets):
         raise FormatError("packets extend past the declared frame length")
-    frame = Frame.from_bytes(bytes(buf))
-    return frame, ~present
+    buf, present = _place(packets, total)
+    return Frame.from_bytes(buf.tobytes()), ~present
+
+
+def receive(
+    packets,
+    spec: VoxelGridSpec,
+    patch: PatchSpec,
+    cb_occ: Codebook,
+    cb_int: Codebook,
+    policy: FillPolicy,
+) -> tuple[np.ndarray, np.ndarray, LossMask]:
+    """The receiver: reassemble the delivered packets, mark every latent
+    cell whose bits touch a missing byte as lost, and fill the lost cells.
+
+    Returns the (h, w, D) occupancy and intensity vector grids plus the loss
+    mask.  The grid, patch and codebooks are pre-shared, so a lost header
+    still leaves the stream configuration known: every cell of
+    ``patch.latent_shape(spec)`` counts as lost and is filled.  A received
+    header that disagrees with them raises :class:`FormatError`.
+    """
+    try:
+        frame, missing = reassemble(packets)
+    except IncompleteFrameError:
+        h, w = patch.latent_shape(spec)
+        zeros = np.zeros((h, w), dtype=np.int64)
+        im = IndexMap(zeros, zeros, cb_occ.k, cb_int.k, spec, patch)
+        mask = LossMask.all_lost(h, w)
+    else:
+        if (frame.spec, frame.patch, frame.k_occ, frame.k_int) != (
+            spec, patch, cb_occ.k, cb_int.k
+        ):
+            raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
+        im, mask = deserialize(frame, missing)
+    occ_vec, int_vec = fill(im, mask, policy, cb_occ, cb_int)
+    return occ_vec, int_vec, mask
 
 
 def comm_volume_log2_bytes(n_vectors: int, k: int) -> float:

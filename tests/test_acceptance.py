@@ -28,14 +28,7 @@ def desk_setup():
     vectors on the 64x64x8 desk grid."""
     dim = DESK_PATCH.vector_dim(DESK_SPEC)
     scenes = [q.generate(q.SceneConfig(seed=s))[0] for s in range(5)]
-    occ_vecs, int_vecs = [], []
-    for scene in scenes:
-        occ, inten, _ = q.voxelize(scene, DESK_SPEC)
-        ov, iv = q.patchify(occ, inten, DESK_PATCH)
-        occ_vecs.append(ov.reshape(-1, dim))
-        int_vecs.append(iv.reshape(-1, dim))
-    occ_samples = np.vstack(occ_vecs)
-    int_samples = np.vstack(int_vecs)
+    occ_samples, int_samples = q.training_vectors(scenes, DESK_SPEC, DESK_PATCH)
     cb_occ = train_codebook(
         occ_samples, QuantizerConfig(k=64, dim=dim, seed=1, dead_limit=0), kind="occ"
     )

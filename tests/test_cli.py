@@ -1,10 +1,15 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from qpcomm.cli import main
-from qpcomm.pcio import read_qpcd
+from qpcomm.codec import DecodeConfig, decode_vectors
+from qpcomm.pcio import read_qpcd, write_qpcd
+from qpcomm.quantizer import read_codebook
+from qpcomm.seeds import derive_seed
+from qpcomm.wire import packetize, read_frame, write_packet_trace
 
 
 @pytest.fixture()
@@ -24,6 +29,22 @@ def make_scenes(ws, n=2):
     for i in range(n):
         assert run("gen-scene", "--out", scenes / f"s{i}.qpcd", "--seed", i) == 0
     return scenes
+
+
+def exit_code(*argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def encoded_frame(ws):
+    scenes = make_scenes(ws, n=1)
+    occ, inten = train_codebooks(ws, scenes)
+    assert run("encode", "--in", scenes / "s0.qpcd", "--codebooks", occ, inten,
+               "--out", "f.qpfr") == 0
+    return occ, inten
 
 
 def train_codebooks(ws, scenes):
@@ -120,9 +141,10 @@ class TestPipelineCommands:
                 "--drop-rate", 0.4, "--mtu", 128, "--seed", 3, "--out", "a.qpcd",
                 "--trace-out", "t.pkts") == 0
         )
+        # a replay takes no channel flags: the trace already holds the drops
         assert (
             run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
-                "--drop-rate", 0.4, "--mtu", 128, "--seed", 3, "--out", "b.qpcd",
+                "--mtu", 128, "--seed", 3, "--out", "b.qpcd",
                 "--trace-in", "t.pkts") == 0
         )
         assert (workspace / "a.qpcd").read_bytes() == (workspace / "b.qpcd").read_bytes()
@@ -216,3 +238,68 @@ class TestConfigOverlay:
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps({"not_a_flag": 1}))
         assert run("gen-scene", "--out", "a.qpcd", "--config", cfg) == 2
+
+    def test_flag_equal_to_default_beats_config(self, workspace):
+        occ, inten = encoded_frame(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"drop_rate": 0.5}))
+        sim = ("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--mtu", 128)
+        assert run(*sim, "--config", cfg, "--drop-rate", "0.0", "--out", "a.qpcd",
+                   "--report", "a.json") == 0
+        assert run(*sim, "--out", "b.qpcd", "--report", "b.json") == 0
+        assert (workspace / "a.qpcd").read_bytes() == (workspace / "b.qpcd").read_bytes()
+        assert json.loads((workspace / "a.json").read_text())["drop_rate"] == 0.0
+
+    @pytest.mark.parametrize(
+        "cfg", [{"mtu": "abc"}, {"mtu": [1]}, {"fill": "bogus"}, {"no_clip": 1},
+                {"codebooks": "occ.qpcb"}, {"seed": None}]
+    )
+    def test_bad_config_value_exits_2(self, workspace, cfg):
+        path = workspace / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert exit_code("simulate", "--in", "f.qpfr", "--codebooks", "a", "b",
+                         "--out", "x.qpcd", "--config", path) == 2
+        assert not (workspace / "x.qpcd").exists()
+
+    def test_config_values_parsed_as_flags(self, workspace):
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"n_vehicles": "0", "extent": "-5,5,-5,5,0,1.2"}))
+        assert run("gen-scene", "--out", "a.qpcd", "--config", cfg) == 0
+        assert run("gen-scene", "--out", "b.qpcd", "--n-vehicles", 0,
+                   "--extent=-5,5,-5,5,0,1.2") == 0
+        assert (workspace / "a.qpcd").read_bytes() == (workspace / "b.qpcd").read_bytes()
+
+
+class TestTraceReplay:
+    @pytest.mark.parametrize("flag", ["--drop-rate", "--latency-ms", "--jitter-ms"])
+    def test_channel_flags_with_trace_in_exit_2(self, workspace, flag, capsys):
+        occ, inten = encoded_frame(workspace)
+        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--mtu", 128,
+                   "--out", "a.qpcd", "--trace-out", "t.pkts") == 0
+        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
+                   "--trace-in", "t.pkts", flag, "0.1", "--out", "b.qpcd") == 2
+        assert "--trace-in" in capsys.readouterr().err
+        assert not (workspace / "b.qpcd").exists()
+
+    def test_header_loss_decodes_the_fill_constants(self, workspace):
+        occ, inten = encoded_frame(workspace)
+        frame = read_frame(workspace / "f.qpfr")
+        (cb_occ, fill_occ), (cb_int, fill_int) = read_codebook(occ), read_codebook(inten)
+        # the header travels in packet 0; the payload packets still arrive
+        write_packet_trace(workspace / "t.pkts", packetize(frame, 128)[1:])
+        shape = (frame.h, frame.w, cb_occ.dim)
+        for fill in ("empty", "learned_constant", "neighbor_copy"):
+            assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--mtu", 128,
+                       "--seed", 3, "--fill", fill, "--trace-in", "t.pkts",
+                       "--out", "sim.qpcd", "--report", "rep.json") == 0
+            report = json.loads((workspace / "rep.json").read_text())
+            assert report["cells_lost"] == report["cells_total"] == frame.h * frame.w
+            consts = (0.0, 0.0) if fill == "empty" else (fill_occ, fill_int)
+            want = decode_vectors(
+                np.broadcast_to(consts[0], shape), np.broadcast_to(consts[1], shape),
+                frame.spec, frame.patch, DecodeConfig(seed=derive_seed(3, 2)),
+            )
+            write_qpcd(workspace / "want.qpcd", want)
+            assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()
+            assert report["decoded_points"] == len(want)
+            assert (len(want) == 0) == (fill == "empty")

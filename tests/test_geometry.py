@@ -38,6 +38,9 @@ class TestTypes:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             VoxelGridSpec((0, 0, 0), (0.1, 0.0, 0.1), (4, 4, 4))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                VoxelGridSpec((0, 0, 0), (0.1, bad, 0.1), (4, 4, 4))
         with pytest.raises(ValueError):
             VoxelGridSpec((0, 0, 0), (0.1, 0.1, 0.1), (4, 0, 4))
 

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import desk_spec, representable_scene, trained_codebooks_for
 
-from qpcomm.channel import ChannelConfig
-from qpcomm.codec import DecodeConfig
-from qpcomm.geometry import PatchSpec, PointCloud
+from qpcomm.channel import ChannelConfig, transmit
+from qpcomm.codec import DecodeConfig, decode_vectors, encode, occupancy_bce
+from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, voxelize
 from qpcomm.metrics import (
     STATUS_EMPTY,
     STATUS_OK,
@@ -14,8 +16,9 @@ from qpcomm.metrics import (
     write_reports_jsonl,
     write_summary_csv,
 )
+from qpcomm.seeds import derive_seed
 from qpcomm.tolerance import FillPolicy, fit_fill_vector
-from qpcomm.wire import comm_volume_log2_bytes
+from qpcomm.wire import HEADER_LEN, Pose, comm_volume_log2_bytes, packetize, serialize
 
 
 def brute_chamfer(a, b):
@@ -117,6 +120,38 @@ class TestEvaluateRoundtrip:
         a = evaluate_roundtrip(*args, seed=9, mtu=64)
         b = evaluate_roundtrip(*args, seed=9, mtu=64)
         assert a.to_json_dict() == b.to_json_dict()
+
+
+    @pytest.mark.parametrize("kind", ["empty", "learned_constant", "neighbor_copy"])
+    def test_header_loss_decodes_the_fill_constants(self, pipeline, kind):
+        spec, patch, cloud, cb_occ, cb_int, learned = pipeline
+        policy = FillPolicy(kind, learned.fill_occ, learned.fill_int)
+        channel = ChannelConfig(drop_rate=0.5)
+        packets = packetize(serialize(encode(cloud, spec, patch, cb_occ, cb_int), Pose()), 64)
+
+        def header_lost_payload_kept(seed):
+            delivered, _ = transmit(packets, replace(channel, seed=derive_seed(seed, 1)))
+            offsets = {p.byte_offset for p in delivered}
+            return not {0, 64} <= offsets and packets[-1].byte_offset in offsets
+
+        assert packets[1].byte_offset + len(packets[1].payload) > HEADER_LEN
+        seed = next(s for s in range(1000) if header_lost_payload_kept(s))
+        rep = evaluate_roundtrip(
+            cloud, cb_occ, cb_int, spec, patch, channel, DecodeConfig(), policy, seed=seed, mtu=64
+        )
+        assert rep.cell_loss_rate == 1.0
+        dim = patch.vector_dim(spec)
+        shape = (*patch.latent_shape(spec), dim)
+        empty = kind == "empty"
+        occ_vec = np.broadcast_to(np.zeros(dim) if empty else learned.fill_occ, shape)
+        int_vec = np.broadcast_to(np.zeros(dim) if empty else learned.fill_int, shape)
+        truth = voxelize(cloud, spec).occupancy
+        assert rep.occupancy_bce == occupancy_bce(truth, assemble_grid(occ_vec, patch, spec))
+        recon = decode_vectors(
+            occ_vec, int_vec, spec, patch, DecodeConfig(seed=derive_seed(seed, 2))
+        )
+        assert rep.chamfer_m == (chamfer(cloud, recon) if len(recon) else None)
+        assert (rep.chamfer_m is None) == empty
 
 
 class TestSweep:

@@ -1,12 +1,17 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from helpers import build_straddle_fixture
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpcomm.codec import IndexMap
 from qpcomm.geometry import PatchSpec, VoxelGridSpec
 from qpcomm.pcio import FormatError
+from qpcomm.quantizer import KIND_INT, Codebook
+from qpcomm.tolerance import FillPolicy
 from qpcomm.wire import (
     HEADER_LEN,
     HEADER_OVERHEAD_BEYOND_POSE,
@@ -21,6 +26,7 @@ from qpcomm.wire import (
     read_frame,
     read_packet_trace,
     reassemble,
+    receive,
     serialize,
     write_frame,
     write_packet_trace,
@@ -50,6 +56,26 @@ def random_index_map(rng, h=None, w=None, k_occ=None, k_int=None):
         spec,
         PatchSpec(p_h, p_w),
     )
+
+
+def byte_overlap_lost(im, missing):
+    """Oracle: the cells whose occupancy or intensity bit-field touches a
+    missing payload byte, as a flat boolean array."""
+    b_occ = bits_for(im.k_occ)
+    b_int = bits_for(im.k_int)
+    n = im.h * im.w
+    lost_bytes = set(np.flatnonzero(missing[HEADER_LEN:]).tolist())
+    expected = np.zeros(n, dtype=bool)
+    for c in range(n):
+        spans = []
+        if b_occ:
+            spans.append((c * b_occ, (c + 1) * b_occ - 1))
+        if b_int:
+            spans.append((n * b_occ + c * b_int, n * b_occ + (c + 1) * b_int - 1))
+        for lo, hi in spans:
+            if set(range(lo // 8, hi // 8 + 1)) & lost_bytes:
+                expected[c] = True
+    return expected
 
 
 class TestBitPacking:
@@ -125,6 +151,18 @@ class TestBitPacking:
         corrupt[4] = 99
         with pytest.raises(FormatError):
             Frame.from_bytes(bytes(corrupt))
+
+
+    @pytest.mark.parametrize(
+        "fmt,offset,value",
+        [("<d", 53, -1.0), ("<d", 53, math.nan), ("<I", 89, 0), ("<f", 97, math.inf)],
+    )  # first cell size twice, p_h, pose x
+    def test_invalid_header_field_is_a_format_error(self, fmt, offset, value):
+        rng = np.random.default_rng(21)
+        blob = bytearray(serialize(random_index_map(rng), Pose()).to_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        with pytest.raises(FormatError):
+            Frame.from_bytes(bytes(blob))
 
 
 class TestPacketize:
@@ -218,26 +256,164 @@ class TestLossMapping:
             delivered = [p for p, k in zip(packets, keep) if k]
             again, missing = reassemble(delivered)
             back, mask = deserialize(again, missing)
-            # oracle: recompute the expected lost set from byte ranges
-            b_occ = bits_for(im.k_occ)
-            b_int = bits_for(im.k_int)
-            n = im.h * im.w
-            lost_bytes = set(np.flatnonzero(missing[HEADER_LEN:]).tolist())
-            expected = np.zeros(n, dtype=bool)
-            for c in range(n):
-                spans = []
-                if b_occ:
-                    spans.append((c * b_occ, (c + 1) * b_occ - 1))
-                if b_int:
-                    spans.append((n * b_occ + c * b_int, n * b_occ + (c + 1) * b_int - 1))
-                for lo, hi in spans:
-                    if set(range(lo // 8, hi // 8 + 1)) & lost_bytes:
-                        expected[c] = True
-            np.testing.assert_array_equal(mask.lost.ravel(), expected)
+            np.testing.assert_array_equal(mask.lost.ravel(), byte_overlap_lost(im, missing))
             # present cells keep their original indices
             ok = ~mask.lost
             np.testing.assert_array_equal(back.occ_indices[ok], im.occ_indices[ok])
             np.testing.assert_array_equal(back.int_indices[ok], im.int_indices[ok])
+
+
+seeds = st.integers(0, 2**32 - 1)
+mtus = st.sampled_from([64, 80, 128, 200])
+
+
+class TestReassemblyContracts:
+    """Any delivery of a frame's packets yields the exact frame, the
+    byte-overlap loss mask, or a typed error -- never a silent wrong frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=seeds, mtu=mtus, mtu2=mtus)
+    def test_subsets_permutations_and_identical_duplicates(self, data, seed, mtu, mtu2):
+        rng = np.random.default_rng(seed)
+        im = random_index_map(rng, h=int(rng.integers(1, 10)), w=int(rng.integers(1, 10)))
+        frame = serialize(im, Pose(), frame_id=int(rng.integers(2**32)))
+        blob = np.frombuffer(frame.to_bytes(), dtype=np.uint8)
+        # two packetizations: duplicates may cover overlapping, shifted ranges
+        pool = packetize(frame, mtu) + packetize(frame, mtu2)
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=3 * len(pool)))
+        delivered = [pool[i] for i in picks]
+        covered = np.zeros(blob.size, dtype=bool)
+        for p in delivered:
+            covered[p.byte_offset : p.byte_offset + len(p.payload)] = True
+
+        if not covered[:HEADER_LEN].all():
+            with pytest.raises(IncompleteFrameError):
+                reassemble(delivered)
+            return
+        again, missing = reassemble(delivered)
+        np.testing.assert_array_equal(missing, ~covered)
+        got = np.frombuffer(again.to_bytes(), dtype=np.uint8)
+        np.testing.assert_array_equal(got[covered], blob[covered])
+        assert not got[~covered].any()
+        back, mask = deserialize(again, missing)
+        np.testing.assert_array_equal(mask.lost.ravel(), byte_overlap_lost(im, missing))
+        ok = ~mask.lost
+        np.testing.assert_array_equal(back.occ_indices[ok], im.occ_indices[ok])
+        np.testing.assert_array_equal(back.int_indices[ok], im.int_indices[ok])
+        if covered.all():
+            assert back == im and again.frame_id == frame.frame_id
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=seeds, mtu=mtus, ids=st.tuples(seeds, seeds))
+    def test_mixed_frames_rejected(self, data, seed, mtu, ids):
+        assume(ids[0] != ids[1])
+        rng = np.random.default_rng(seed)
+        a = packetize(serialize(random_index_map(rng), Pose(), frame_id=ids[0]), mtu)
+        b = packetize(serialize(random_index_map(rng), Pose(x=1.0), frame_id=ids[1]), mtu)
+        mixed = data.draw(st.lists(st.sampled_from(a), min_size=1)) + data.draw(
+            st.lists(st.sampled_from(b), min_size=1)
+        )
+        with pytest.raises(FormatError) as excinfo:
+            reassemble(data.draw(st.permutations(mixed)))
+        assert excinfo.type is FormatError
+
+    def test_header_of_one_frame_with_payload_of_another_rejected(self):
+        rng = np.random.default_rng(16)
+        ims = [random_index_map(rng, h=4, w=4, k_occ=64, k_int=64) for _ in range(2)]
+        first = packetize(serialize(ims[0], Pose(), frame_id=1), 64)
+        second = packetize(serialize(ims[1], Pose(x=5.0), frame_id=2), 64)
+        with pytest.raises(FormatError):
+            reassemble(first[:1] + second[1:])
+
+    def test_packet_frame_id_must_match_header(self):
+        rng = np.random.default_rng(17)
+        frame = serialize(random_index_map(rng), Pose(), frame_id=5)
+        relabeled = [Packet(6, p.seq, p.byte_offset, p.payload) for p in packetize(frame, 64)]
+        with pytest.raises(FormatError):
+            reassemble(relabeled)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=seeds, mtu=mtus)
+    def test_conflicting_duplicate_rejected(self, data, seed, mtu):
+        rng = np.random.default_rng(seed)
+        packets = packetize(serialize(random_index_map(rng), Pose()), mtu)
+        p = data.draw(st.sampled_from(packets))
+        payload = bytearray(p.payload)
+        payload[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(st.integers(1, 255))
+        forged = Packet(p.frame_id, p.seq, p.byte_offset, bytes(payload))
+        with pytest.raises(FormatError) as excinfo:
+            reassemble(data.draw(st.permutations(packets + [forged])))
+        assert excinfo.type is FormatError
+
+    @pytest.mark.parametrize("offset", [2**63, 2**64 - 1])
+    def test_huge_offset_rejected_without_allocating(self, offset, tmp_path):
+        rng = np.random.default_rng(18)
+        frame = serialize(random_index_map(rng), Pose())
+        packets = packetize(frame, 64)
+        rogue = Packet(frame.frame_id, len(packets), offset, b"\x01")
+        with pytest.raises(FormatError):
+            reassemble(packets + [rogue])
+        path = tmp_path / "t.pkts"
+        write_packet_trace(path, [rogue] + packets)
+        with pytest.raises(FormatError):
+            reassemble(read_packet_trace(path))
+
+    def test_packet_past_declared_length_rejected(self):
+        rng = np.random.default_rng(19)
+        frame = serialize(random_index_map(rng), Pose())
+        packets = packetize(frame, 64)
+        extra = Packet(frame.frame_id, len(packets), frame.total_nbytes, b"\x00")
+        with pytest.raises(FormatError):
+            reassemble(packets + [extra])
+
+
+class TestReceive:
+    @pytest.fixture()
+    def setup(self):
+        rng = np.random.default_rng(20)
+        im = random_index_map(rng, h=4, w=5, k_occ=16, k_int=8)
+        dim = im.patch.vector_dim(im.spec)
+        cb_occ = Codebook.from_entries(rng.random((16, dim)))
+        cb_int = Codebook.from_entries(rng.random((8, dim)), kind=KIND_INT)
+        fill_occ, fill_int = rng.random(dim), rng.random(dim)
+        return im, cb_occ, cb_int, fill_occ, fill_int
+
+    def test_full_delivery_is_the_code_vectors(self, setup):
+        im, cb_occ, cb_int, fill_occ, fill_int = setup
+        packets = packetize(serialize(im, Pose()), 64)
+        occ_vec, int_vec, mask = receive(
+            packets[::-1], im.spec, im.patch, cb_occ, cb_int, FillPolicy.empty()
+        )
+        assert mask.n_lost == 0
+        np.testing.assert_array_equal(occ_vec, cb_occ.entries[im.occ_indices])
+        np.testing.assert_array_equal(int_vec, cb_int.entries[im.int_indices])
+
+    @pytest.mark.parametrize("policy", ["empty", "learned_constant", "neighbor_copy"])
+    def test_header_loss_fills_every_cell(self, setup, policy):
+        im, cb_occ, cb_int, fill_occ, fill_int = setup
+        packets = packetize(serialize(im, Pose()), 64)
+        fp = FillPolicy(policy, fill_occ, fill_int)
+        for delivered in ([], packets[1:]):
+            occ_vec, int_vec, mask = receive(delivered, im.spec, im.patch, cb_occ, cb_int, fp)
+            assert mask.lost.shape == (im.h, im.w) and mask.lost.all()
+            want_occ, want_int = (
+                (np.zeros_like(fill_occ), np.zeros_like(fill_int))
+                if policy == "empty"
+                else (fill_occ, fill_int)
+            )
+            np.testing.assert_array_equal(occ_vec, np.broadcast_to(want_occ, occ_vec.shape))
+            np.testing.assert_array_equal(int_vec, np.broadcast_to(want_int, int_vec.shape))
+
+    def test_header_disagreeing_with_receiver_rejected(self, setup):
+        im, cb_occ, cb_int, fill_occ, fill_int = setup
+        packets = packetize(serialize(im, Pose()), 64)
+        policy = FillPolicy.empty()
+        other_spec = VoxelGridSpec((9.0, 9.0, 9.0), im.spec.cell, im.spec.dims)
+        with pytest.raises(FormatError):
+            receive(packets, other_spec, im.patch, cb_occ, cb_int, policy)
+        small = Codebook.from_entries(cb_occ.entries[:15])
+        with pytest.raises(FormatError):
+            receive(packets, im.spec, im.patch, small, cb_int, policy)
 
 
 class TestStraddleFixture:
