@@ -350,6 +350,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--p-list values must lie in [0, 1]")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
 
     files = _scene_files(args.scenes)
     scenes = [pcio.read_cloud(p) for p in files]

@@ -3,8 +3,11 @@
 ``chamfer`` is the symmetric mean nearest-neighbor distance (unsquared
 Euclidean, halved, in meters).  ``evaluate_roundtrip`` runs one scene through
 encode -> serialize -> packetize -> lossy channel -> reassemble -> fill ->
-decode and reports fidelity plus communication volume; ``sweep`` repeats that
-over scenes x drop rates x trials with deterministically derived seeds.
+decode and reports fidelity plus communication volume.  It is two stages: a
+sender stage (truth grids, encode, serialize) that depends on the scene alone,
+and a per-trial stage (channel onwards).  ``sweep`` runs the sender stage once
+per scene and the trial stage for every ``(scene, drop rate, trial)`` index
+triple, with deterministically derived seeds.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,7 +37,7 @@ from .geometry import (
 from .quantizer import Codebook
 from .seeds import derive_seed
 from .tolerance import FillPolicy
-from .wire import Pose, bits_for, packetize, receive, serialize
+from .wire import POSE_BITS, Pose, packetize, receive, serialize
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_reconstruction"
@@ -49,16 +55,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "chamfer_m": self.chamfer_m,
-            "occupancy_bce": self.occupancy_bce,
-            "intensity_mse": self.intensity_mse,
-            "comm_log2_bytes": self.comm_log2_bytes,
-            "cell_loss_rate": self.cell_loss_rate,
-            "seed": self.seed,
-            "status": self.status,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def chamfer(a: PointCloud, b: PointCloud) -> float:
@@ -71,29 +68,17 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
-def _volume_field(n_cells: int, k_occ: int, k_int: int) -> float:
-    bits = n_cells * (bits_for(k_occ) + bits_for(k_int)) + 6 * 32
-    return math.log2(bits / 8.0)
-
-
-def evaluate_roundtrip(
-    scene: PointCloud,
-    cb_occ: Codebook,
-    cb_int: Codebook,
-    spec: VoxelGridSpec,
-    patch: PatchSpec,
-    channel_cfg: ChannelConfig,
-    decode_cfg: DecodeConfig,
-    fill_policy: FillPolicy,
-    seed: int,
-    mtu: int = 1200,
-    pose: Pose | None = None,
-) -> EvalReport:
-    """One full transmit-and-reconstruct measurement, deterministic given
-    ``seed`` (channel and decoder sub-seeds are derived from it)."""
+def _send(scene, cb_occ, cb_int, spec, patch, pose=None):
+    """Sender stage: the scene, its truth grids and the frame encoding it."""
     occ_truth, int_truth, _ = voxelize(scene, spec)
-    im = encode(scene, spec, patch, cb_occ, cb_int)
-    frame = serialize(im, pose or Pose())
+    frame = serialize(encode(scene, spec, patch, cb_occ, cb_int), pose or Pose())
+    return scene, occ_truth, int_truth, frame
+
+
+def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu):
+    """Per-trial stage on a ``_send`` result: packetize -> lossy channel ->
+    receive -> decode -> measure, deterministic given ``seed``."""
+    scene, occ_truth, int_truth, frame = sent
     packets = packetize(frame, mtu)
     delivered, _report = transmit(packets, replace(channel_cfg, seed=derive_seed(seed, 1)))
     occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, fill_policy)
@@ -115,7 +100,7 @@ def evaluate_roundtrip(
         chamfer_m=cd,
         occupancy_bce=bce,
         intensity_mse=mse,
-        comm_log2_bytes=_volume_field(im.n_cells, im.k_occ, im.k_int),
+        comm_log2_bytes=math.log2((frame.payload_nbits + POSE_BITS) / 8),
         cell_loss_rate=mask.cell_loss_rate,
         seed=seed,
         status=status,
@@ -125,36 +110,56 @@ def evaluate_roundtrip(
             "fill": fill_policy.kind,
             "sigma": decode_cfg.resolved_sigma(spec),
             "points_per_voxel": decode_cfg.points_per_voxel,
-            "k_occ": im.k_occ,
-            "k_int": im.k_int,
+            "k_occ": frame.k_occ,
+            "k_int": frame.k_int,
         },
+    )
+
+
+def evaluate_roundtrip(
+    scene: PointCloud,
+    cb_occ: Codebook,
+    cb_int: Codebook,
+    spec: VoxelGridSpec,
+    patch: PatchSpec,
+    channel_cfg: ChannelConfig,
+    decode_cfg: DecodeConfig,
+    fill_policy: FillPolicy,
+    seed: int,
+    mtu: int = 1200,
+    pose: Pose | None = None,
+) -> EvalReport:
+    """One full transmit-and-reconstruct measurement, deterministic given
+    ``seed`` (channel and decoder sub-seeds are derived from it)."""
+    sent = _send(scene, cb_occ, cb_int, spec, patch, pose)
+    return _trial(
+        sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu
     )
 
 
 @dataclass
 class SweepResult:
     reports: list  # EvalReport per (scene, p, trial), in that nesting order
-    aggregates: list  # one dict per drop rate
-
-    def reports_for(self, p: float) -> list:
-        return [r for r in self.reports if r.config["drop_rate"] == p]
+    aggregates: list  # one dict per entry of p_values
 
 
-def _run_trial(args):
-    (scene, cb_occ, cb_int, spec, patch, p, latency_ms, jitter_ms, fill_policy,
-     decode_cfg, mtu, trial_seed) = args
-    return evaluate_roundtrip(
-        scene,
-        cb_occ,
-        cb_int,
-        spec,
-        patch,
-        ChannelConfig(drop_rate=p, latency_ms=latency_ms, jitter_ms=jitter_ms),
-        decode_cfg,
-        fill_policy,
-        seed=trial_seed,
-        mtu=mtu,
-    )
+def _sweep_trial(index, *, sent, p_values, master_seed, channel_cfg, **common):
+    """The sweep trial at ``index = (scene_idx, p_idx, trial)``."""
+    si, pi, trial = index
+    cfg = replace(channel_cfg, drop_rate=p_values[pi])
+    return _trial(sent[si], channel_cfg=cfg, seed=derive_seed(master_seed, si, pi, trial), **common)
+
+
+_worker_run = None  # a pool worker's bound ``_sweep_trial``, set once by ``_init_worker``
+
+
+def _init_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_in_worker(index):
+    return _worker_run(index)
 
 
 def sweep(
@@ -175,30 +180,35 @@ def sweep(
 ) -> SweepResult:
     """Evaluate every (scene, drop rate, trial) combination.
 
-    Trial seeds are ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so
-    results are reproducible and independent of ``jobs``.
+    Each scene is encoded once; each trial then runs from its index triple
+    with seed ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so
+    results are reproducible and independent of ``jobs`` (>= 1; the worker
+    count is capped at the trial and CPU counts, and each worker receives
+    the encoded scenes and codebooks once).  There is one aggregate per
+    entry of ``p_values``, a repeated drop rate included.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    decode_cfg = decode_cfg or DecodeConfig()
-    tasks = []
-    for si, scene in enumerate(scenes):
-        for pi, p in enumerate(p_values):
-            for trial in range(trials):
-                tasks.append(
-                    (scene, cb_occ, cb_int, spec, patch, p, latency_ms, jitter_ms,
-                     fill_policy, decode_cfg, mtu,
-                     derive_seed(master_seed, si, pi, trial))
-                )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_trial, tasks, chunksize=8))
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
+    channel_cfg = ChannelConfig(drop_rate=0.0, latency_ms=latency_ms, jitter_ms=jitter_ms)
+    run = partial(
+        _sweep_trial, sent=sent, p_values=list(p_values), master_seed=master_seed,
+        channel_cfg=channel_cfg, cb_occ=cb_occ, cb_int=cb_int, spec=spec, patch=patch,
+        decode_cfg=decode_cfg or DecodeConfig(), fill_policy=fill_policy, mtu=mtu,
+    )
+    indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))
+    workers = min(jobs, len(indices), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(run,)) as pool:
+            reports = list(pool.map(_run_in_worker, indices, chunksize=8))
     else:
-        reports = [_run_trial(t) for t in tasks]
+        reports = [run(index) for index in indices]
 
     aggregates = []
-    for p in p_values:
-        group = [r for r in reports if r.config["drop_rate"] == p]
+    for pi, p in enumerate(p_values):
+        group = [r for (_si, i, _t), r in zip(indices, reports) if i == pi]
         chams = [r.chamfer_m for r in group if r.chamfer_m is not None]
         bces = [r.occupancy_bce for r in group if r.occupancy_bce is not None]
         mses = [r.intensity_mse for r in group if r.intensity_mse is not None]
@@ -230,23 +240,11 @@ def write_summary_csv(path, reports, scene_ids, trials: int, p_values) -> None:
         writer.writerow(
             ["scene", "p", "trial", "chamfer_m", "bce", "mse", "log2_bytes", "cell_loss_rate"]
         )
-        it = iter(reports)
-        for sid in scene_ids:
-            for p in p_values:
-                for trial in range(trials):
-                    r = next(it)
-                    writer.writerow(
-                        [
-                            sid,
-                            p,
-                            trial,
-                            _fmt(r.chamfer_m),
-                            _fmt(r.occupancy_bce),
-                            _fmt(r.intensity_mse),
-                            _fmt(r.comm_log2_bytes),
-                            _fmt(r.cell_loss_rate),
-                        ]
-                    )
+        for (sid, p, trial), r in zip(product(scene_ids, p_values, range(trials)), reports,
+                                      strict=True):
+            values = (r.chamfer_m, r.occupancy_bce, r.intensity_mse, r.comm_log2_bytes,
+                      r.cell_loss_rate)
+            writer.writerow([sid, p, trial, *map(_fmt, values)])
 
 
 def _fmt(v):

@@ -369,7 +369,7 @@ def comm_volume_log2_bytes(n_vectors: int, k: int) -> float:
         raise ValueError("n_vectors must be >= 1")
     if k < 2 or (k & (k - 1)) != 0:
         raise ValueError("codebook size must be a power of two >= 2")
-    bits = 2 * n_vectors * math.log2(k) + POSE_BITS
+    bits = 2 * n_vectors * bits_for(k) + POSE_BITS
     return math.log2(bits / 8.0)
 
 

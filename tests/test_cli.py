@@ -170,6 +170,21 @@ class TestSweepCommand:
         rows = (workspace / "r.csv").read_text().strip().split("\n")
         assert len(rows) == 3
 
+    def test_repeated_drop_rate_counted_per_entry(self, workspace, capsys):
+        scenes = make_scenes(workspace)
+        capsys.readouterr()
+        assert run("sweep", "--scenes", scenes, "--p-list", "0.3,0.3", "--trials", 1,
+                   "--k", 32, "--seed", 2) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 2
+        assert all(line.startswith("p=0.3   trials=2 ") for line in lines)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_exits_2(self, workspace, capsys, jobs):
+        scenes = make_scenes(workspace, n=1)
+        assert exit_code("sweep", "--scenes", scenes, "--trials", 1, "--jobs", jobs) == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestVolume:
     def test_prints_reference_value(self, workspace, capsys):

@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import desk_spec, representable_scene, trained_codebooks_for
 
+from qpcomm import metrics
 from qpcomm.channel import ChannelConfig, transmit
 from qpcomm.codec import DecodeConfig, decode_vectors, encode, occupancy_bce
 from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, voxelize
@@ -16,6 +18,7 @@ from qpcomm.metrics import (
     write_reports_jsonl,
     write_summary_csv,
 )
+from qpcomm.quantizer import Codebook
 from qpcomm.seeds import derive_seed
 from qpcomm.tolerance import FillPolicy, fit_fill_vector
 from qpcomm.wire import HEADER_LEN, Pose, comm_volume_log2_bytes, packetize, serialize
@@ -113,6 +116,18 @@ class TestEvaluateRoundtrip:
         h, w = patch.latent_shape(spec)
         assert rep.comm_log2_bytes == comm_volume_log2_bytes(h * w, cb_occ.k)
 
+        # K = 100: 7-bit fields, outside the power-of-two volume formula;
+        # the padding entries sit far from every vector and are never chosen
+        pad = np.full((100 - cb_occ.k, cb_occ.dim), 1e3)
+        cb100 = [Codebook.from_entries(np.vstack([cb.entries, pad]), cb.kind)
+                 for cb in (cb_occ, cb_int)]
+        rep = evaluate_roundtrip(
+            cloud, *cb100, spec, patch, ChannelConfig(drop_rate=0.0),
+            DecodeConfig(), policy, seed=2, mtu=64,
+        )
+        assert (rep.config["k_occ"], rep.config["k_int"]) == (100, 100)
+        assert rep.comm_log2_bytes == math.log2((h * w * (7 + 7) + 6 * 32) / 8)
+
     def test_deterministic(self, pipeline):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         args = (cloud, cb_occ, cb_int, spec, patch, ChannelConfig(drop_rate=0.5),
@@ -194,14 +209,104 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([cloud], [0.0], 0, cb_occ, cb_int, spec, patch, policy)
 
-    def test_parallel_jobs_bit_identical(self, pipeline):
+    def test_parallel_jobs_bit_identical(self, pipeline, monkeypatch):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        serial = sweep([cloud], [0.0, 0.4], 3, cb_occ, cb_int, spec, patch, policy,
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)  # a real two-worker pool
+        scenes = [cloud, PointCloud(cloud.points[::2])]
+        p_values = [0.0, 0.4, 0.4]
+        serial = sweep(scenes, p_values, 3, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=8, jobs=1)
-        parallel = sweep([cloud], [0.0, 0.4], 3, cb_occ, cb_int, spec, patch, policy,
+        parallel = sweep(scenes, p_values, 3, cb_occ, cb_int, spec, patch, policy,
                          mtu=64, master_seed=8, jobs=2)
+        assert len(serial.reports) == 18
         assert [r.to_json_dict() for r in serial.reports] == [
             r.to_json_dict() for r in parallel.reports
+        ]
+        assert serial.aggregates == parallel.aggregates
+
+    def test_reports_match_evaluate_roundtrip_per_index(self, pipeline):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        scenes = [cloud, PointCloud(cloud.points[::2])]
+        p_values, trials, master = [0.0, 0.5], 2, 12
+        result = sweep(scenes, p_values, trials, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=master)
+        it = iter(result.reports)
+        for si, scene in enumerate(scenes):
+            for pi, p in enumerate(p_values):
+                for trial in range(trials):
+                    direct = evaluate_roundtrip(
+                        scene, cb_occ, cb_int, spec, patch, ChannelConfig(drop_rate=p),
+                        DecodeConfig(), policy, seed=derive_seed(master, si, pi, trial), mtu=64,
+                    )
+                    assert next(it).to_json_dict() == direct.to_json_dict()
+        assert next(it, None) is None
+
+    def test_encodes_each_scene_once(self, pipeline, monkeypatch):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        calls = []
+
+        def counting_encode(scene, *args):
+            calls.append(scene)
+            return encode(scene, *args)
+
+        monkeypatch.setattr(metrics, "encode", counting_encode)
+        scenes = [cloud, PointCloud(cloud.points[::2])]
+        result = sweep(scenes, [0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy, mtu=64)
+        assert len(result.reports) == 8
+        assert len(calls) == len(scenes) and all(c is s for c, s in zip(calls, scenes))
+
+    def test_repeated_drop_rate_aggregated_per_entry(self, pipeline):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        result = sweep([cloud, cloud], [0.3, 0.3], 1, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=7)
+        assert [agg["n"] for agg in result.aggregates] == [2, 2]
+        assert [agg["p"] for agg in result.aggregates] == [0.3, 0.3]
+        # reports 0 and 2 are p entry 0, reports 1 and 3 are p entry 1
+        first = [result.reports[0].cell_loss_rate, result.reports[2].cell_loss_rate]
+        assert result.aggregates[0]["mean_cell_loss_rate"] == float(np.mean(first))
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_validated(self, pipeline, jobs):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        with pytest.raises(ValueError, match="jobs"):
+            sweep([cloud], [0.0], 1, cb_occ, cb_int, spec, patch, policy, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs,n_scenes,cpus,expected",
+        [(64, 1, 8, 3), (2, 1, 8, 2), (64, 2, 4, 4), (64, 1, None, None), (3, 1, 1, None)],
+    )
+    def test_worker_count_capped(self, pipeline, monkeypatch, jobs, n_scenes, cpus, expected):
+        # expected None: a single worker, so the trials run in this process
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        started = []
+
+        class FakeExecutor:
+            """Records the worker count and runs the trials in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(metrics, "_worker_run", None)
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: cpus)
+        scenes = [cloud] * n_scenes
+        result = sweep(scenes, [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=9, jobs=jobs)
+        assert started == ([] if expected is None else [expected])
+        serial = sweep(scenes, [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=9)
+        assert [r.to_json_dict() for r in result.reports] == [
+            r.to_json_dict() for r in serial.reports
         ]
 
     def test_report_files(self, pipeline, tmp_path):
@@ -227,3 +332,5 @@ class TestSweep:
         ]
         assert len(rows) == 5
         assert rows[1][0] == "sceneA"
+        with pytest.raises(ValueError):  # fewer reports than (scene, p, trial) rows
+            write_summary_csv(csv_path, result.reports[:-1], ["sceneA"], 2, [0.0, 1.0])
