@@ -19,8 +19,8 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must lie in [0, 1]")
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency_ms and jitter_ms must be >= 0")
+        if not (0 <= self.latency_ms < np.inf and 0 <= self.jitter_ms < np.inf):
+            raise ValueError("latency_ms and jitter_ms must be finite and >= 0")
 
 
 @dataclass

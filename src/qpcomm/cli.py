@@ -1,8 +1,11 @@
 """Command-line surface: scene generation, codebook training, encode/decode,
 channel simulation, metric sweeps, and the communication-volume formula.
 
-Exit codes: 0 success, 2 usage error (bad flags or flag-level invariants),
-3 data error (missing/corrupt files, pipeline failures).  The environment
+Exit codes: 0 success; 2 a bad flag, reported before any file is read;
+3 a problem with a file or with data (missing or corrupt files, pipeline
+failures).  Each command starts with one flags phase (``_flags``) that reads
+no file and builds every value that comes from flags with the library's own
+constructors, so their ``ValueError`` is the exit-2 message.  The environment
 variable ``QPC_SEED`` overrides any ``--seed`` flag.  Output files are
 written to a temporary name and renamed on success, so a failing command
 never leaves a partial file behind.
@@ -20,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import metrics, pcio, scenegen, wire
@@ -65,24 +69,51 @@ class UsageError(Exception):
     ``ValueError`` or ``OSError`` (exit 3)."""
 
 
-def _parse_floats(text: str, n: int, what: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise UsageError(f"{what} needs {n} comma-separated values, got {len(parts)}")
+@contextmanager
+def _flags():
+    """A command's flags phase: it reads no file, and a ``ValueError``
+    raised in it is a bad flag."""
     try:
-        return tuple(float(p) for p in parts)
+        yield
     except ValueError as exc:
-        raise UsageError(f"{what}: {exc}") from exc
+        raise UsageError(str(exc)) from exc
 
 
-def _resolve_seed(seed: int) -> int:
+def _floats(text: str, n: int | None, what: str) -> tuple:
+    vals = tuple(float(p) for p in text.split(","))
+    if n is not None and len(vals) != n:
+        raise ValueError(f"{what} needs {n} comma-separated values, got {len(vals)}")
+    return vals
+
+
+def _ints(vals, what: str) -> tuple:
+    if not all(v.is_integer() for v in vals):
+        raise ValueError(f"{what} must be integers")
+    return tuple(int(v) for v in vals)
+
+
+def _seed(args) -> int:
     env = os.environ.get("QPC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"QPC_SEED must be an integer, got {env!r}") from exc
-    return seed
+    if env is None:
+        return args.seed
+    if not env.strip().lstrip("+-").replace("_", "").isdecimal():
+        raise ValueError(f"QPC_SEED must be an integer, got {env!r}")
+    return int(env)
+
+
+def _grid(args) -> tuple[VoxelGridSpec, PatchSpec]:
+    """The grid and its patch from --preset, --grid, --origin and --dim-patch."""
+    preset = PRESETS[args.preset]
+    cell, dims, patch = preset["cell"], preset["dims"], preset["patch"]
+    if args.grid is not None:
+        vals = _floats(args.grid, 6, "--grid")
+        cell, dims = vals[:3], _ints(vals[3:], "--grid dims")
+    if args.dim_patch is not None:
+        patch = _ints(_floats(args.dim_patch, 2, "--dim-patch"), "--dim-patch values")
+    spec = VoxelGridSpec(_floats(args.origin, 3, "--origin"), cell, dims)
+    patch = PatchSpec(*patch)
+    patch.latent_shape(spec)
+    return spec, patch
 
 
 def _atomic(path, write_fn) -> None:
@@ -127,42 +158,18 @@ def _config_tokens(path, command: argparse.ArgumentParser) -> list:
     return tokens
 
 
-def _grid_spec(args) -> VoxelGridSpec:
-    preset = PRESETS[args.preset]
-    if args.grid is not None:
-        vals = _parse_floats(args.grid, 6, "--grid")
-        cell = vals[:3]
-        dims = tuple(int(v) for v in vals[3:])
-        if any(v != int(v) for v in vals[3:]):
-            raise UsageError("--grid dims must be integers")
-    else:
-        cell, dims = preset["cell"], preset["dims"]
-    origin = _parse_floats(args.origin, 3, "--origin")
-    try:
-        return VoxelGridSpec(origin, cell, dims)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _patch_spec(args) -> PatchSpec:
-    if args.dim_patch is not None:
-        vals = _parse_floats(args.dim_patch, 2, "--dim-patch")
-        if any(v != int(v) for v in vals):
-            raise UsageError("--dim-patch values must be integers")
-        p_h, p_w = (int(v) for v in vals)
-    else:
-        p_h, p_w = PRESETS[args.preset]["patch"]
-    try:
-        return PatchSpec(p_h, p_w)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _read_codebooks(paths):
     by_kind = {cb.kind: (cb, fill) for cb, fill in map(read_codebook, paths)}
     if set(by_kind) != {KIND_OCC, KIND_INT}:
         raise ValueError("need one occupancy codebook and one intensity codebook")
     return by_kind[KIND_OCC], by_kind[KIND_INT]
+
+
+def _train(clouds, spec, patch, cfg_occ, cfg_int):
+    """Both trained codebooks with their fill vectors, as ``_read_codebooks`` returns them."""
+    occ_samples, int_samples = training_vectors(clouds, spec, patch)
+    cb_occ, cb_int = train_dual(occ_samples, int_samples, cfg_occ, cfg_int)
+    return (cb_occ, fit_fill_vector(occ_samples)), (cb_int, fit_fill_vector(int_samples))
 
 
 def _scene_files(directory) -> list:
@@ -189,18 +196,15 @@ def _fill_policy(name: str, fill_occ, fill_int) -> FillPolicy:
 
 
 def cmd_gen_scene(args) -> int:
-    seed = _resolve_seed(args.seed)
-    extent = _parse_floats(args.extent, 6, "--extent")
-    try:
+    with _flags():
+        extent = _floats(args.extent, 6, "--extent")
         cfg = scenegen.SceneConfig(
-            seed=seed,
+            seed=_seed(args),
             extent=(extent[0:2], extent[2:4], extent[4:6]),
             n_vehicles=args.n_vehicles,
             ground_density=args.ground_density,
             surface_density=args.surface_density,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     try:
         cloud, boxes = scenegen.generate(cfg)
     except RuntimeError as exc:
@@ -214,32 +218,20 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
-    spec = _grid_spec(args)
-    patch = _patch_spec(args)
-    k = args.k if args.k is not None else PRESETS[args.preset]["k"]
-    if k < 1:
-        raise UsageError("--k must be >= 1")
-    dim = patch.vector_dim(spec)
-    clouds = map(pcio.read_cloud, _scene_files(args.scenes))
-    occ_samples, int_samples = training_vectors(clouds, spec, patch)
-
-    try:
-        base = dict(
-            k=k,
-            dim=dim,
-            dead_limit=args.dead_limit,
-            ema_decay=args.ema_decay,
-            refresh_period=args.refresh_period,
-            reservoir_size=args.reservoir_size,
+    with _flags():
+        seed = _seed(args)
+        spec, patch = _grid(args)
+        k = PRESETS[args.preset]["k"] if args.k is None else args.k
+        cfg_occ, cfg_int = (
+            QuantizerConfig(
+                k=k, dim=patch.vector_dim(spec), dead_limit=args.dead_limit,
+                ema_decay=args.ema_decay, refresh_period=args.refresh_period,
+                reservoir_size=args.reservoir_size, seed=derive_seed(seed, i),
+            )
+            for i in (0, 1)
         )
-        cfg_occ = QuantizerConfig(seed=derive_seed(seed, 0), **base)
-        cfg_int = QuantizerConfig(seed=derive_seed(seed, 1), **base)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    cb_occ, cb_int = train_dual(occ_samples, int_samples, cfg_occ, cfg_int)
-    fill_occ = fit_fill_vector(occ_samples)
-    fill_int = fit_fill_vector(int_samples)
+    clouds = map(pcio.read_cloud, _scene_files(args.scenes))
+    (cb_occ, fill_occ), (cb_int, fill_int) = _train(clouds, spec, patch, cfg_occ, cfg_int)
     _atomic(args.out_occ, lambda p: write_codebook(p, cb_occ, fill=fill_occ))
     _atomic(args.out_int, lambda p: write_codebook(p, cb_int, fill=fill_int))
     summary = ", ".join(
@@ -247,16 +239,18 @@ def cmd_train(args) -> int:
         f"(dead {int((cb.usage == 0).sum())}, refreshes {len(cb.trace.refresh_iters)})"
         for cb in (cb_occ, cb_int)
     )
-    print(f"trained K={k} D={dim} on {occ_samples.shape[0]} vectors: {summary}")
+    # the final pass assigns every training vector once
+    print(f"trained K={k} D={cb_occ.dim} on {cb_occ.usage.sum()} vectors: {summary}")
     return 0
 
 
 def cmd_encode(args) -> int:
-    spec = _grid_spec(args)
-    patch = _patch_spec(args)
+    with _flags():
+        spec, patch = _grid(args)
+        pose = Pose(*_floats(args.pose, 6, "--pose"))
+        wire.check_ids(args.agent_id, args.frame_id)
     cloud = pcio.read_cloud(args.infile)
     (cb_occ, _), (cb_int, _) = _read_codebooks(args.codebooks)
-    pose = Pose(*_parse_floats(args.pose, 6, "--pose"))
     im = encode(cloud, spec, patch, cb_occ, cb_int)
     frame = wire.serialize(im, pose, agent_id=args.agent_id, frame_id=args.frame_id)
     _atomic(args.out, lambda p: write_frame(p, frame))
@@ -264,60 +258,44 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _decode_cfg(args, seed) -> DecodeConfig:
-    try:
-        return DecodeConfig(
-            sigma=args.sigma,
-            points_per_voxel=args.points_per_voxel,
-            clip_to_voxel=not args.no_clip,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_decode(args) -> int:
-    seed = _resolve_seed(args.seed)
+    with _flags():
+        decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip, _seed(args))
     frame = read_frame(args.infile)
     (cb_occ, _), (cb_int, _) = _read_codebooks(args.codebooks)
     im, _mask = wire.deserialize(frame)
-    cloud = decode(im, cb_occ, cb_int, _decode_cfg(args, seed))
+    cloud = decode(im, cb_occ, cb_int, decode_cfg)
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     print(f"decoded {len(cloud)} points to {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args.seed)
-    if not 0.0 <= args.drop_rate <= 1.0:
-        raise UsageError("--drop-rate must lie in [0, 1]")
-    if args.trace_in and (args.drop_rate or args.latency_ms or args.jitter_ms):
-        raise UsageError("--trace-in replays recorded packets; it takes no channel flags")
+    with _flags():
+        seed = _seed(args)
+        channel = ChannelConfig(
+            args.drop_rate, args.latency_ms, args.jitter_ms, derive_seed(seed, 1)
+        )
+        if args.trace_in and (args.drop_rate or args.latency_ms or args.jitter_ms):
+            raise ValueError("--trace-in replays recorded packets; it takes no channel flags")
+        wire.check_mtu(args.mtu)
+        decode_cfg = DecodeConfig(
+            args.sigma, args.points_per_voxel, not args.no_clip, derive_seed(seed, 2)
+        )
     frame = read_frame(args.infile)
     (cb_occ, fill_occ), (cb_int, fill_int) = _read_codebooks(args.codebooks)
     policy = _fill_policy(args.fill, fill_occ, fill_int)
 
-    try:
-        packets = wire.packetize(frame, args.mtu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     if args.trace_in:
-        delivered = wire.read_packet_trace(args.trace_in)
-        report = None
+        delivered, report = wire.read_packet_trace(args.trace_in), None
     else:
-        cfg = ChannelConfig(
-            drop_rate=args.drop_rate,
-            latency_ms=args.latency_ms,
-            jitter_ms=args.jitter_ms,
-            seed=derive_seed(seed, 1),
-        )
-        delivered, report = transmit(packets, cfg)
+        delivered, report = transmit(wire.packetize(frame, args.mtu), channel)
     if args.trace_out:
         _atomic(args.trace_out, lambda p: wire.write_packet_trace(p, delivered))
 
     spec, patch = frame.spec, frame.patch
     occ_vec, int_vec, mask = wire.receive(delivered, spec, patch, cb_occ, cb_int, policy)
-    cloud = decode_vectors(occ_vec, int_vec, spec, patch, _decode_cfg(args, derive_seed(seed, 2)))
+    cloud = decode_vectors(occ_vec, int_vec, spec, patch, decode_cfg)
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     if args.report:
         payload = {
@@ -342,35 +320,31 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
-    spec = _grid_spec(args)
-    patch = _patch_spec(args)
-    p_values = list(_parse_floats(args.p_list, len(args.p_list.split(",")), "--p-list"))
-    if any(not 0.0 <= p <= 1.0 for p in p_values):
-        raise UsageError("--p-list values must lie in [0, 1]")
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
+    with _flags():
+        seed = _seed(args)
+        spec, patch = _grid(args)
+        p_values = _floats(args.p_list, None, "--p-list")
+        for p in p_values:
+            ChannelConfig(p)
+        if args.trials < 1:
+            raise ValueError("--trials must be >= 1")
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
+        wire.check_mtu(args.mtu)
+        if not args.codebooks:
+            k = PRESETS[args.preset]["k"] if args.k is None else args.k
+            cfg_occ, cfg_int = (
+                QuantizerConfig(k=k, dim=patch.vector_dim(spec), seed=derive_seed(seed, i))
+                for i in (100, 101)
+            )
+        decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip, 0)
 
     files = _scene_files(args.scenes)
     scenes = [pcio.read_cloud(p) for p in files]
-    dim = patch.vector_dim(spec)
-
     if args.codebooks:
         (cb_occ, fill_occ), (cb_int, fill_int) = _read_codebooks(args.codebooks)
-        if cb_occ.dim != dim:
-            raise ValueError(f"codebook dim {cb_occ.dim} != patch vector dim {dim}")
     else:
-        occ_samples, int_samples = training_vectors(scenes, spec, patch)
-        k = args.k if args.k is not None else PRESETS[args.preset]["k"]
-        cb_occ, cb_int = train_dual(
-            occ_samples, int_samples,
-            QuantizerConfig(k=k, dim=dim, seed=derive_seed(seed, 100)),
-            QuantizerConfig(k=k, dim=dim, seed=derive_seed(seed, 101)),
-        )
-        fill_occ = fit_fill_vector(occ_samples)
-        fill_int = fit_fill_vector(int_samples)
+        (cb_occ, fill_occ), (cb_int, fill_int) = _train(scenes, spec, patch, cfg_occ, cfg_int)
     policy = _fill_policy(args.fill, fill_occ, fill_int)
 
     result = run_sweep(
@@ -382,7 +356,7 @@ def cmd_sweep(args) -> int:
         spec,
         patch,
         policy,
-        decode_cfg=_decode_cfg(args, 0),
+        decode_cfg=decode_cfg,
         mtu=args.mtu,
         master_seed=seed,
         jobs=args.jobs,
@@ -406,12 +380,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    try:
+    with _flags():
         value = comm_volume_log2_bytes(args.n, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     print(f"{value:.2f}")
     return 0
 

@@ -96,10 +96,12 @@ class DecodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if self.sigma is not None and not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and >= 0")
         if self.points_per_voxel < 1:
             raise ValueError("points_per_voxel must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolved_sigma(self, spec: VoxelGridSpec) -> float:
         return spec.cell[0] / 4.0 if self.sigma is None else float(self.sigma)

@@ -192,6 +192,8 @@ def sweep(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
+    if not sent:
+        raise ValueError("need at least one scene")
     channel_cfg = ChannelConfig(drop_rate=0.0, latency_ms=latency_ms, jitter_ms=jitter_ms)
     run = partial(
         _sweep_trial, sent=sent, p_values=list(p_values), master_seed=master_seed,

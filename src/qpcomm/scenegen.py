@@ -28,6 +28,8 @@ class SceneConfig:
     max_place_attempts: int = 1000
 
     def __post_init__(self):
+        if self.seed < 0 or self.n_vehicles < 0:
+            raise ValueError("seed and n_vehicles must be >= 0")
         if self.ground_density <= 0 or self.surface_density <= 0:
             raise ValueError("densities must be positive")
         for lo, hi in self.extent:

@@ -124,6 +124,10 @@ class Frame:
             spec = VoxelGridSpec(fields[8:11], fields[11:14], fields[14:17])
             patch = PatchSpec(fields[17], fields[18])
             pose = Pose(*fields[19:25])
+            if (h, w) != patch.latent_shape(spec):
+                raise ValueError(f"latent shape {h}x{w} does not match the grid and patch")
+            if not (k_occ and k_int):
+                raise ValueError("codebook size must be >= 1")
         except ValueError as exc:
             raise FormatError(f"bad frame header: {exc}") from exc
         return cls(agent_id, frame_id, k_occ, k_int, h, w, spec, patch, pose, b"")
@@ -177,8 +181,15 @@ def _pack_indices(values: np.ndarray, nbits: int) -> np.ndarray:
     return ((values.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)
 
 
+def check_ids(agent_id: int, frame_id: int) -> None:
+    """The header stores both ids as u32."""
+    if not (0 <= agent_id < 1 << 32 and 0 <= frame_id < 1 << 32):
+        raise ValueError("agent_id and frame_id must lie in [0, 2**32)")
+
+
 def serialize(im: IndexMap, pose: Pose, agent_id: int = 0, frame_id: int = 0) -> Frame:
     """Pack an index map (plus pose) into a frame byte stream."""
+    check_ids(agent_id, frame_id)
     b_occ = bits_for(im.k_occ)
     b_int = bits_for(im.k_int)
     bits = np.concatenate(
@@ -266,11 +277,15 @@ def deserialize(frame: Frame, missing: np.ndarray | None = None) -> tuple[IndexM
     return im, LossMask(lost.reshape(frame.h, frame.w))
 
 
+def check_mtu(mtu: int) -> None:
+    if mtu < MIN_MTU:
+        raise ValueError(f"mtu must be >= {MIN_MTU}")
+
+
 def packetize(frame: Frame, mtu: int) -> list[Packet]:
     """Split the frame byte stream into packets of at most ``mtu`` payload
     bytes covering it exactly and disjointly."""
-    if mtu < MIN_MTU:
-        raise ValueError(f"mtu must be >= {MIN_MTU}")
+    check_mtu(mtu)
     blob = frame.to_bytes()
     packets = []
     for seq, off in enumerate(range(0, len(blob), mtu)):
@@ -297,6 +312,19 @@ def _place(packets, nbytes: int) -> tuple[np.ndarray, np.ndarray]:
     return buf, present
 
 
+def _read_header(packets: list) -> Frame | None:
+    """The header the packets carry, or None when a header byte is missing."""
+    if len({p.frame_id for p in packets}) > 1:
+        raise FormatError("packets from more than one frame")
+    head, head_present = _place(packets, HEADER_LEN)
+    if not head_present.all():
+        return None
+    header = Frame._parse_header(head.tobytes())
+    if header.frame_id != packets[0].frame_id:
+        raise FormatError("packet frame id differs from the header's")
+    return header
+
+
 def reassemble(packets) -> tuple[Frame, np.ndarray]:
     """Rebuild a frame from delivered packets.
 
@@ -309,16 +337,9 @@ def reassemble(packets) -> tuple[Frame, np.ndarray]:
     bytes and bytes past the declared length raise :class:`FormatError`.
     """
     packets = list(packets)
-    if not packets:
-        raise IncompleteFrameError("no packets delivered")
-    if len({p.frame_id for p in packets}) > 1:
-        raise FormatError("packets from more than one frame")
-    head, head_present = _place(packets, HEADER_LEN)
-    if not head_present.all():
-        raise IncompleteFrameError("frame header bytes were lost")
-    header = Frame._parse_header(head.tobytes())
-    if header.frame_id != packets[0].frame_id:
-        raise FormatError("packet frame id differs from the header's")
+    header = _read_header(packets)
+    if header is None:
+        raise IncompleteFrameError("no packets carried the whole frame header")
     total = header.total_nbytes
     if any(p.byte_offset + len(p.payload) > total for p in packets):
         raise FormatError("packets extend past the declared frame length")
@@ -341,8 +362,15 @@ def receive(
     mask.  The grid, patch and codebooks are pre-shared, so a lost header
     still leaves the stream configuration known: every cell of
     ``patch.latent_shape(spec)`` counts as lost and is filled.  A received
-    header that disagrees with them raises :class:`FormatError`.
+    header that disagrees with them raises :class:`FormatError` before the
+    frame is reassembled, so the header cannot size the receiver's buffers.
     """
+    expected = (spec, patch, cb_occ.k, cb_int.k)
+    packets = list(packets)
+    header = _read_header(packets)
+    if header is not None and (header.spec, header.patch, header.k_occ, header.k_int) != expected:
+        raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
+    # reassemble re-reads the header: it stays the one call that reports a lost one
     try:
         frame, missing = reassemble(packets)
     except IncompleteFrameError:
@@ -351,10 +379,6 @@ def receive(
         im = IndexMap(zeros, zeros, cb_occ.k, cb_int.k, spec, patch)
         mask = LossMask.all_lost(h, w)
     else:
-        if (frame.spec, frame.patch, frame.k_occ, frame.k_int) != (
-            spec, patch, cb_occ.k, cb_int.k
-        ):
-            raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
         im, mask = deserialize(frame, missing)
     occ_vec, int_vec = fill(im, mask, policy, cb_occ, cb_int)
     return occ_vec, int_vec, mask

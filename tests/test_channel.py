@@ -68,6 +68,12 @@ class TestTransmit:
         with pytest.raises(ValueError):
             ChannelConfig(drop_rate=0.5, latency_ms=-1)
 
+    @pytest.mark.parametrize("field", ["latency_ms", "jitter_ms"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_latency_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelConfig(drop_rate=0.0, **{field: value})
+
     def test_report_json_dict(self):
         packets = make_packets(10)
         _, report = transmit(packets, ChannelConfig(drop_rate=0.5, seed=5))

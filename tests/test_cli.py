@@ -234,6 +234,79 @@ class TestErrorHandling:
         assert leftovers == []
 
 
+# every input below is missing, so a row that exits 2 was rejected before any
+# file was read; outputs would be written to the workspace
+MISSING = {
+    "gen-scene": ["--out", "x.qpcd"],
+    "train": ["--scenes", "nope/", "--out-occ", "o.qpcb", "--out-int", "i.qpcb"],
+    "encode": ["--in", "nope.qpcd", "--codebooks", "a", "b", "--out", "x.qpfr"],
+    "decode": ["--in", "nope.qpfr", "--codebooks", "a", "b", "--out", "x.qpcd"],
+    "simulate": ["--in", "nope.qpfr", "--codebooks", "a", "b", "--out", "x.qpcd",
+                 "--report", "r.json"],
+    "sweep": ["--scenes", "nope/", "--out-jsonl", "r.jsonl"],
+    "volume": [],
+}
+
+
+class TestFlagsPhase:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "encode --agent-id -1",
+            "encode --frame-id 4294967296",
+            "encode --pose inf,0,0,0,0,0",
+            "encode --pose 1,2",
+            "encode --dim-patch 3,3",
+            "train --dim-patch 3,3",
+            "train --dim-patch inf,2",
+            "train --grid 0.1,0.1,0.1,nan,64,8",
+            "train --k 0",
+            "train --ema-decay 2",
+            "sweep --dim-patch 3,3",
+            "sweep --mtu 10 --codebooks a b",
+            "sweep --k 0",
+            "sweep --p-list 0.1,2",
+            "sweep --trials 0",
+            "sweep --jobs 0",
+            "simulate --latency-ms -1",
+            "simulate --jitter-ms nan",
+            "simulate --drop-rate nan",
+            "simulate --mtu 10",
+            "simulate --trace-in t.pkts --drop-rate 0.1",
+            "decode --sigma -1",
+            "decode --sigma nan",
+            "decode --seed -5",
+            "gen-scene --seed -5",
+            "gen-scene --n-vehicles -1",
+            "volume --n 0",
+            "volume --k 3",
+        ],
+        ids=lambda row: row.replace(" ", "_"),
+    )
+    def test_bad_flag_exits_2_before_any_file_is_read(self, workspace, capsys, row):
+        command, *flags = row.split()
+        assert exit_code(command, *MISSING[command], *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(p.name for p in workspace.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["gen-scene", "train", "decode", "simulate", "sweep"])
+    def test_bad_qpc_seed_exits_2_before_any_file_is_read(self, workspace, monkeypatch,
+                                                          capsys, command):
+        monkeypatch.setenv("QPC_SEED", "x")
+        assert exit_code(command, *MISSING[command]) == 2
+        assert "QPC_SEED must be an integer" in capsys.readouterr().err
+        assert sorted(p.name for p in workspace.iterdir()) == []
+
+    def test_bad_agent_id_on_real_files(self, workspace, capsys):
+        occ, inten = encoded_frame(workspace)
+        capsys.readouterr()
+        assert run("encode", "--in", workspace / "scenes" / "s0.qpcd", "--codebooks", occ,
+                   inten, "--agent-id", -1, "--out", "g.qpfr") == 2
+        assert "agent_id" in capsys.readouterr().err
+        assert not (workspace / "g.qpfr").exists()
+
+
 class TestConfigOverlay:
     def test_config_supplies_defaults(self, workspace):
         cfg = workspace / "cfg.json"

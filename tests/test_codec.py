@@ -138,6 +138,15 @@ class TestDecode:
             decode(im, other, cb_int, DecodeConfig())
 
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"sigma": -1.0}, {"sigma": math.nan}, {"sigma": math.inf},
+                   {"points_per_voxel": 0}, {"seed": -1}]
+    )
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DecodeConfig(**kwargs)
+
+
 class TestLosses:
     def test_bce_perfect(self):
         spec = desk_spec((2, 2, 2))

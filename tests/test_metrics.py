@@ -265,6 +265,11 @@ class TestSweep:
         first = [result.reports[0].cell_loss_rate, result.reports[2].cell_loss_rate]
         assert result.aggregates[0]["mean_cell_loss_rate"] == float(np.mean(first))
 
+    def test_empty_scenes_rejected(self, pipeline):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        with pytest.raises(ValueError, match="scene"):
+            sweep([], [0.3], 1, cb_occ, cb_int, spec, patch, policy)
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_validated(self, pipeline, jobs):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline

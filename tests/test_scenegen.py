@@ -101,3 +101,9 @@ def test_config_validation():
         SceneConfig(ground_density=0.0)
     with pytest.raises(ValueError):
         SceneConfig(extent=((0, 10), (0, 10), (0, 0.5)))  # vehicles poke out
+
+
+@pytest.mark.parametrize("field", ["seed", "n_vehicles"])
+def test_negative_seed_and_vehicle_count_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        SceneConfig(**{field: -1})

@@ -7,6 +7,7 @@ from helpers import build_straddle_fixture
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qpcomm import wire
 from qpcomm.codec import IndexMap
 from qpcomm.geometry import PatchSpec, VoxelGridSpec
 from qpcomm.pcio import FormatError
@@ -163,6 +164,30 @@ class TestBitPacking:
         struct.pack_into(fmt, blob, offset, value)
         with pytest.raises(FormatError):
             Frame.from_bytes(bytes(blob))
+
+
+    @pytest.mark.parametrize("offset,value", [(13, 0), (17, 0), (21, 3), (25, 1000)])
+    def test_header_must_fit_the_grid(self, offset, value):
+        # k_occ, k_int, h, w: a K of 0 or a latent shape the grid and patch do not give
+        rng = np.random.default_rng(23)
+        frame = serialize(random_index_map(rng, h=2, w=2), Pose())
+        blob = bytearray(frame.to_bytes())
+        struct.pack_into("<I", blob, offset, value)
+        with pytest.raises(FormatError, match="bad frame header"):
+            Frame.from_bytes(bytes(blob))
+        packets = packetize(frame, 64)
+        packets[0] = Packet(frame.frame_id, 0, 0, bytes(blob[:64]))
+        with pytest.raises(FormatError, match="bad frame header"):
+            reassemble(packets)
+
+    @pytest.mark.parametrize("agent_id,frame_id", [(-1, 0), (0, -1), (1 << 32, 0), (0, 1 << 32)])
+    def test_ids_outside_u32_rejected(self, agent_id, frame_id):
+        im = random_index_map(np.random.default_rng(24))
+        with pytest.raises(ValueError, match="agent_id and frame_id"):
+            serialize(im, Pose(), agent_id=agent_id, frame_id=frame_id)
+        top = (1 << 32) - 1
+        again = Frame.from_bytes(serialize(im, Pose(), agent_id=top, frame_id=top).to_bytes())
+        assert (again.agent_id, again.frame_id) == (top, top)
 
 
 class TestPacketize:
@@ -414,6 +439,27 @@ class TestReceive:
         small = Codebook.from_entries(cb_occ.entries[:15])
         with pytest.raises(FormatError):
             receive(packets, im.spec, im.patch, small, cb_int, policy)
+
+
+    def test_header_checked_before_the_frame_is_allocated(self, setup, monkeypatch):
+        im, cb_occ, cb_int, fill_occ, fill_int = setup
+        # a self-consistent header for 1000x1000 latent cells (about 0.9 MB of
+        # payload) sent to a receiver configured for 4x5 cells
+        dims = (2000, 2000, im.spec.dims[2])
+        big = VoxelGridSpec(im.spec.origin, im.spec.cell, dims)
+        header = Frame(0, 0, cb_occ.k, cb_int.k, 1000, 1000, big, im.patch, Pose(), b"")
+        sizes = []
+        place = wire._place
+
+        def spy(packets, nbytes):
+            sizes.append(nbytes)
+            return place(packets, nbytes)
+
+        monkeypatch.setattr(wire, "_place", spy)
+        with pytest.raises(FormatError, match="disagrees"):
+            receive(packetize(header, 64), im.spec, im.patch, cb_occ, cb_int,
+                    FillPolicy.empty())
+        assert sizes and max(sizes) <= HEADER_LEN
 
 
 class TestStraddleFixture:
