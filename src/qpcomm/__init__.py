@@ -14,10 +14,11 @@ from .codec import (
     DecodeConfig,
     IndexMap,
     decode,
+    decode_grids,
     decode_vectors,
     encode,
+    encode_grids,
     intensity_mse,
-    lookup_vectors,
     occupancy_bce,
     vq_loss,
 )

@@ -114,13 +114,25 @@ def encode(
     cb_occ: Codebook,
     cb_int: Codebook,
 ) -> IndexMap:
-    """Voxelize, patchify, and quantize both streams.  Deterministic."""
+    """Voxelize, then :func:`encode_grids`.  Deterministic."""
+    occ, inten, _ = voxelize(cloud, spec)
+    return encode_grids(occ, inten, patch, cb_occ, cb_int)
+
+
+def encode_grids(
+    occ: OccupancyGrid,
+    inten: IntensityGrid,
+    patch: PatchSpec,
+    cb_occ: Codebook,
+    cb_int: Codebook,
+) -> IndexMap:
+    """Patchify and quantize both streams of a voxelized cloud.  Deterministic."""
+    spec = occ.spec
     dim = patch.vector_dim(spec)
     if cb_occ.dim != dim or cb_int.dim != dim:
         raise ValueError(
             f"codebook dims ({cb_occ.dim}, {cb_int.dim}) != patch vector dim {dim}"
         )
-    occ, inten, _ = voxelize(cloud, spec)
     occ_vec, int_vec = patchify(occ, inten, patch)
     occ_idx, _ = quantize(cb_occ, occ_vec)
     int_idx, _ = quantize(cb_int, int_vec)
@@ -135,19 +147,6 @@ def encode(
     )
 
 
-def lookup_vectors(
-    im: IndexMap, cb_occ: Codebook, cb_int: Codebook
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replace indices by their code vectors; returns two (h, w, D) arrays."""
-    if cb_occ.k != im.k_occ or cb_int.k != im.k_int:
-        raise ValueError("codebook sizes do not match the index map")
-    if im.codebook_ids is not None:
-        ids = (cb_occ.codebook_id, cb_int.codebook_id)
-        if ids != tuple(im.codebook_ids):
-            raise ValueError("codebook content does not match the index map ids")
-    return cb_occ.entries[im.occ_indices], cb_int.entries[im.int_indices]
-
-
 def decode_vectors(
     occ_vectors: np.ndarray,
     int_vectors: np.ndarray,
@@ -155,13 +154,20 @@ def decode_vectors(
     patch: PatchSpec,
     cfg: DecodeConfig,
 ) -> PointCloud:
-    """Reconstruct a cloud from latent vector grids (the post-fill path).
-
-    Occupancy is thresholded at 0.5; each occupied voxel emits
-    ``points_per_voxel`` Gaussian samples around its centroid (exactly the
-    centroid when sigma is 0), all carrying the voxel's intensity value.
-    """
+    """Reconstruct a cloud from latent vector grids (the post-fill path):
+    :func:`unpatchify` thresholds occupancy at 0.5, then :func:`decode_grids`."""
     occ, inten = unpatchify(occ_vectors, int_vectors, patch, spec)
+    return decode_grids(occ, inten, cfg)
+
+
+def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig) -> PointCloud:
+    """Reconstruct a cloud from thresholded grids.
+
+    Each occupied voxel emits ``points_per_voxel`` Gaussian samples around
+    its centroid (exactly the centroid when sigma is 0), all carrying the
+    voxel's intensity value.
+    """
+    spec = occ.spec
     idx = np.argwhere(occ.data > 0)
     if idx.shape[0] == 0:
         return PointCloud.empty()
@@ -190,7 +196,14 @@ def decode_vectors(
 
 
 def decode(im: IndexMap, cb_occ: Codebook, cb_int: Codebook, cfg: DecodeConfig) -> PointCloud:
-    occ_vec, int_vec = lookup_vectors(im, cb_occ, cb_int)
+    """Look the indices up in their codebooks and reconstruct the cloud."""
+    if cb_occ.k != im.k_occ or cb_int.k != im.k_int:
+        raise ValueError("codebook sizes do not match the index map")
+    if im.codebook_ids is not None:
+        ids = (cb_occ.codebook_id, cb_int.codebook_id)
+        if ids != tuple(im.codebook_ids):
+            raise ValueError("codebook content does not match the index map ids")
+    occ_vec, int_vec = cb_occ.entries[im.occ_indices], cb_int.entries[im.int_indices]
     return decode_vectors(occ_vec, int_vec, im.spec, im.patch, cfg)
 
 
@@ -201,8 +214,12 @@ def occupancy_bce(truth: OccupancyGrid, predicted_probs: np.ndarray) -> float:
     if probs.shape != truth.data.shape:
         raise ValueError(f"shape mismatch {probs.shape} vs {truth.data.shape}")
     p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    y = truth.data.astype(np.float64)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
+    # y is 0 or 1, so y·log p + (1 − y)·log(1 − p) is exactly log p or
+    # log(1 − p): pick the argument per voxel and take one log
+    term = 1.0 - p
+    np.copyto(term, p, where=truth.data.view(bool))
+    np.log(term, out=term)
+    return float(-term.mean())
 
 
 def intensity_mse(truth: IntensityGrid, predicted: IntensityGrid, occ: OccupancyGrid) -> float:

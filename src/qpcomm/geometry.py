@@ -120,7 +120,11 @@ class OccupancyGrid:
         data = np.asarray(self.data)
         if data.shape != self.spec.dims:
             raise ValueError(f"occupancy shape {data.shape} != grid dims {self.spec.dims}")
-        if not np.isin(data, (0, 1)).all():
+        if data.dtype.kind in "biu":  # by range: a uint8 cast would wrap 256 to 0
+            binary = data.min() >= 0 and data.max() <= 1
+        else:
+            binary = ((data == 0) | (data == 1)).all()
+        if not binary:
             raise ValueError("occupancy entries must be 0 or 1")
         self.data = data.astype(np.uint8)
 
@@ -274,7 +278,15 @@ def unpatchify(
     occupancy and properly masked intensity.
     """
     occ_raw = assemble_grid(occ_vectors, patch, spec)
-    int_raw = assemble_grid(int_vectors, patch, spec)
+    return threshold_grids(occ_raw, assemble_grid(int_vectors, patch, spec), spec)
+
+
+def threshold_grids(
+    occ_raw: np.ndarray, int_raw: np.ndarray, spec: VoxelGridSpec
+) -> tuple[OccupancyGrid, IntensityGrid]:
+    """The grids :func:`unpatchify` returns, from the two assembled real-valued
+    (H, W, L) tensors; neither input is modified."""
     occ_data = (occ_raw >= 0.5).astype(np.uint8)
-    int_data = np.clip(int_raw, 0.0, 1.0) * occ_data
+    int_data = np.clip(int_raw, 0.0, 1.0)
+    int_data *= occ_data
     return OccupancyGrid(spec, occ_data), IntensityGrid(spec, int_data)

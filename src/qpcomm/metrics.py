@@ -4,10 +4,13 @@
 Euclidean, halved, in meters).  ``evaluate_roundtrip`` runs one scene through
 encode -> serialize -> packetize -> lossy channel -> reassemble -> fill ->
 decode and reports fidelity plus communication volume.  It is two stages: a
-sender stage (truth grids, encode, serialize) that depends on the scene alone,
-and a per-trial stage (channel onwards).  ``sweep`` runs the sender stage once
-per scene and the trial stage for every ``(scene, drop rate, trial)`` index
-triple, with deterministically derived seeds.
+sender stage (``_send``) that depends on the scene alone, and a per-trial
+stage (channel onwards).  ``_send`` voxelizes the scene once, quantizes the
+frame from those truth grids and builds the scene's Chamfer index (a k-d tree
+and the points in its leaf order); a trial assembles the received grids once
+for BCE, decoding and MSE.  ``sweep`` runs the sender stage once per scene and
+the trial stage for every ``(scene, drop rate, trial)`` index triple, with
+deterministically derived seeds.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .channel import ChannelConfig, transmit
-from .codec import DecodeConfig, decode_vectors, encode, intensity_mse, occupancy_bce
+from .codec import DecodeConfig, decode_grids, encode_grids, intensity_mse, occupancy_bce
 from .geometry import (
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
     assemble_grid,
-    unpatchify,
+    threshold_grids,
     voxelize,
 )
 from .quantizer import Codebook
@@ -58,40 +61,54 @@ class EvalReport:
         return asdict(self)
 
 
+def _index(cloud: PointCloud):
+    """A cloud's k-d tree and the cloud's points in the tree's leaf order."""
+    tree = cKDTree(cloud.xyz, balanced_tree=False)
+    return tree, cloud.xyz[tree.indices]
+
+
+def _chamfer(tree, leaf_xyz, b: PointCloud) -> float:
+    """``chamfer`` from the first cloud's ``_index``.  Its points are queried
+    in leaf order, so consecutive queries visit nearby parts of b's tree, and
+    the distances are scattered back to the cloud's order, so both means sum
+    in the order the plain per-point queries give."""
+    d_ab = np.empty(len(leaf_xyz))
+    d_ab[tree.indices] = cKDTree(b.xyz, balanced_tree=False).query(leaf_xyz, k=1)[0]
+    d_ba, _ = tree.query(b.xyz, k=1)
+    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+
+
 def chamfer(a: PointCloud, b: PointCloud) -> float:
     """0.5 * (mean_A min-dist-to-B + mean_B min-dist-to-A), exact nearest
     neighbors; raises on an empty cloud."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance is undefined for empty clouds")
-    d_ab, _ = cKDTree(b.xyz).query(a.xyz, k=1)
-    d_ba, _ = cKDTree(a.xyz).query(b.xyz, k=1)
-    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+    return _chamfer(*_index(a), b)
 
 
 def _send(scene, cb_occ, cb_int, spec, patch, pose=None):
-    """Sender stage: the scene, its truth grids and the frame encoding it."""
-    occ_truth, int_truth, _ = voxelize(scene, spec)
-    frame = serialize(encode(scene, spec, patch, cb_occ, cb_int), pose or Pose())
-    return scene, occ_truth, int_truth, frame
+    """Sender stage: the scene's truth grids, the frame quantized from them,
+    and the scene's ``_index``."""
+    occ, inten, _ = voxelize(scene, spec)
+    frame = serialize(encode_grids(occ, inten, patch, cb_occ, cb_int), pose or Pose())
+    return (occ, inten, frame, *_index(scene))
 
 
 def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu):
     """Per-trial stage on a ``_send`` result: packetize -> lossy channel ->
     receive -> decode -> measure, deterministic given ``seed``."""
-    scene, occ_truth, int_truth, frame = sent
+    occ_truth, int_truth, frame, tree, leaf_xyz = sent
     packets = packetize(frame, mtu)
     delivered, _report = transmit(packets, replace(channel_cfg, seed=derive_seed(seed, 1)))
     occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, fill_policy)
-    dec_cfg = replace(decode_cfg, seed=derive_seed(seed, 2))
-    recon = decode_vectors(occ_vec, int_vec, spec, patch, dec_cfg)
 
-    bce = occupancy_bce(occ_truth, assemble_grid(occ_vec, patch, spec))
-    _occ_rec, int_rec = unpatchify(occ_vec, int_vec, patch, spec)
-    mse = (
-        intensity_mse(int_truth, int_rec, occ_truth) if occ_truth.n_occupied else None
-    )
-    if len(scene) and len(recon):
-        cd = chamfer(scene, recon)
+    occ_raw = assemble_grid(occ_vec, patch, spec)
+    bce = occupancy_bce(occ_truth, occ_raw)
+    occ, inten = threshold_grids(occ_raw, assemble_grid(int_vec, patch, spec), spec)
+    recon = decode_grids(occ, inten, replace(decode_cfg, seed=derive_seed(seed, 2)))
+    mse = intensity_mse(int_truth, inten, occ_truth) if occ_truth.n_occupied else None
+    if len(leaf_xyz) and len(recon):
+        cd = _chamfer(tree, leaf_xyz, recon)
         status = STATUS_OK
     else:
         cd = None
@@ -180,11 +197,12 @@ def sweep(
 ) -> SweepResult:
     """Evaluate every (scene, drop rate, trial) combination.
 
-    Each scene is encoded once; each trial then runs from its index triple
+    Each scene goes through the sender stage once (one voxelization, one
+    encoding, one k-d tree); each trial then runs from its index triple
     with seed ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so
     results are reproducible and independent of ``jobs`` (>= 1; the worker
     count is capped at the trial and CPU counts, and each worker receives
-    the encoded scenes and codebooks once).  There is one aggregate per
+    the sender-stage results and codebooks once).  There is one aggregate per
     entry of ``p_values``, a repeated drop rate included.
     """
     if trials < 1:

@@ -82,8 +82,12 @@ class Codebook:
         self.entries = np.asarray(self.entries, dtype=np.float64)
         if self.entries.ndim != 2:
             raise ValueError("entries must be a (K, D) array")
+        if not np.isfinite(self.entries).all():
+            raise ValueError("codebook entries must be finite")
         k = self.entries.shape[0]
         self.usage = np.asarray(self.usage, dtype=np.int64).reshape(k)
+        if (self.usage < 0).any():  # QPCB stores usage as u64
+            raise ValueError("usage counts must be >= 0")
         if self.kind not in _KIND_CODES:
             raise ValueError(f"kind must be one of {sorted(_KIND_CODES)}")
 
@@ -327,7 +331,9 @@ def read_codebook(path) -> tuple[Codebook, np.ndarray | None]:
         raise FormatError(f"{path}: truncated QPCB body")
     entries = np.frombuffer(data, dtype="<f4", count=k * dim, offset=off).reshape(k, dim)
     off += k * dim * 4
-    usage = np.frombuffer(data, dtype="<u8", count=k, offset=off).astype(np.int64)
+    usage = np.frombuffer(data, dtype="<u8", count=k, offset=off)
+    if usage.max() > np.iinfo(np.int64).max:
+        raise FormatError(f"{path}: usage counter >= 2**63")
     off += k * 8
     fill = None
     if len(data) > off:

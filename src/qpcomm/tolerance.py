@@ -113,10 +113,13 @@ class FillPolicy:
     def __post_init__(self):
         if self.kind not in _POLICIES:
             raise ValueError(f"kind must be one of {_POLICIES}")
-        if self.fill_occ is not None:
-            self.fill_occ = np.asarray(self.fill_occ, dtype=np.float64).reshape(-1)
-        if self.fill_int is not None:
-            self.fill_int = np.asarray(self.fill_int, dtype=np.float64).reshape(-1)
+        for name in ("fill_occ", "fill_int"):
+            vec = getattr(self, name)
+            if vec is not None:
+                vec = np.asarray(vec, dtype=np.float64).reshape(-1)
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"{name} must be finite")
+                setattr(self, name, vec)
 
     @classmethod
     def empty(cls) -> "FillPolicy":

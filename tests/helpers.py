@@ -1,6 +1,7 @@
 """Shared fixture builders for the test suite."""
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from qpcomm.geometry import PointCloud, VoxelGridSpec, assemble_grid
 from qpcomm.quantizer import QuantizerConfig, train_codebook
@@ -36,6 +37,23 @@ def representable_scene(spec, patch, n_patterns=6, seed=0, intensity=0.5):
     idx = np.argwhere(occ_data > 0.5)
     pts = np.column_stack([spec.centroids(idx), np.full(idx.shape[0], intensity)])
     return PointCloud(pts), occ_vec, int_vec
+
+
+def reference_chamfer(a, b):
+    """Chamfer distance as first implemented: balanced trees, each cloud
+    queried in its own order.  The library's result must equal it bit for
+    bit, because nearest-neighbour distances are exact."""
+    d_ab, _ = cKDTree(b.xyz).query(a.xyz, k=1)
+    d_ba, _ = cKDTree(a.xyz).query(b.xyz, k=1)
+    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+
+
+def reference_bce(truth, predicted_probs):
+    """Occupancy BCE as first implemented, the full two-term formula; the
+    library's one-log form must equal it bit for bit."""
+    p = np.clip(np.asarray(predicted_probs, dtype=np.float64), 1e-7, 1.0 - 1e-7)
+    y = truth.data.astype(np.float64)
+    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
 
 
 def build_straddle_fixture():

@@ -222,6 +222,27 @@ class TestErrorHandling:
                 "--drop-rate", 1.5, "--out", "x.qpcd") == 2
         )
 
+    def test_nan_codebook_entry_exits_3(self, workspace, capsys):
+        scenes = make_scenes(workspace, n=1)
+        occ, inten = train_codebooks(workspace, scenes)
+        raw = bytearray(occ.read_bytes())
+        raw[14:18] = np.float32(np.nan).tobytes()  # the first entry's first value
+        occ.write_bytes(bytes(raw))
+        assert run("encode", "--in", scenes / "s0.qpcd", "--codebooks", occ, inten,
+                   "--out", "f.qpfr") == 3
+        assert "codebook entries must be finite" in capsys.readouterr().err
+        assert not (workspace / "f.qpfr").exists()
+
+    def test_nan_fill_vector_exits_3(self, workspace, capsys):
+        occ, inten = encoded_frame(workspace)
+        raw = bytearray(inten.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()  # the FILL block's last value
+        inten.write_bytes(bytes(raw))
+        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
+                   "--drop-rate", 0.3, "--out", "x.qpcd") == 3
+        assert "fill_int must be finite" in capsys.readouterr().err
+        assert not (workspace / "x.qpcd").exists()
+
     def test_no_partial_output_on_failure(self, workspace, capsys):
         scenes = make_scenes(workspace, n=1)
         occ, inten = train_codebooks(workspace, scenes)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import desk_spec, representable_scene, trained_codebooks_for
+from helpers import desk_spec, reference_bce, representable_scene, trained_codebooks_for
 
 from qpcomm.codec import (
     DecodeConfig,
@@ -172,6 +172,20 @@ class TestLosses:
             total += yi * math.log(pc) + (1 - yi) * math.log(1 - pc)
         expected = -total / y.size
         assert occupancy_bce(occ, p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("truth", ["random", "all_0", "all_1"])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (4, 4, 2), (33, 17, 9)])
+    def test_bce_bit_equal_to_two_term_formula(self, truth, dims):
+        rng = np.random.default_rng(7)
+        spec = desk_spec(dims)
+        y = {"random": rng.random(dims) < 0.4, "all_0": np.zeros(dims),
+             "all_1": np.ones(dims)}[truth]
+        occ = OccupancyGrid(spec, y)
+        # inside [0, 1], outside it, and exactly 0 and 1 (both clamped)
+        for p in (rng.random(dims), rng.uniform(-1.0, 2.0, dims), y * 1.0, 1.0 - y):
+            before = p.copy()
+            assert occupancy_bce(occ, p) == reference_bce(occ, p)
+            np.testing.assert_array_equal(p, before)
 
     def test_bce_shape_mismatch(self):
         spec = desk_spec((2, 2, 2))

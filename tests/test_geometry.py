@@ -7,7 +7,9 @@ from qpcomm.geometry import (
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
+    assemble_grid,
     patchify,
+    threshold_grids,
     unpatchify,
     voxelize,
 )
@@ -48,6 +50,34 @@ class TestTypes:
         spec = small_spec()
         with pytest.raises(ValueError):
             OccupancyGrid(spec, np.full(spec.dims, 2))
+
+    @pytest.mark.parametrize(
+        "values,accepted",
+        [
+            (np.array([True, False]), True),
+            (np.array([1, 0], dtype=np.uint8), True),
+            (np.array([1, 0], dtype=np.int64), True),
+            (np.array([1.0, 0.0]), True),
+            (np.array([1.0, -0.0]), True),
+            (np.array([1, 2]), False),
+            (np.array([0, -1]), False),
+            (np.array([0.5, 1.0]), False),
+            (np.array([np.nan, 1.0]), False),
+            (np.array([256, 0]), False),  # 0 once cast to uint8
+            (np.array([0, 257], dtype=np.uint16), False),
+        ],
+    )
+    def test_occupancy_validation_table(self, values, accepted):
+        # the rule np.isin(data, (0, 1)) stated; Tier-1 turns warnings into errors
+        spec = small_spec(dims=(2, 1, 1))
+        data = values.reshape(spec.dims)
+        if accepted:
+            grid = OccupancyGrid(spec, data)
+            assert grid.data.dtype == np.uint8
+            np.testing.assert_array_equal(grid.data, data)
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                OccupancyGrid(spec, data)
 
     def test_intensity_range(self):
         spec = small_spec()
@@ -205,6 +235,24 @@ class TestUnpatchify:
             np.ones((1, 1, 2)), np.array([[[1.7, -0.4]]]), patch, spec
         )
         np.testing.assert_array_equal(inten.data[0, 0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("patch", [PatchSpec(1, 1), PatchSpec(2, 2)])
+    def test_threshold_grids_is_unpatchify_and_keeps_inputs(self, patch):
+        # with 1x1 patches assemble_grid returns a view of the vectors
+        spec = small_spec()
+        rng = np.random.default_rng(5)
+        h, w = patch.latent_shape(spec)
+        ov = rng.uniform(-0.5, 1.5, (h, w, patch.vector_dim(spec)))
+        iv = rng.uniform(-0.5, 1.5, ov.shape)
+        ov_copy, iv_copy = ov.copy(), iv.copy()
+        occ, inten = threshold_grids(
+            assemble_grid(ov, patch, spec), assemble_grid(iv, patch, spec), spec
+        )
+        occ2, int2 = unpatchify(ov, iv, patch, spec)
+        np.testing.assert_array_equal(occ.data, occ2.data)
+        np.testing.assert_array_equal(inten.data, int2.data)
+        np.testing.assert_array_equal(ov, ov_copy)
+        np.testing.assert_array_equal(iv, iv_copy)
 
     def test_shape_mismatch_errors(self):
         spec = small_spec()

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import desk_spec, representable_scene, trained_codebooks_for
+from helpers import desk_spec, reference_chamfer, representable_scene, trained_codebooks_for
+from scipy.spatial import cKDTree
 
 from qpcomm import metrics
 from qpcomm.channel import ChannelConfig, transmit
-from qpcomm.codec import DecodeConfig, decode_vectors, encode, occupancy_bce
+from qpcomm.codec import DecodeConfig, decode_vectors, encode, encode_grids, occupancy_bce
 from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, voxelize
 from qpcomm.metrics import (
     STATUS_EMPTY,
@@ -62,6 +63,26 @@ class TestChamfer:
         at = PointCloud(a.points + t)
         bt = PointCloud(b.points + t)
         assert chamfer(at, bt) == pytest.approx(chamfer(a, b), abs=1e-9)
+
+    @pytest.mark.parametrize("n_a,n_b", [(60, 45), (1, 30), (30, 1), (1, 1)])
+    def test_scene_index_bit_equal(self, n_a, n_b):
+        # the trial's cached-index path against the public function and the
+        # first implementation, on clouds with duplicate points; one index
+        # serves several clouds, as one scene's index serves every trial
+        rng = np.random.default_rng(n_a * 1000 + n_b)
+
+        def with_duplicates(n):
+            grid = rng.integers(0, 4, size=(n, 3)) * 0.5  # many equal distances
+            pts = np.column_stack([grid, rng.random(n)])
+            return PointCloud(np.vstack([pts, pts[: n // 3]]))
+
+        a = with_duplicates(n_a)
+        index = metrics._index(a)
+        for _ in range(3):
+            b = with_duplicates(n_b)
+            got = metrics._chamfer(*index, b)
+            assert got == chamfer(a, b) == reference_chamfer(a, b)
+            assert got == pytest.approx(brute_chamfer(a, b), abs=1e-12)
 
     def test_empty_errors(self):
         rng = np.random.default_rng(4)
@@ -243,17 +264,40 @@ class TestSweep:
 
     def test_encodes_each_scene_once(self, pipeline, monkeypatch):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        calls = []
+        encoded, voxelized, trees = [], [], []
 
-        def counting_encode(scene, *args):
-            calls.append(scene)
-            return encode(scene, *args)
+        def spy(calls, fn):
+            def record(first, *args, **kwargs):
+                calls.append(first)
+                return fn(first, *args, **kwargs)
 
-        monkeypatch.setattr(metrics, "encode", counting_encode)
+            return record
+
+        monkeypatch.setattr(metrics, "encode_grids", spy(encoded, encode_grids))
+        monkeypatch.setattr(metrics, "voxelize", spy(voxelized, voxelize))
+        monkeypatch.setattr(metrics, "cKDTree", spy(trees, cKDTree))
         scenes = [cloud, PointCloud(cloud.points[::2])]
         result = sweep(scenes, [0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy, mtu=64)
         assert len(result.reports) == 8
-        assert len(calls) == len(scenes) and all(c is s for c, s in zip(calls, scenes))
+        assert len(voxelized) == len(scenes) and all(v is s for v, s in zip(voxelized, scenes))
+        # each scene is quantized from the grids of its one voxelization
+        assert len(encoded) == len(scenes)
+        for occ, scene in zip(encoded, scenes):
+            assert np.array_equal(occ.data, voxelize(scene, spec).occupancy.data)
+        # one tree per scene, plus one per trial over its reconstruction
+        assert [sum(np.array_equal(t, s.xyz) for t in trees) for s in scenes] == [1, 1]
+        n_measured = sum(r.chamfer_m is not None for r in result.reports)
+        assert len(trees) == len(scenes) + n_measured
+
+    def test_empty_scene_gives_status_empty(self, pipeline):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        result = sweep([PointCloud.empty(), cloud], [0.0], 1, cb_occ, cb_int, spec, patch,
+                       policy, mtu=64)
+        empty, full = result.reports
+        assert empty.status == STATUS_EMPTY and empty.chamfer_m is None
+        assert empty.intensity_mse is None
+        assert full.status == STATUS_OK
+        assert result.aggregates[0]["n_failed"] == 1
 
     def test_repeated_drop_rate_aggregated_per_entry(self, pipeline):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline

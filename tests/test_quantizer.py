@@ -204,6 +204,18 @@ class TestTrainDual:
                        QuantizerConfig(k=1, dim=2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_codebook_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Codebook.from_entries([[0.0, 1.0], [bad, 0.5]])
+
+
+def test_codebook_rejects_negative_usage():
+    # write_codebook stores usage as u64, where -5 would read back as >= 2**63
+    with pytest.raises(ValueError, match="usage"):
+        Codebook(np.zeros((2, 1)), [3, -5])
+
+
 class TestCodebookFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -241,6 +253,18 @@ class TestCodebookFile:
         path = tmp_path / "cb.qpcb"
         path.write_bytes(b"XXXX" + bytes(32))
         with pytest.raises(ValueError):
+            read_codebook(path)
+
+    def test_usage_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "cb.qpcb"
+        write_codebook(path, Codebook.from_entries([[0.5], [1.0]]))
+        raw = bytearray(path.read_bytes())
+        raw[14 + 8 : 14 + 16] = (2**63 - 1).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        assert read_codebook(path)[0].usage.tolist() == [2**63 - 1, 0]
+        raw[14 + 8 : 14 + 16] = (2**63).to_bytes(8, "little")  # was read as -2**63
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="2\\*\\*63"):
             read_codebook(path)
 
     @pytest.mark.parametrize("k,dim", [(0, 2), (2, 0), (0, 0)])

@@ -184,6 +184,14 @@ class TestFill:
         with pytest.raises(ValueError):
             fill(im, mask, FillPolicy.neighbor_copy(), cb_occ, cb_int)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["learned_constant", "neighbor_copy"])
+    def test_non_finite_fill_vector_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="fill_occ must be finite"):
+            FillPolicy(kind, [0.5, bad], [0.5, 0.5])
+        with pytest.raises(ValueError, match="fill_int must be finite"):
+            FillPolicy(kind, [0.5, 0.5], [bad, 0.5])
+
     def test_empty_fill_never_adds_occupancy(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
         base = decode(im, cb_occ, cb_int, DecodeConfig(sigma=0.0))
