@@ -15,7 +15,6 @@ from .codec import (
     IndexMap,
     decode,
     decode_grids,
-    decode_vectors,
     encode,
     encode_grids,
     intensity_mse,

@@ -27,8 +27,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import metrics, pcio, scenegen, wire
-from .channel import ChannelConfig, transmit
-from .codec import DecodeConfig, decode, decode_vectors, encode
+from .channel import ChannelConfig
+from .codec import DecodeConfig, decode, encode
 from .geometry import PatchSpec, VoxelGridSpec, training_vectors
 from .metrics import sweep as run_sweep
 from .quantizer import (
@@ -40,7 +40,7 @@ from .quantizer import (
     write_codebook,
 )
 from .seeds import derive_seed
-from .tolerance import FillPolicy, fit_fill_vector
+from .tolerance import POLICIES, POLICY_LEARNED, FillPolicy, fit_fill_vector
 from .wire import Pose, comm_volume_log2_bytes, read_frame, write_frame
 
 USAGE_ERROR = 2
@@ -273,15 +273,11 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     with _flags():
         seed = _seed(args)
-        channel = ChannelConfig(
-            args.drop_rate, args.latency_ms, args.jitter_ms, derive_seed(seed, 1)
-        )
+        channel = ChannelConfig(args.drop_rate, args.latency_ms, args.jitter_ms)
         if args.trace_in and (args.drop_rate or args.latency_ms or args.jitter_ms):
             raise ValueError("--trace-in replays recorded packets; it takes no channel flags")
         wire.check_mtu(args.mtu)
-        decode_cfg = DecodeConfig(
-            args.sigma, args.points_per_voxel, not args.no_clip, derive_seed(seed, 2)
-        )
+        decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip)
     frame = read_frame(args.infile)
     (cb_occ, fill_occ), (cb_int, fill_int) = _read_codebooks(args.codebooks)
     policy = _fill_policy(args.fill, fill_occ, fill_int)
@@ -289,13 +285,13 @@ def cmd_simulate(args) -> int:
     if args.trace_in:
         delivered, report = wire.read_packet_trace(args.trace_in), None
     else:
-        delivered, report = transmit(wire.packetize(frame, args.mtu), channel)
+        delivered, report = metrics.deliver(frame, channel, args.mtu, seed)
     if args.trace_out:
         _atomic(args.trace_out, lambda p: wire.write_packet_trace(p, delivered))
 
-    spec, patch = frame.spec, frame.patch
-    occ_vec, int_vec, mask = wire.receive(delivered, spec, patch, cb_occ, cb_int, policy)
-    cloud = decode_vectors(occ_vec, int_vec, spec, patch, decode_cfg)
+    mask, _, _, cloud = metrics.reconstruct(
+        delivered, frame.spec, frame.patch, cb_occ, cb_int, policy, decode_cfg, seed
+    )
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     if args.report:
         payload = {
@@ -406,6 +402,13 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-clip", action="store_true", help="do not clip samples to the voxel box")
 
 
+def _add_receiver_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of a lossy trial's receiver, shared by ``simulate`` and ``sweep``."""
+    p.add_argument("--mtu", type=int, default=1200)
+    p.add_argument("--fill", choices=POLICIES, default=POLICY_LEARNED)
+    _add_decode_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpc", description="quantized point-cloud communication toolkit"
@@ -461,17 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="write a JSON channel/loss report")
     p.add_argument("--drop-rate", type=float, default=0.0)
-    p.add_argument("--mtu", type=int, default=1200)
     p.add_argument("--latency-ms", type=float, default=0.0)
     p.add_argument("--jitter-ms", type=float, default=0.0)
-    p.add_argument(
-        "--fill",
-        choices=("empty", "learned_constant", "neighbor_copy"),
-        default="learned_constant",
-    )
     p.add_argument("--trace-out", default=None, help="dump delivered packets to a trace file")
     p.add_argument("--trace-in", default=None, help="replay delivered packets from a trace file")
-    _add_decode_flags(p)
+    _add_receiver_flags(p)
 
     p = add_command("sweep", cmd_sweep, help="drop-rate sweep over a scene directory")
     _add_common(p, grid=True)
@@ -482,14 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-jsonl", default=None)
     p.add_argument("--codebooks", nargs=2, default=None, metavar=("OCC", "INT"))
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--mtu", type=int, default=1200)
-    p.add_argument(
-        "--fill",
-        choices=("empty", "learned_constant", "neighbor_copy"),
-        default="learned_constant",
-    )
     p.add_argument("--jobs", type=int, default=1)
-    _add_decode_flags(p)
+    _add_receiver_flags(p)
 
     p = add_command("volume", cmd_volume, help="print the communication-volume metric")
     p.add_argument("--n", type=int, default=11520, help="number of latent cells")

@@ -147,19 +147,6 @@ def encode_grids(
     )
 
 
-def decode_vectors(
-    occ_vectors: np.ndarray,
-    int_vectors: np.ndarray,
-    spec: VoxelGridSpec,
-    patch: PatchSpec,
-    cfg: DecodeConfig,
-) -> PointCloud:
-    """Reconstruct a cloud from latent vector grids (the post-fill path):
-    :func:`unpatchify` thresholds occupancy at 0.5, then :func:`decode_grids`."""
-    occ, inten = unpatchify(occ_vectors, int_vectors, patch, spec)
-    return decode_grids(occ, inten, cfg)
-
-
 def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig) -> PointCloud:
     """Reconstruct a cloud from thresholded grids.
 
@@ -204,7 +191,7 @@ def decode(im: IndexMap, cb_occ: Codebook, cb_int: Codebook, cfg: DecodeConfig) 
         if ids != tuple(im.codebook_ids):
             raise ValueError("codebook content does not match the index map ids")
     occ_vec, int_vec = cb_occ.entries[im.occ_indices], cb_int.entries[im.int_indices]
-    return decode_vectors(occ_vec, int_vec, im.spec, im.patch, cfg)
+    return decode_grids(*unpatchify(occ_vec, int_vec, im.patch, im.spec), cfg)
 
 
 def occupancy_bce(truth: OccupancyGrid, predicted_probs: np.ndarray) -> float:

@@ -4,13 +4,16 @@
 Euclidean, halved, in meters).  ``evaluate_roundtrip`` runs one scene through
 encode -> serialize -> packetize -> lossy channel -> reassemble -> fill ->
 decode and reports fidelity plus communication volume.  It is two stages: a
-sender stage (``_send``) that depends on the scene alone, and a per-trial
-stage (channel onwards).  ``_send`` voxelizes the scene once, quantizes the
-frame from those truth grids and builds the scene's Chamfer index (a k-d tree
-and the points in its leaf order); a trial assembles the received grids once
-for BCE, decoding and MSE.  ``sweep`` runs the sender stage once per scene and
-the trial stage for every ``(scene, drop rate, trial)`` index triple, with
-deterministically derived seeds.
+sender stage (``_send``) that depends on the scene alone, and a trial.
+``_send`` voxelizes the scene once, quantizes the frame from those truth
+grids and builds the scene's Chamfer index (a k-d tree and the points in its
+leaf order).  A trial is ``deliver`` (packetize -> channel), then
+``reconstruct`` (receive -> fill -> decode), then the measurements;
+``qpc simulate`` runs the same two functions.  Each of them defines one
+sub-seed of the trial seed: index 1 for the channel, index 2 for the
+decoder.  ``sweep`` runs the sender stage once per scene and a trial for
+every ``(scene, drop rate, trial)`` index triple, with deterministically
+derived seeds.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .geometry import (
 from .quantizer import Codebook
 from .seeds import derive_seed
 from .tolerance import FillPolicy
-from .wire import POSE_BITS, Pose, packetize, receive, serialize
+from .wire import POSE_BITS, Frame, Pose, packetize, receive, serialize
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_reconstruction"
@@ -94,18 +97,37 @@ def _send(scene, cb_occ, cb_int, spec, patch, pose=None):
     return (occ, inten, frame, *_index(scene))
 
 
-def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu):
-    """Per-trial stage on a ``_send`` result: packetize -> lossy channel ->
-    receive -> decode -> measure, deterministic given ``seed``."""
-    occ_truth, int_truth, frame, tree, leaf_xyz = sent
-    packets = packetize(frame, mtu)
-    delivered, _report = transmit(packets, replace(channel_cfg, seed=derive_seed(seed, 1)))
-    occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, fill_policy)
+def deliver(frame: Frame, channel_cfg: ChannelConfig, mtu: int, seed: int):
+    """The trial's sender side: ``frame``'s packets at ``mtu`` through the
+    channel, seeded with sub-seed 1 of ``seed``.  Returns the delivered
+    packets and the ``ChannelReport``."""
+    return transmit(packetize(frame, mtu), replace(channel_cfg, seed=derive_seed(seed, 1)))
 
+
+def reconstruct(
+    delivered, spec: VoxelGridSpec, patch: PatchSpec, cb_occ: Codebook, cb_int: Codebook,
+    policy: FillPolicy, decode_cfg: DecodeConfig, seed: int,
+):
+    """The trial's receiver side: ``receive`` the delivered packets, assemble
+    the occupancy grid once, threshold both grids and decode with sub-seed 2
+    of ``seed``.  Returns the ``LossMask``, the raw occupancy tensor, the
+    intensity grid and the decoded cloud."""
+    occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, policy)
     occ_raw = assemble_grid(occ_vec, patch, spec)
-    bce = occupancy_bce(occ_truth, occ_raw)
     occ, inten = threshold_grids(occ_raw, assemble_grid(int_vec, patch, spec), spec)
-    recon = decode_grids(occ, inten, replace(decode_cfg, seed=derive_seed(seed, 2)))
+    cloud = decode_grids(occ, inten, replace(decode_cfg, seed=derive_seed(seed, 2)))
+    return mask, occ_raw, inten, cloud
+
+
+def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu):
+    """Per-trial stage on a ``_send`` result: ``deliver`` -> ``reconstruct``
+    -> measure, deterministic given ``seed``."""
+    occ_truth, int_truth, frame, tree, leaf_xyz = sent
+    delivered, _report = deliver(frame, channel_cfg, mtu, seed)
+    mask, occ_raw, inten, recon = reconstruct(
+        delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg, seed
+    )
+    bce = occupancy_bce(occ_truth, occ_raw)
     mse = intensity_mse(int_truth, inten, occ_truth) if occ_truth.n_occupied else None
     if len(leaf_xyz) and len(recon):
         cd = _chamfer(tree, leaf_xyz, recon)

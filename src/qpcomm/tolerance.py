@@ -24,7 +24,7 @@ from .quantizer import Codebook
 POLICY_EMPTY = "empty"
 POLICY_LEARNED = "learned_constant"
 POLICY_NEIGHBOR = "neighbor_copy"
-_POLICIES = (POLICY_EMPTY, POLICY_LEARNED, POLICY_NEIGHBOR)
+POLICIES = (POLICY_EMPTY, POLICY_LEARNED, POLICY_NEIGHBOR)
 
 
 @dataclass
@@ -111,8 +111,8 @@ class FillPolicy:
     fill_int: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _POLICIES:
-            raise ValueError(f"kind must be one of {_POLICIES}")
+        if self.kind not in POLICIES:
+            raise ValueError(f"kind must be one of {POLICIES}")
         for name in ("fill_occ", "fill_int"):
             vec = getattr(self, name)
             if vec is not None:
@@ -168,8 +168,9 @@ def fill(
     """
     if (mask.h, mask.w) != (im.h, im.w):
         raise ValueError("mask dims do not match the index map")
-    occ_vec = cb_occ.entries[im.occ_indices].copy()
-    int_vec = cb_int.entries[im.int_indices].copy()
+    # fancy indexing returns new arrays: the codebooks are never written
+    occ_vec = cb_occ.entries[im.occ_indices]
+    int_vec = cb_int.entries[im.int_indices]
     lost = mask.lost
     if not lost.any():
         return occ_vec, int_vec
@@ -189,13 +190,12 @@ def fill(
         int_vec[lost] = policy.fill_int
     else:  # neighbor_copy with at least one present cell
         src = _nearest_present(lost)
+        # views of the contiguous vector grids, so the copies land in them
         flat_occ = occ_vec.reshape(-1, cb_occ.dim)
         flat_int = int_vec.reshape(-1, cb_int.dim)
         dst = np.flatnonzero(lost.ravel())
         flat_occ[dst] = flat_occ[src]
         flat_int[dst] = flat_int[src]
-        occ_vec = flat_occ.reshape(occ_vec.shape)
-        int_vec = flat_int.reshape(int_vec.shape)
     return occ_vec, int_vec
 
 

@@ -4,11 +4,15 @@ import re
 import numpy as np
 import pytest
 
+from qpcomm import metrics
+from qpcomm.channel import ChannelConfig
 from qpcomm.cli import main
-from qpcomm.codec import DecodeConfig, decode_vectors
+from qpcomm.codec import DecodeConfig, decode_grids
+from qpcomm.geometry import unpatchify
 from qpcomm.pcio import read_qpcd, write_qpcd
 from qpcomm.quantizer import read_codebook
 from qpcomm.seeds import derive_seed
+from qpcomm.tolerance import POLICIES, FillPolicy
 from qpcomm.wire import packetize, read_frame, write_packet_trace
 
 
@@ -311,6 +315,16 @@ class TestFlagsPhase:
         assert err.startswith("error: ") and "Traceback" not in err
         assert sorted(p.name for p in workspace.iterdir()) == []
 
+    @pytest.mark.parametrize("row", ["simulate --fill bogus", "sweep --fill bogus"],
+                             ids=lambda row: row.replace(" ", "_"))
+    def test_bad_choice_exits_2_before_any_file_is_read(self, workspace, capsys, row):
+        # argparse rejects a value outside --fill's choices itself, with its usage text
+        command, *flags = row.split()
+        assert exit_code(command, *MISSING[command], *flags) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and "Traceback" not in err
+        assert sorted(p.name for p in workspace.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["gen-scene", "train", "decode", "simulate", "sweep"])
     def test_bad_qpc_seed_exits_2_before_any_file_is_read(self, workspace, monkeypatch,
                                                           capsys, command):
@@ -326,6 +340,29 @@ class TestFlagsPhase:
                    inten, "--agent-id", -1, "--out", "g.qpfr") == 2
         assert "agent_id" in capsys.readouterr().err
         assert not (workspace / "g.qpfr").exists()
+
+
+class TestSimulateIsTheLibraryTrial:
+    def test_lossy_simulate_is_deliver_then_reconstruct(self, workspace):
+        occ, inten = encoded_frame(workspace)
+        frame = read_frame(workspace / "f.qpfr")
+        (cb_occ, fill_occ), (cb_int, fill_int) = read_codebook(occ), read_codebook(inten)
+        delivered, channel = metrics.deliver(frame, ChannelConfig(0.3), 128, 5)
+        for fill in POLICIES:
+            assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
+                       "--drop-rate", 0.3, "--mtu", 128, "--seed", 5, "--fill", fill,
+                       "--out", "sim.qpcd", "--report", "rep.json") == 0
+            mask, _, _, cloud = metrics.reconstruct(
+                delivered, frame.spec, frame.patch, cb_occ, cb_int,
+                FillPolicy(fill, fill_occ, fill_int), DecodeConfig(), 5,
+            )
+            write_qpcd(workspace / "want.qpcd", cloud)
+            assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()
+            report = json.loads((workspace / "rep.json").read_text())
+            assert report["channel"] == channel.to_json_dict()
+            assert report["cells_lost"] == mask.n_lost
+            # a lossy trial with its header delivered
+            assert 0 < mask.n_lost < mask.lost.size
 
 
 class TestConfigOverlay:
@@ -404,9 +441,10 @@ class TestTraceReplay:
             report = json.loads((workspace / "rep.json").read_text())
             assert report["cells_lost"] == report["cells_total"] == frame.h * frame.w
             consts = (0.0, 0.0) if fill == "empty" else (fill_occ, fill_int)
-            want = decode_vectors(
-                np.broadcast_to(consts[0], shape), np.broadcast_to(consts[1], shape),
-                frame.spec, frame.patch, DecodeConfig(seed=derive_seed(3, 2)),
+            want = decode_grids(
+                *unpatchify(np.broadcast_to(consts[0], shape), np.broadcast_to(consts[1], shape),
+                            frame.patch, frame.spec),
+                DecodeConfig(seed=derive_seed(3, 2)),
             )
             write_qpcd(workspace / "want.qpcd", want)
             assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()

@@ -8,8 +8,8 @@ from scipy.spatial import cKDTree
 
 from qpcomm import metrics
 from qpcomm.channel import ChannelConfig, transmit
-from qpcomm.codec import DecodeConfig, decode_vectors, encode, encode_grids, occupancy_bce
-from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, voxelize
+from qpcomm.codec import DecodeConfig, decode_grids, encode, encode_grids, occupancy_bce
+from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, unpatchify, voxelize
 from qpcomm.metrics import (
     STATUS_EMPTY,
     STATUS_OK,
@@ -183,8 +183,8 @@ class TestEvaluateRoundtrip:
         int_vec = np.broadcast_to(np.zeros(dim) if empty else learned.fill_int, shape)
         truth = voxelize(cloud, spec).occupancy
         assert rep.occupancy_bce == occupancy_bce(truth, assemble_grid(occ_vec, patch, spec))
-        recon = decode_vectors(
-            occ_vec, int_vec, spec, patch, DecodeConfig(seed=derive_seed(seed, 2))
+        recon = decode_grids(
+            *unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig(seed=derive_seed(seed, 2))
         )
         assert rep.chamfer_m == (chamfer(cloud, recon) if len(recon) else None)
         assert (rep.chamfer_m is None) == empty

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from helpers import desk_spec, representable_scene, trained_codebooks_for
 
-from qpcomm.codec import DecodeConfig, decode, decode_vectors, encode
-from qpcomm.geometry import PatchSpec
+from qpcomm.codec import DecodeConfig, decode, decode_grids, encode
+from qpcomm.geometry import PatchSpec, unpatchify
 from qpcomm.tolerance import (
+    POLICIES,
     FillPolicy,
     LossMask,
     confidence_filter,
@@ -138,7 +139,7 @@ class TestFill:
         mask = LossMask.none(im.h, im.w)
         occ_vec, int_vec = fill(im, mask, FillPolicy.learned_constant(f_occ, f_int), cb_occ, cb_int)
         cfg = DecodeConfig(seed=8)
-        a = decode_vectors(occ_vec, int_vec, spec, patch, cfg)
+        a = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), cfg)
         b = decode(im, cb_occ, cb_int, cfg)
         np.testing.assert_array_equal(a.points, b.points)
 
@@ -146,7 +147,7 @@ class TestFill:
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
         mask = LossMask.all_lost(im.h, im.w)
         occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-        out = decode_vectors(occ_vec, int_vec, spec, patch, DecodeConfig())
+        out = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig())
         assert len(out) == 0
 
     def test_neighbor_copy_two_cell_fixture(self, fill_setup):
@@ -198,8 +199,20 @@ class TestFill:
         for seed in range(5):
             mask = mask_random(im.h, im.w, 0.4, seed=seed)
             occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-            out = decode_vectors(occ_vec, int_vec, spec, patch, DecodeConfig(sigma=0.0))
+            out = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig(sigma=0.0))
             assert len(out) <= len(base)
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("kind", POLICIES)
+    def test_codebooks_are_neither_written_nor_aliased(self, fill_setup, kind, ratio):
+        spec, patch, cloud, im, cb_occ, cb_int, f_occ, f_int = fill_setup
+        before = [(cb.entries.copy(), cb.codebook_id) for cb in (cb_occ, cb_int)]
+        mask = mask_random(im.h, im.w, ratio, seed=2)
+        vectors = fill(im, mask, FillPolicy(kind, f_occ, f_int), cb_occ, cb_int)
+        for cb, (entries, cb_id), vec in zip((cb_occ, cb_int), before, vectors, strict=True):
+            np.testing.assert_array_equal(cb.entries, entries)
+            assert cb.codebook_id == cb_id
+            assert not np.shares_memory(vec, cb.entries)
 
     def test_mask_shape_mismatch(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
