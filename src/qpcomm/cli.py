@@ -299,19 +299,16 @@ def cmd_simulate(args) -> int:
             "cells_lost": mask.n_lost,
             "cells_total": mask.lost.size,
             "decoded_points": len(cloud),
-            "drop_rate": args.drop_rate,
             "fill": args.fill,
-            "mtu": args.mtu,
             "seed": seed,
         }
-        if report is not None:
-            payload["channel"] = report.to_json_dict()
+        if report is not None:  # a replay ran no channel
+            payload.update(channel=report.to_json_dict(), drop_rate=args.drop_rate, mtu=args.mtu)
         text = json.dumps(payload, indent=2, sort_keys=True)
         _atomic(args.report, lambda p: Path(p).write_text(text + "\n"))
-    print(
-        f"simulated drop_rate={args.drop_rate}: {mask.n_lost}/{mask.lost.size} cells lost, "
-        f"{len(cloud)} points decoded"
-    )
+    source = (f"replayed {args.trace_in}" if args.trace_in
+              else f"simulated drop_rate={args.drop_rate}")
+    print(f"{source}: {mask.n_lost}/{mask.lost.size} cells lost, {len(cloud)} points decoded")
     return 0
 
 
@@ -327,13 +324,15 @@ def cmd_sweep(args) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         wire.check_mtu(args.mtu)
+        if args.codebooks and args.k is not None:
+            raise ValueError("--codebooks reads trained codebooks; it takes no --k")
         if not args.codebooks:
             k = PRESETS[args.preset]["k"] if args.k is None else args.k
             cfg_occ, cfg_int = (
                 QuantizerConfig(k=k, dim=patch.vector_dim(spec), seed=derive_seed(seed, i))
                 for i in (100, 101)
             )
-        decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip, 0)
+        decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip)
 
     files = _scene_files(args.scenes)
     scenes = [pcio.read_cloud(p) for p in files]

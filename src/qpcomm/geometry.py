@@ -21,7 +21,6 @@ class PointCloud:
     the cloud may be empty."""
 
     points: np.ndarray
-    frame_id: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -37,8 +36,8 @@ class PointCloud:
         self.points = pts
 
     @classmethod
-    def empty(cls, frame_id: str = "") -> "PointCloud":
-        return cls(np.empty((0, 4)), frame_id)
+    def empty(cls) -> "PointCloud":
+        return cls(np.empty((0, 4)))
 
     @property
     def xyz(self) -> np.ndarray:
@@ -74,10 +73,9 @@ class VoxelGridSpec:
             raise ValueError("cell sizes must be positive and finite")
         if any(d <= 0 for d in self.dims):
             raise ValueError("grid dims must be strictly positive")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.dims
+        # Python floats, so an overflow is inf rather than a numpy warning
+        if not all(abs(o) + d * c < np.inf for o, c, d in zip(self.origin, self.cell, self.dims)):
+            raise ValueError("grid extent must be finite")
 
     @property
     def n_voxels(self) -> int:
@@ -101,7 +99,8 @@ class VoxelGridSpec:
         """
         xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
         rel = (xyz - np.asarray(self.origin)) / np.asarray(self.cell)
-        idx = np.floor(rel).astype(np.int64)
+        # clipped first: a float outside int64's range has no defined cast
+        idx = np.floor(np.clip(rel, -1, self.dims, out=rel)).astype(np.int64)
         inside = np.all((idx >= 0) & (idx < np.asarray(self.dims)), axis=1)
         return idx, inside
 

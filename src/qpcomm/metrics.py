@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -43,7 +42,7 @@ from .geometry import (
 from .quantizer import Codebook
 from .seeds import derive_seed
 from .tolerance import FillPolicy
-from .wire import POSE_BITS, Frame, Pose, packetize, receive, serialize
+from .wire import Frame, Pose, log2_volume, packetize, receive, serialize
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_reconstruction"
@@ -89,11 +88,11 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
     return _chamfer(*_index(a), b)
 
 
-def _send(scene, cb_occ, cb_int, spec, patch, pose=None):
+def _send(scene, cb_occ, cb_int, spec, patch):
     """Sender stage: the scene's truth grids, the frame quantized from them,
     and the scene's ``_index``."""
     occ, inten, _ = voxelize(scene, spec)
-    frame = serialize(encode_grids(occ, inten, patch, cb_occ, cb_int), pose or Pose())
+    frame = serialize(encode_grids(occ, inten, patch, cb_occ, cb_int), Pose())
     return (occ, inten, frame, *_index(scene))
 
 
@@ -139,7 +138,7 @@ def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_poli
         chamfer_m=cd,
         occupancy_bce=bce,
         intensity_mse=mse,
-        comm_log2_bytes=math.log2((frame.payload_nbits + POSE_BITS) / 8),
+        comm_log2_bytes=log2_volume(frame.payload_nbits),
         cell_loss_rate=mask.cell_loss_rate,
         seed=seed,
         status=status,
@@ -166,11 +165,10 @@ def evaluate_roundtrip(
     fill_policy: FillPolicy,
     seed: int,
     mtu: int = 1200,
-    pose: Pose | None = None,
 ) -> EvalReport:
     """One full transmit-and-reconstruct measurement, deterministic given
     ``seed`` (channel and decoder sub-seeds are derived from it)."""
-    sent = _send(scene, cb_occ, cb_int, spec, patch, pose)
+    sent = _send(scene, cb_occ, cb_int, spec, patch)
     return _trial(
         sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu
     )
@@ -182,10 +180,10 @@ class SweepResult:
     aggregates: list  # one dict per entry of p_values
 
 
-def _sweep_trial(index, *, sent, p_values, master_seed, channel_cfg, **common):
+def _sweep_trial(index, *, sent, p_values, master_seed, **common):
     """The sweep trial at ``index = (scene_idx, p_idx, trial)``."""
     si, pi, trial = index
-    cfg = replace(channel_cfg, drop_rate=p_values[pi])
+    cfg = ChannelConfig(p_values[pi])
     return _trial(sent[si], channel_cfg=cfg, seed=derive_seed(master_seed, si, pi, trial), **common)
 
 
@@ -212,8 +210,6 @@ def sweep(
     fill_policy: FillPolicy,
     decode_cfg: DecodeConfig | None = None,
     mtu: int = 1200,
-    latency_ms: float = 0.0,
-    jitter_ms: float = 0.0,
     master_seed: int = 0,
     jobs: int = 1,
 ) -> SweepResult:
@@ -234,10 +230,9 @@ def sweep(
     sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
     if not sent:
         raise ValueError("need at least one scene")
-    channel_cfg = ChannelConfig(drop_rate=0.0, latency_ms=latency_ms, jitter_ms=jitter_ms)
     run = partial(
         _sweep_trial, sent=sent, p_values=list(p_values), master_seed=master_seed,
-        channel_cfg=channel_cfg, cb_occ=cb_occ, cb_int=cb_int, spec=spec, patch=patch,
+        cb_occ=cb_occ, cb_int=cb_int, spec=spec, patch=patch,
         decode_cfg=decode_cfg or DecodeConfig(), fill_policy=fill_policy, mtu=mtu,
     )
     indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))
@@ -252,8 +247,6 @@ def sweep(
     for pi, p in enumerate(p_values):
         group = [r for (_si, i, _t), r in zip(indices, reports) if i == pi]
         chams = [r.chamfer_m for r in group if r.chamfer_m is not None]
-        bces = [r.occupancy_bce for r in group if r.occupancy_bce is not None]
-        mses = [r.intensity_mse for r in group if r.intensity_mse is not None]
         aggregates.append(
             {
                 "p": p,
@@ -261,8 +254,6 @@ def sweep(
                 "n_failed": sum(1 for r in group if r.status != STATUS_OK),
                 "mean_chamfer": float(np.mean(chams)) if chams else None,
                 "std_chamfer": float(np.std(chams)) if chams else None,
-                "mean_bce": float(np.mean(bces)) if bces else None,
-                "mean_mse": float(np.mean(mses)) if mses else None,
                 "mean_cell_loss_rate": float(np.mean([r.cell_loss_rate for r in group])),
             }
         )

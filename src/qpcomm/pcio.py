@@ -51,7 +51,7 @@ def read_qpcd(path) -> PointCloud:
     if len(body) != count * 16:
         raise FormatError(f"{path}: expected {count * 16} payload bytes, got {len(body)}")
     pts = np.frombuffer(body, dtype="<f4").reshape(count, 4).astype(np.float64)
-    return PointCloud(pts, frame_id=path.stem)
+    return PointCloud(pts)
 
 
 def read_csv_cloud(path) -> PointCloud:
@@ -72,7 +72,7 @@ def read_csv_cloud(path) -> PointCloud:
             except ValueError as exc:
                 raise FormatError(f"{path}: non-numeric value ({exc})") from exc
     pts = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
-    return PointCloud(pts, frame_id=path.stem)
+    return PointCloud(pts)
 
 
 def read_cloud(path) -> PointCloud:

@@ -143,4 +143,4 @@ def generate(cfg: SceneConfig) -> tuple[PointCloud, list[Box]]:
         inten = rng.uniform(*cfg.vehicle_intensity, xyz.shape[0])
         chunks.append(np.column_stack([xyz, inten]))
     points = np.vstack(chunks)
-    return PointCloud(points, frame_id=f"scene-{cfg.seed}"), boxes
+    return PointCloud(points), boxes

@@ -384,6 +384,12 @@ def receive(
     return occ_vec, int_vec, mask
 
 
+def log2_volume(index_bits: int) -> float:
+    """log2 of the bytes that carry ``index_bits`` of codebook indices plus
+    the six 32-bit pose parameters."""
+    return math.log2((index_bits + POSE_BITS) / 8)
+
+
 def comm_volume_log2_bytes(n_vectors: int, k: int) -> float:
     """Communication volume, log2 of the frame byte count modeled as
     ``(2 * N * log2(K) + 6 * 32) / 8``: both index grids at log2(K) bits per
@@ -393,8 +399,7 @@ def comm_volume_log2_bytes(n_vectors: int, k: int) -> float:
         raise ValueError("n_vectors must be >= 1")
     if k < 2 or (k & (k - 1)) != 0:
         raise ValueError("codebook size must be a power of two >= 2")
-    bits = 2 * n_vectors * bits_for(k) + POSE_BITS
-    return math.log2(bits / 8.0)
+    return log2_volume(2 * n_vectors * bits_for(k))
 
 
 def write_frame(path, frame: Frame) -> None:

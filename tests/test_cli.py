@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpcomm import metrics
 from qpcomm.channel import ChannelConfig
@@ -13,7 +15,7 @@ from qpcomm.pcio import read_qpcd, write_qpcd
 from qpcomm.quantizer import read_codebook
 from qpcomm.seeds import derive_seed
 from qpcomm.tolerance import POLICIES, FillPolicy
-from qpcomm.wire import packetize, read_frame, write_packet_trace
+from qpcomm.wire import packetize, read_frame, read_packet_trace, receive, write_packet_trace
 
 
 @pytest.fixture()
@@ -290,6 +292,7 @@ class TestFlagsPhase:
             "sweep --dim-patch 3,3",
             "sweep --mtu 10 --codebooks a b",
             "sweep --k 0",
+            "sweep --k 32 --codebooks a b",
             "sweep --p-list 0.1,2",
             "sweep --trials 0",
             "sweep --jobs 0",
@@ -417,6 +420,23 @@ class TestConfigOverlay:
 
 
 class TestTraceReplay:
+    def test_replay_reports_no_channel(self, workspace, capsys):
+        occ, inten = encoded_frame(workspace)
+        frame = read_frame(workspace / "f.qpfr")
+        cb_occ, cb_int = read_codebook(occ)[0], read_codebook(inten)[0]
+        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--drop-rate", 0.3,
+                   "--mtu", 128, "--seed", 5, "--out", "a.qpcd", "--trace-out", "t.pkts") == 0
+        capsys.readouterr()
+        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--mtu", 128,
+                   "--seed", 9, "--trace-in", "t.pkts", "--out", "b.qpcd",
+                   "--report", "rep.json") == 0
+        assert capsys.readouterr().out.startswith("replayed t.pkts: ")
+        report = json.loads((workspace / "rep.json").read_text())
+        assert not {"drop_rate", "mtu", "channel"} & set(report)
+        *_, mask = receive(read_packet_trace(workspace / "t.pkts"), frame.spec, frame.patch,
+                           cb_occ, cb_int, FillPolicy.empty())
+        assert report["cells_lost"] == mask.n_lost > 0
+
     @pytest.mark.parametrize("flag", ["--drop-rate", "--latency-ms", "--jitter-ms"])
     def test_channel_flags_with_trace_in_exit_2(self, workspace, flag, capsys):
         occ, inten = encoded_frame(workspace)
@@ -450,3 +470,89 @@ class TestTraceReplay:
             assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()
             assert report["decoded_points"] == len(want)
             assert (len(want) == 0) == (fill == "empty")
+
+
+# a 32x32x4 grid with 2x2 patches keeps each corrupt-input run to a few ms
+SMALL_GRID = ("--grid", "0.3125,0.3125,0.3,32,32,4")
+VALID = {"frame": "f.qpfr", "trace": "t.pkts", "occ": "occ.qpcb", "int": "int.qpcb",
+         "scene": "s0.qpcd"}
+# per input kind: the (role, file) pairs of that kind, the commands that read it
+CORRUPTED = [
+    pytest.param([("frame", "f.qpfr")], ("decode", "simulate", "replay"), id="frame"),
+    pytest.param([("trace", "t.pkts")], ("replay",), id="trace"),
+    pytest.param([("occ", "occ.qpcb"), ("int", "int.qpcb")],
+                 ("decode", "simulate", "replay", "encode"), id="qpcb"),
+    pytest.param([("scene", "s0.qpcd")], ("encode",), id="qpcd"),
+    pytest.param([("scene", "s0.csv")], ("encode",), id="csv"),
+]
+
+
+def _commands(paths, out):
+    """Each command that reads an input, reading the files in ``paths``."""
+    cb = ("--codebooks", paths["occ"], paths["int"])
+    frame = ("--in", paths["frame"], *cb, "--out", out)
+    return {
+        "decode": ("decode", *frame),
+        "simulate": ("simulate", *frame, "--drop-rate", 0.3, "--mtu", 128),
+        "replay": ("simulate", *frame, "--trace-in", paths["trace"]),
+        "encode": ("encode", "--in", paths["scene"], *SMALL_GRID, *cb, "--out", out),
+    }
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """One valid file of every kind a command reads: a frame, a lossy packet
+    trace of it, both codebooks, and its scene as QPCD and as CSV."""
+    d = tmp_path_factory.mktemp("corpus")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("QPC_SEED", raising=False)
+        assert run("gen-scene", "--out", d / "s0.qpcd", "--seed", 0) == 0
+        assert run("train", "--scenes", d, *SMALL_GRID, "--k", 32, "--seed", 5,
+                   "--out-occ", d / "occ.qpcb", "--out-int", d / "int.qpcb") == 0
+        paths = {role: d / name for role, name in VALID.items()}
+        assert run(*_commands(paths, d / "f.qpfr")["encode"]) == 0
+        assert run(*_commands(paths, d / "x.qpcd")["simulate"], "--trace-out", d / "t.pkts") == 0
+        rows = read_qpcd(d / "s0.qpcd").points[:200].tolist()
+        (d / "s0.csv").write_text(
+            "x,y,z,intensity\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        )
+        assert run(*_commands(paths | {"scene": d / "s0.csv"}, d / "c.qpfr")["encode"]) == 0
+        (d / "corrupt").mkdir()
+        yield d
+
+
+def _positions(n: int):
+    """Positions in [0, n), a third of them in the first 16 bytes (every
+    format's magic and first size fields) and a third in the first 160 (every
+    header; a frame's is 121 bytes)."""
+    return st.one_of(*(st.integers(0, min(n, m) - 1) for m in (16, 160, n)))
+
+
+@st.composite
+def corruptions(draw, data: bytes) -> bytes:
+    """``data`` truncated, or with one to three of its bits flipped."""
+    if draw(st.booleans()):
+        return data[: draw(_positions(len(data)))]
+    out = bytearray(data)
+    bits = st.builds(lambda byte, bit: 8 * byte + bit, _positions(len(data)), st.integers(0, 7))
+    for bit in draw(st.lists(bits, min_size=1, max_size=3, unique=True)):
+        out[bit // 8] ^= 1 << bit % 8
+    return bytes(out)
+
+
+class TestCorruptInputs:
+    @pytest.mark.parametrize("files,commands", CORRUPTED)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_exit_0_with_output_or_3_without(self, corpus, files, commands, data):
+        role, name = data.draw(st.sampled_from(files))
+        corrupt = corpus / "corrupt" / name
+        corrupt.write_bytes(data.draw(corruptions((corpus / name).read_bytes())))
+        paths = {r: corpus / n for r, n in VALID.items()} | {role: corrupt}
+        out = corpus / "corrupt" / "out"
+        argvs = _commands(paths, out)
+        for command in commands:
+            out.unlink(missing_ok=True)
+            code = run(*argvs[command])
+            assert code in (0, 3), (command, code)
+            assert out.exists() == (code == 0), command

@@ -46,6 +46,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             VoxelGridSpec((0, 0, 0), (0.1, 0.1, 0.1), (4, 0, 4))
 
+    def test_spec_extent_must_be_finite(self):
+        # the far corner overflows although every field is finite
+        with pytest.raises(ValueError, match="grid extent must be finite"):
+            VoxelGridSpec((0, 0, 0), (1e308, 0.1, 0.1), (4, 4, 4))
+        with pytest.raises(ValueError, match="grid extent must be finite"):
+            VoxelGridSpec((-1.7e308, 0, 0), (1e307, 0.1, 0.1), (2, 4, 4))
+        VoxelGridSpec((0, 0, 0), (1e307, 0.1, 0.1), (4, 4, 4))
+
     def test_occupancy_entries_binary(self):
         spec = small_spec()
         with pytest.raises(ValueError):
@@ -129,6 +137,13 @@ class TestVoxelize:
             ]
         )
         occ, _, dropped = voxelize(PointCloud(pts), spec)
+        assert dropped == 2
+        assert occ.n_occupied == 1
+
+    def test_points_beyond_int64_range_dropped(self):
+        # 1e30 / dx is no int64; a warning would fail the test
+        pts = np.array([[1e30, 0.1, 0.1, 0.3], [0.1, -1e30, 0.1, 0.3], [0.1, 0.1, 0.1, 0.3]])
+        occ, _, dropped = voxelize(PointCloud(pts), small_spec())
         assert dropped == 2
         assert occ.n_occupied == 1
 
