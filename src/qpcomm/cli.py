@@ -182,16 +182,6 @@ def _scene_files(directory) -> list:
     return files
 
 
-def _fill_policy(name: str, fill_occ, fill_int) -> FillPolicy:
-    if name == "empty":
-        return FillPolicy.empty()
-    if name == "learned_constant":
-        if fill_occ is None or fill_int is None:
-            raise ValueError("learned_constant fill requires codebooks with FILL blocks")
-        return FillPolicy.learned_constant(fill_occ, fill_int)
-    return FillPolicy.neighbor_copy(fill_occ, fill_int)
-
-
 # --- commands -------------------------------------------------------------
 
 
@@ -274,13 +264,14 @@ def cmd_simulate(args) -> int:
     with _flags():
         seed = _seed(args)
         channel = ChannelConfig(args.drop_rate, args.latency_ms, args.jitter_ms)
-        if args.trace_in and (args.drop_rate or args.latency_ms or args.jitter_ms):
-            raise ValueError("--trace-in replays recorded packets; it takes no channel flags")
+        if args.trace_in and (args.drop_rate or args.latency_ms or args.jitter_ms
+                              or args.mtu != args.parser.get_default("mtu")):
+            raise ValueError("--trace-in replays recorded packets: no channel flags, no --mtu")
         wire.check_mtu(args.mtu)
         decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip)
     frame = read_frame(args.infile)
     (cb_occ, fill_occ), (cb_int, fill_int) = _read_codebooks(args.codebooks)
-    policy = _fill_policy(args.fill, fill_occ, fill_int)
+    policy = FillPolicy(args.fill, fill_occ, fill_int)
 
     if args.trace_in:
         delivered, report = wire.read_packet_trace(args.trace_in), None
@@ -340,7 +331,7 @@ def cmd_sweep(args) -> int:
         (cb_occ, fill_occ), (cb_int, fill_int) = _read_codebooks(args.codebooks)
     else:
         (cb_occ, fill_occ), (cb_int, fill_int) = _train(scenes, spec, patch, cfg_occ, cfg_int)
-    policy = _fill_policy(args.fill, fill_occ, fill_int)
+    policy = FillPolicy(args.fill, fill_occ, fill_int)
 
     result = run_sweep(
         scenes,

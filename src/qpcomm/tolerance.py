@@ -120,6 +120,8 @@ class FillPolicy:
                 if not np.isfinite(vec).all():
                     raise ValueError(f"{name} must be finite")
                 setattr(self, name, vec)
+        if self.kind == POLICY_LEARNED and (self.fill_occ is None or self.fill_int is None):
+            raise ValueError("learned_constant fill requires both fill vectors")
 
     @classmethod
     def empty(cls) -> "FillPolicy":
@@ -183,7 +185,7 @@ def fill(
         int_vec[lost] = 0.0
     elif kind == POLICY_LEARNED:
         if policy.fill_occ is None or policy.fill_int is None:
-            raise ValueError("learned_constant fill requires fitted fill vectors")
+            raise ValueError("neighbor_copy needs fill vectors when every cell is lost")
         if policy.fill_occ.shape[0] != cb_occ.dim or policy.fill_int.shape[0] != cb_int.dim:
             raise ValueError("fill vector dimension mismatch")
         occ_vec[lost] = policy.fill_occ

@@ -175,8 +175,6 @@ def bits_for(k: int) -> int:
 
 def _pack_indices(values: np.ndarray, nbits: int) -> np.ndarray:
     """MSB-first bit matrix (n, nbits) for the given index values."""
-    if nbits == 0:
-        return np.empty((values.size, 0), dtype=np.uint8)
     shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
     return ((values.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)
 
@@ -198,7 +196,7 @@ def serialize(im: IndexMap, pose: Pose, agent_id: int = 0, frame_id: int = 0) ->
             _pack_indices(im.int_indices.ravel(), b_int).ravel(),
         ]
     )
-    payload = np.packbits(bits).tobytes() if bits.size else b""
+    payload = np.packbits(bits).tobytes()
     return Frame(
         agent_id,
         frame_id,
@@ -213,30 +211,30 @@ def serialize(im: IndexMap, pose: Pose, agent_id: int = 0, frame_id: int = 0) ->
     )
 
 
-def _unpack_indices(bits: np.ndarray, n: int, nbits: int) -> np.ndarray:
-    if nbits == 0:
-        return np.zeros(n, dtype=np.int64)
-    weights = 1 << np.arange(nbits - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(n, nbits).astype(np.int64) @ weights
+def _fields(bits: np.ndarray, n: int, b_occ: int, b_int: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-bit array ``bits`` over the payload as its (n, b_occ)
+    occupancy and (n, b_int) intensity fields; a 0-bit field is (n, 0)."""
+    bits = bits[: n * (b_occ + b_int)]
+    return bits[: n * b_occ].reshape(n, b_occ), bits[n * b_occ :].reshape(n, b_int)
 
 
 def deserialize(frame: Frame, missing: np.ndarray | None = None) -> tuple[IndexMap, LossMask]:
     """Unpack a frame into an index map plus the per-cell loss mask.
 
     ``missing`` is an optional boolean array over the full frame byte stream
-    (True = byte never arrived).  Cells whose bit-field overlaps a missing
-    byte are marked lost and their index value is forced to 0; with no loss
-    the mask is all-present.  Missing header bytes raise
-    :class:`IncompleteFrameError`.
+    (True = byte never arrived).  A cell is lost when any bit of its
+    occupancy or intensity field lies in a missing byte; its index values are
+    forced to 0.  With no loss the mask is all-present.  Missing header bytes
+    raise :class:`IncompleteFrameError`.
     """
     n = frame.h * frame.w
     b_occ = bits_for(frame.k_occ)
     b_int = bits_for(frame.k_int)
-    payload = np.frombuffer(frame.payload, dtype=np.uint8)
-    total_bits = n * (b_occ + b_int)
-    bits = np.unpackbits(payload)[:total_bits]
-    occ_idx = _unpack_indices(bits[: n * b_occ], n, b_occ)
-    int_idx = _unpack_indices(bits[n * b_occ :], n, b_int)
+    payload_bits = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8))
+    occ_idx, int_idx = (
+        f.astype(np.int64) @ (1 << np.arange(f.shape[1] - 1, -1, -1, dtype=np.int64))
+        for f in _fields(payload_bits, n, b_occ, b_int)
+    )
 
     lost = np.zeros(n, dtype=bool)
     if missing is not None:
@@ -245,23 +243,10 @@ def deserialize(frame: Frame, missing: np.ndarray | None = None) -> tuple[IndexM
             raise ValueError("missing-byte mask length != frame length")
         if missing[:HEADER_LEN].any():
             raise IncompleteFrameError("frame header bytes were lost")
-        lost_bytes = missing[HEADER_LEN:]
-        if lost_bytes.any():
-            cum = np.concatenate([[0], np.cumsum(lost_bytes)])
-
-            def overlaps(start_bits: np.ndarray, nbits: int) -> np.ndarray:
-                if nbits == 0:
-                    return np.zeros(start_bits.shape[0], dtype=bool)
-                first = start_bits // 8
-                last = (start_bits + nbits - 1) // 8
-                return (cum[last + 1] - cum[first]) > 0
-
-            cells = np.arange(n, dtype=np.int64)
-            lost = overlaps(cells * b_occ, b_occ) | overlaps(
-                n * b_occ + cells * b_int, b_int
-            )
-            occ_idx[lost] = 0
-            int_idx[lost] = 0
+        lost_occ, lost_int = _fields(np.repeat(missing[HEADER_LEN:], 8), n, b_occ, b_int)
+        lost = lost_occ.any(axis=1) | lost_int.any(axis=1)
+        occ_idx[lost] = 0
+        int_idx[lost] = 0
 
     ok = ~lost
     if (occ_idx[ok] >= frame.k_occ).any() or (int_idx[ok] >= frame.k_int).any():
@@ -325,6 +310,18 @@ def _read_header(packets: list) -> Frame | None:
     return header
 
 
+def _reassemble(packets: list, header: Frame) -> tuple[Frame, np.ndarray]:
+    """Place the packets over the stream ``header`` declares: the header
+    becomes the frame (zero-filled where bytes are missing), returned with
+    the ``missing`` array over the full byte stream."""
+    total = header.total_nbytes
+    if any(p.byte_offset + len(p.payload) > total for p in packets):
+        raise FormatError("packets extend past the declared frame length")
+    buf, present = _place(packets, total)
+    header.payload = buf[HEADER_LEN:].tobytes()
+    return header, ~present
+
+
 def reassemble(packets) -> tuple[Frame, np.ndarray]:
     """Rebuild a frame from delivered packets.
 
@@ -340,11 +337,7 @@ def reassemble(packets) -> tuple[Frame, np.ndarray]:
     header = _read_header(packets)
     if header is None:
         raise IncompleteFrameError("no packets carried the whole frame header")
-    total = header.total_nbytes
-    if any(p.byte_offset + len(p.payload) > total for p in packets):
-        raise FormatError("packets extend past the declared frame length")
-    buf, present = _place(packets, total)
-    return Frame.from_bytes(buf.tobytes()), ~present
+    return _reassemble(packets, header)
 
 
 def receive(
@@ -368,18 +361,15 @@ def receive(
     expected = (spec, patch, cb_occ.k, cb_int.k)
     packets = list(packets)
     header = _read_header(packets)
-    if header is not None and (header.spec, header.patch, header.k_occ, header.k_int) != expected:
-        raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
-    # reassemble re-reads the header: it stays the one call that reports a lost one
-    try:
-        frame, missing = reassemble(packets)
-    except IncompleteFrameError:
+    if header is None:
         h, w = patch.latent_shape(spec)
         zeros = np.zeros((h, w), dtype=np.int64)
         im = IndexMap(zeros, zeros, cb_occ.k, cb_int.k, spec, patch)
         mask = LossMask.all_lost(h, w)
+    elif (header.spec, header.patch, header.k_occ, header.k_int) != expected:
+        raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
     else:
-        im, mask = deserialize(frame, missing)
+        im, mask = deserialize(*_reassemble(packets, header))
     occ_vec, int_vec = fill(im, mask, policy, cb_occ, cb_int)
     return occ_vec, int_vec, mask
 

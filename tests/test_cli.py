@@ -150,8 +150,7 @@ class TestPipelineCommands:
         # a replay takes no channel flags: the trace already holds the drops
         assert (
             run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
-                "--mtu", 128, "--seed", 3, "--out", "b.qpcd",
-                "--trace-in", "t.pkts") == 0
+                "--seed", 3, "--out", "b.qpcd", "--trace-in", "t.pkts") == 0
         )
         assert (workspace / "a.qpcd").read_bytes() == (workspace / "b.qpcd").read_bytes()
 
@@ -244,10 +243,11 @@ class TestErrorHandling:
         raw = bytearray(inten.read_bytes())
         raw[-4:] = np.float32(np.nan).tobytes()  # the FILL block's last value
         inten.write_bytes(bytes(raw))
-        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
-                   "--drop-rate", 0.3, "--out", "x.qpcd") == 3
-        assert "fill_int must be finite" in capsys.readouterr().err
-        assert not (workspace / "x.qpcd").exists()
+        for fill in POLICIES:  # even the empty fill reads the codebooks' FILL blocks
+            assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
+                       "--drop-rate", 0.3, "--fill", fill, "--out", "x.qpcd") == 3
+            assert "fill_int must be finite" in capsys.readouterr().err
+            assert not (workspace / "x.qpcd").exists()
 
     def test_no_partial_output_on_failure(self, workspace, capsys):
         scenes = make_scenes(workspace, n=1)
@@ -301,6 +301,7 @@ class TestFlagsPhase:
             "simulate --drop-rate nan",
             "simulate --mtu 10",
             "simulate --trace-in t.pkts --drop-rate 0.1",
+            "simulate --trace-in t.pkts --mtu 500",
             "decode --sigma -1",
             "decode --sigma nan",
             "decode --seed -5",
@@ -427,7 +428,7 @@ class TestTraceReplay:
         assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--drop-rate", 0.3,
                    "--mtu", 128, "--seed", 5, "--out", "a.qpcd", "--trace-out", "t.pkts") == 0
         capsys.readouterr()
-        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--mtu", 128,
+        assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
                    "--seed", 9, "--trace-in", "t.pkts", "--out", "b.qpcd",
                    "--report", "rep.json") == 0
         assert capsys.readouterr().out.startswith("replayed t.pkts: ")
@@ -455,7 +456,7 @@ class TestTraceReplay:
         write_packet_trace(workspace / "t.pkts", packetize(frame, 128)[1:])
         shape = (frame.h, frame.w, cb_occ.dim)
         for fill in ("empty", "learned_constant", "neighbor_copy"):
-            assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten, "--mtu", 128,
+            assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
                        "--seed", 3, "--fill", fill, "--trace-in", "t.pkts",
                        "--out", "sim.qpcd", "--report", "rep.json") == 0
             report = json.loads((workspace / "rep.json").read_text())

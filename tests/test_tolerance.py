@@ -185,6 +185,12 @@ class TestFill:
         with pytest.raises(ValueError):
             fill(im, mask, FillPolicy.neighbor_copy(), cb_occ, cb_int)
 
+    def test_learned_constant_requires_both_vectors_at_construction(self):
+        for fill_occ, fill_int in [(None, None), ([0.5], None), (None, [0.5])]:
+            with pytest.raises(ValueError, match="requires both fill vectors"):
+                FillPolicy("learned_constant", fill_occ, fill_int)
+        FillPolicy("neighbor_copy")  # its vectors are only a fallback
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kind", ["learned_constant", "neighbor_copy"])
     def test_non_finite_fill_vector_rejected(self, kind, bad):

@@ -109,8 +109,9 @@ class TestBitPacking:
 
     def test_roundtrip_random_maps(self):
         rng = np.random.default_rng(1)
-        for _ in range(60):
-            im = random_index_map(rng)
+        # (None, None) draws both sizes; K = 1 is a 0-bit field
+        for k_occ, k_int in [(None, None)] * 60 + [(1, 300), (300, 1)] * 10:
+            im = random_index_map(rng, k_occ=k_occ, k_int=k_int)
             frame = serialize(im, Pose(1.0, -2.0, 0.5, 0.1, 0.0, 3.0))
             back, mask = deserialize(frame)
             assert back == im
@@ -269,8 +270,9 @@ class TestLossMapping:
 
     def test_lost_cells_match_byte_overlap_oracle(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            im = random_index_map(rng, h=4, w=6)
+        # (None, None) draws both sizes; K = 1 is a 0-bit field
+        for k_occ, k_int in [(None, None)] * 20 + [(1, 300), (300, 1)] * 10:
+            im = random_index_map(rng, h=4, w=6, k_occ=k_occ, k_int=k_int)
             frame = serialize(im, Pose())
             mtu = int(rng.choice([64, 96, 128]))
             packets = packetize(frame, mtu)
@@ -286,6 +288,22 @@ class TestLossMapping:
             ok = ~mask.lost
             np.testing.assert_array_equal(back.occ_indices[ok], im.occ_indices[ok])
             np.testing.assert_array_equal(back.int_indices[ok], im.int_indices[ok])
+
+    def test_out_of_range_index_is_a_format_error_unless_lost(self):
+        # K = 100 takes 7 bits, so the field values 100..127 are invalid
+        rng = np.random.default_rng(13)
+        im = random_index_map(rng, h=2, w=2, k_occ=100, k_int=100)
+        frame = serialize(im, Pose())
+        payload = bytearray(frame.payload)
+        payload[0] |= 0xFE  # cell (0, 0)'s occupancy field is the top 7 bits: 127
+        frame.payload = bytes(payload)
+        with pytest.raises(FormatError, match="out of range") as excinfo:
+            deserialize(frame)
+        assert excinfo.type is FormatError
+        missing = np.zeros(frame.total_nbytes, dtype=bool)
+        missing[HEADER_LEN] = True
+        back, mask = deserialize(frame, missing)
+        assert mask.lost[0, 0] and back.occ_indices[0, 0] == 0
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -460,6 +478,31 @@ class TestReceive:
             receive(packetize(header, 64), im.spec, im.patch, cb_occ, cb_int,
                     FillPolicy.empty())
         assert sizes and max(sizes) <= HEADER_LEN
+
+    def test_one_header_parse_per_receive(self, setup, monkeypatch):
+        im, cb_occ, cb_int, fill_occ, fill_int = setup
+        packets = packetize(serialize(im, Pose()), 64)
+        calls = []
+        parse, place = Frame._parse_header, wire._place
+
+        def parse_spy(data):
+            calls.append("parse")
+            return parse(data)
+
+        def place_spy(packets, nbytes):
+            calls.append("place")
+            return place(packets, nbytes)
+
+        monkeypatch.setattr(Frame, "_parse_header", staticmethod(parse_spy))
+        monkeypatch.setattr(wire, "_place", place_spy)
+        for delivered, want in [
+            (packets, ["place", "parse", "place"]),
+            (packets[:-1], ["place", "parse", "place"]),
+            (packets[1:], ["place"]),  # the header is lost: nothing to parse
+        ]:
+            calls.clear()
+            receive(delivered, im.spec, im.patch, cb_occ, cb_int, FillPolicy.empty())
+            assert calls == want
 
 
 class TestStraddleFixture:

@@ -76,13 +76,13 @@ def _run_all(stdouts: dict) -> None:
             qpc(tag, "simulate", "--in", "f.qpfr", *CODEBOOKS, "--mtu", 128, "--seed", 5,
                 "--latency-ms", 2, "--jitter-ms", 1, "--drop-rate", p, "--fill", fill,
                 "--out", f"{tag}.qpcd", "--report", f"{tag}.json", "--trace-out", f"{tag}.pkts")
-    qpc("replay", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--mtu", 128, "--seed", 9,
+    qpc("replay", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--seed", 9,
         "--fill", "neighbor_copy", "--trace-in", "sim-0.3-neighbor_copy.pkts",
         "--out", "replay.qpcd", "--report", "replay.json")
     frame = read_frame("f.qpfr")
     # the header travels in packet 0
     write_packet_trace("headless.pkts", packetize(frame, 128)[1:])
-    qpc("headless", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--mtu", 128, "--seed", 3,
+    qpc("headless", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--seed", 3,
         "--trace-in", "headless.pkts", "--out", "headless.qpcd", "--report", "headless.json")
 
     for jobs in (1, 2):
