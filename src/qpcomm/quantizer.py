@@ -9,15 +9,21 @@ non-increasing between refresh events.  Entries whose (bias-corrected) EMA
 usage falls below ``dead_limit`` at a refresh point are re-seeded from a
 reservoir sample of the data.
 
+Nearest-entry assignment, for ``quantize`` and every training pass, is one
+exact kernel (``_Search``): a float32 product over only the columns some row
+uses, a per-row band of candidates proven to contain ``nearest``'s index, and a
+rerank of the rows with more than one candidate in ``nearest``'s own direct
+form.  Indices therefore equal row-by-row ``nearest``, ties to the lowest index.
 Training keeps one CSR copy of the samples and their squared norms, so each
-k-means++ pick and each centroid update costs O(nnz) instead of O(N·D); the
-nearest-entry search stays a dense O(N·K·D) GEMM per pass.  Distances from the
-expanded form ``‖x‖² + ‖c‖² − 2·x·c`` are recomputed directly where they cancel
-to near zero, so training is bit-identical to the dense ``(x − c)²`` form.
+k-means++ pick, each centroid update and each pass's error costs O(nnz)
+instead of O(N·D).  Distances from the expanded form ``‖x‖² + ‖c‖² − 2·x·c``
+are recomputed directly where they cancel to near zero, and the stop rule
+falls back to direct errors when a decision is within rounding.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -82,8 +88,7 @@ class Codebook:
         self.entries = np.asarray(self.entries, dtype=np.float64)
         if self.entries.ndim != 2:
             raise ValueError("entries must be a (K, D) array")
-        if not np.isfinite(self.entries).all():
-            raise ValueError("codebook entries must be finite")
+        _squared_norms(self.entries, "codebook entries")
         k = self.entries.shape[0]
         self.usage = np.asarray(self.usage, dtype=np.int64).reshape(k)
         if (self.usage < 0).any():  # QPCB stores usage as u64
@@ -121,19 +126,139 @@ def nearest(codebook: Codebook, z: np.ndarray) -> int:
     return int(np.argmin(d))
 
 
-def _assign(vectors: np.ndarray, entries: np.ndarray, chunk: int = 8192):
-    """Nearest-entry index per row of ``vectors`` (n, D), lowest-index ties,
-    and that entry's ``‖e‖² − 2·v·e`` (the squared distance minus ``‖v‖²``)."""
-    n = vectors.shape[0]
-    idx = np.empty(n, dtype=np.int64)
-    dmin = np.empty(n)
-    ent_sq = (entries**2).sum(axis=1)
-    for start in range(0, n, chunk):
-        block = vectors[start : start + chunk]
-        d = ent_sq - 2.0 * (block @ entries.T)  # ||v||^2 constant per row
-        idx[start : start + chunk] = np.argmin(d, axis=1)
-        dmin[start : start + chunk] = d[np.arange(d.shape[0]), idx[start : start + chunk]]
-    return idx, dmin
+_BLOCK = 1 << 22  # float32 scores per coarse block; 4x the float64 values per rerank batch
+# rows and entries whose squared norms are at most this have finite direct-form
+# distances: ‖v − e‖² <= 2‖v‖² + 2‖e‖² <= max / 2
+_SQ_NORM_LIMIT = float(np.finfo(np.float64).max) / 8
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's γ_n = n·u / (1 − n·u) for unit roundoff u."""
+    return n * u / (1.0 - n * u)
+
+
+def _squared_norms(rows: np.ndarray, what: str) -> np.ndarray:
+    """Squared norm of each row of ``rows`` (n, D); raises ``ValueError``
+    unless every one is finite and at most ``_SQ_NORM_LIMIT``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", rows, rows)
+    if not (sq <= _SQ_NORM_LIMIT).all():
+        raise ValueError(f"{what} must be finite with squared norms <= {_SQ_NORM_LIMIT:.4g}")
+    return sq
+
+
+class _Search:
+    """Exact nearest-entry search for the fixed rows of ``vectors`` (n, D):
+    ``search(entries)`` gives each row ``nearest``'s index, the lowest index
+    minimizing ``((entries − v)**2).sum(axis=1)``.
+
+    Values are scaled by the power of two ``c`` that puts the largest |value|
+    of the rows (or ``bound``, if larger) in [0.5, 1); training entries are
+    means and copies of the rows, so they stay within it up to rounding.
+    With ``x = c·v`` and ``y = c·e``, ``c²‖v − e‖² = ‖x‖² + 2·S`` for the
+    score ``S = ½‖y‖² − x·y``.  Equal entries have equal distances, so only
+    the first of each is searched.
+
+    *Coarse pass.*  A float32 product of ``[x_J, 1]`` and ``[−y_J, ½‖y‖²]``
+    over the columns ``J`` some row uses (all-zero columns add exactly
+    nothing) scores every entry, at most ``_BLOCK`` scores at a time.  Input
+    rounding plus Higham's dot-product bound (*Accuracy and Stability of
+    Numerical Algorithms*, §3.1, any summation order) give, with
+    ``m = |J| + 1``, ``u = 2⁻²⁴`` and ``Σ|x_i·y_i| <= ‖x‖·‖y‖``,
+
+        |Ŝ − S| <= β = γ_{m+3}·(½‖y‖² + ‖x‖·‖y‖) + (4m + 8)·2⁻¹²⁶·max(1, ‖y‖),
+
+    the last term for float32 underflow, flushed or gradual.
+
+    *Band.*  ``nearest``'s float64 sum is within
+    ``δ = γ_{D+2}·‖v − e‖² + 2D·2⁻¹⁰⁷⁴`` of the exact distance (``u = 2⁻⁵³``).
+    So if entry ``k`` has the least direct form, ``Ŝ_k <= Ŝ_j + 2β + c²δ``
+    for every ``j``, with β and δ maximized over the entries through
+    ``½‖y‖² <= H``, ``‖y‖ <= Y``, ``‖x‖ <= X`` and
+    ``c²‖v − e‖² <= (X + Y)·(‖x‖ + Y)``.  The band ``W = 2·(2β + c²δ)``
+    doubles that for second-order terms and for evaluating W, so the entries
+    with ``Ŝ <= min Ŝ + W`` include ``nearest``'s index.
+
+    *Rerank.*  A row with one entry in its band takes it.  Other rows take
+    the least ``((e − v)**2).sum(axis=1)`` over their band, ties to the
+    lowest index, evaluated in batches of ``_BLOCK // (4·D)`` pairs.
+    """
+
+    def __init__(self, vectors: np.ndarray, bound: float = 0.0):
+        self.vectors = vectors
+        self.cols = np.flatnonzero(vectors.any(axis=0))
+        x = np.take(vectors, self.cols, axis=1)
+        top = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)), bound)
+        self.exp = -math.frexp(top)[1] if top > 0.0 else 0
+        x *= math.ldexp(1.0, self.exp)
+        self.coarse = np.empty((vectors.shape[0], self.cols.size + 1), dtype=np.float32)
+        self.coarse[:, :-1] = x
+        self.coarse[:, -1] = 1.0
+        # from the scaled rows: ‖v‖² may underflow where ‖x‖² does not
+        self.norms = np.sqrt(np.einsum("ij,ij->i", x, x))  # ‖x‖
+        self.top_norm = float(self.norms.max(initial=0.0))  # X
+
+    def __call__(self, entries: np.ndarray) -> np.ndarray:
+        dim = entries.shape[1]
+        as_bytes = np.ascontiguousarray(entries).view(np.dtype((np.void, 8 * dim))).ravel()
+        first = np.sort(np.unique(as_bytes, return_index=True)[1])
+        if first.size < entries.shape[0]:
+            entries = entries[first]
+        k_all, n, m = entries.shape[0], *self.coarse.shape
+        y = entries * math.ldexp(1.0, self.exp)
+        half_sq = 0.5 * np.einsum("ij,ij->i", y, y)
+        coarse_e = np.empty((k_all, m), dtype=np.float32)
+        np.negative(np.take(y, self.cols, axis=1), out=coarse_e[:, :-1])
+        coarse_e[:, -1] = half_sq
+
+        h = float(half_sq.max())
+        top = math.sqrt(2.0 * h)  # Y
+        g32, g64 = _gamma(m + 3, 2.0**-24), _gamma(dim + 2, 2.0**-53)
+        reach = self.top_norm + top
+        # c²·2D·2⁻¹⁰⁷⁴ is capped where it already exceeds every score gap (|S| <= 1.5·D)
+        tiny = (4 * m + 8) * 2.0**-126 * max(1.0, top) + math.ldexp(
+            2 * dim, min(2 * self.exp - 1074, 64)
+        )
+        # W = A + B·‖x‖, rounded up to float32
+        band = 4 * g32 * h + 2 * g64 * reach * top + 4 * tiny
+        band = band + (4 * g32 * top + 2 * g64 * reach) * self.norms
+        band = np.nextafter(band.astype(np.float32), np.float32(np.inf))
+
+        # one product gives, per row, the candidate count and the sum of their
+        # indices: the index itself where the count is 1 (exact: float32 holds
+        # integers to 2**24)
+        tally_dtype = np.float32 if k_all <= 1 << 24 else np.float64
+        tally = np.stack([np.ones(k_all), np.arange(k_all)]).astype(tally_dtype)
+        idx = np.empty(n, dtype=np.int64)
+        step = max(1, _BLOCK // k_all)
+        for start in range(0, n, step):
+            scores = coarse_e @ self.coarse[start : start + step].T  # (K, rows)
+            # one ulp up from the rounded sum, so never below the exact min Ŝ + W
+            limit = scores.min(axis=0) + band[start : start + step]
+            limit = np.nextafter(limit, np.float32(np.inf))
+            candidates = scores <= limit
+            count, best = tally @ candidates.astype(tally_dtype)
+            best = best.astype(np.int64)
+            near = np.flatnonzero(count > 1)
+            if near.size:
+                # row-major over (near row, entry): indices ascend within a row
+                r, k = np.divmod(np.flatnonzero(candidates[:, near].T), k_all)
+                best[near] = self._rerank(start + near[r], k, entries)
+            idx[start : start + step] = best
+        return first[idx]
+
+    def _rerank(self, rows: np.ndarray, k: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        """For candidate pairs ``(rows, k)``, sorted by row and then index,
+        each row's lowest index of least direct-form distance."""
+        d = np.empty(rows.size)
+        step = max(1, _BLOCK // (4 * entries.shape[1]))
+        for start in range(0, rows.size, step):
+            sl = slice(start, start + step)
+            d[sl] = ((entries[k[sl]] - self.vectors[rows[sl]]) ** 2).sum(axis=1)
+        starts = np.diff(rows, prepend=-1) != 0
+        row = np.cumsum(starts) - 1  # each pair's row number
+        hit = np.flatnonzero(d == np.minimum.reduceat(d, np.flatnonzero(starts))[row])
+        return k[hit[np.diff(row[hit], prepend=-1) != 0]]
 
 
 def _direct_error(samples, entries, idx) -> float:
@@ -145,7 +270,9 @@ def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float
     a flat (n, D) batch).
 
     Returns ``(indices, commitment_error)`` where the commitment error is the
-    mean over cells of the squared distance to the assigned entry.
+    mean over cells of the squared distance to the assigned entry.  Indices
+    equal ``nearest`` cell by cell.  Raises ``ValueError`` for a vector whose
+    squared norm is not finite or could overflow a distance.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     lead_shape = vectors.shape[:-1]
@@ -154,7 +281,10 @@ def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float
     flat = vectors.reshape(-1, codebook.dim)
     if flat.shape[0] == 0:
         return np.empty(lead_shape, dtype=np.int64), 0.0
-    idx, _ = _assign(flat, codebook.entries)
+    entries = codebook.entries
+    bound = max(float(entries.max()), -float(entries.min()))
+    _squared_norms(flat, "vectors")
+    idx = _Search(flat, bound)(entries)
     return idx.reshape(lead_shape), _direct_error(flat, codebook.entries, idx)
 
 
@@ -202,7 +332,9 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
     entries (bias-corrected EMA usage below ``dead_limit``) are re-seeded
     from the reservoir every ``refresh_period`` iterations and at the would-be
     stopping point; with too little data per entry (N << K * dead_limit) some
-    entries may still be below the limit at the iteration cap.
+    entries may still be below the limit at the iteration cap.  Raises
+    ``ValueError`` for a sample whose squared norm is not finite or could
+    overflow a distance.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -217,8 +349,10 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
     else:
         reservoir = samples[rng.choice(n, size=cfg.reservoir_size, replace=False)]
 
+    sq_norms = _squared_norms(samples, "samples")
     sparse = sp.csr_array(samples)
-    sq_norms = np.einsum("ij,ij->i", samples, samples)
+    nnz_rows = np.repeat(np.arange(n), np.diff(sparse.indptr))
+    search = _Search(samples)
     entries = _kmeanspp_init(samples, sparse, sq_norms, cfg.k, rng)
     ema_counts = np.zeros(cfg.k)
     ema_sums = np.zeros_like(entries)
@@ -228,9 +362,12 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
     prev = None  # (err, slack, entries, idx) of the previous pass
 
     for it in range(1, cfg.max_iters + 1):
-        idx, dmin = _assign(samples, entries)
+        idx = search(entries)
         scale = sq_norms + (entries**2).sum(axis=1)[idx]
-        dist = _exact_small(sq_norms + dmin, scale, samples, lambda rows: entries[idx[rows]])
+        # x·c of ‖x‖² + ‖c‖² − 2·x·c, summed over the CSR copy (entries is C-ordered)
+        picked = np.take(entries, idx[nnz_rows] * cfg.dim + sparse.indices)
+        cross = np.bincount(nnz_rows, sparse.data * picked, minlength=n)
+        dist = _exact_small(scale - 2.0 * cross, scale, samples, lambda rows: entries[idx[rows]])
         err = float(dist.mean())
         # |err - direct error| <= slack: ~4D ulps of the scale per row, plus the means
         slack = 8 * (cfg.dim + 64) * np.finfo(np.float64).eps * float(scale.mean())
@@ -274,7 +411,7 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
             prev = None  # refresh may bump the error; restart the stop test
 
     # final pass so usage reflects the returned entries; its error is direct
-    idx, _ = _assign(samples, entries)
+    idx = search(entries)
     trace.errors.append(_direct_error(samples, entries, idx))
     usage = np.bincount(idx, minlength=cfg.k).astype(np.int64)
     return Codebook(entries, usage, kind, trace)

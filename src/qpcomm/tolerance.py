@@ -137,21 +137,31 @@ class FillPolicy:
         return cls(POLICY_NEIGHBOR, fill_occ, fill_int)
 
 
-def _nearest_present(lost: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """For each lost cell, the flat index of the nearest present cell by
-    Manhattan latent distance; equidistant ties go to the lowest flat index.
+def _nearest_present(lost: np.ndarray) -> np.ndarray:
+    """For each lost cell, in flat order, the flat index of the nearest present
+    cell by Manhattan latent distance; equidistant ties go to the lowest flat
+    index.
+
+    A multi-source breadth-first search from every present cell, one distance
+    layer per step.  A cell first reached at distance t takes the least label
+    of its neighbours at distance t − 1, which is exact: its nearest present
+    cells are the union of theirs, since the grid has no obstacles.  Each
+    cell is reached once, so the work is linear in the grid size.
     """
     h, w = lost.shape
-    lost_flat = np.flatnonzero(lost.ravel())
-    present_flat = np.flatnonzero(~lost.ravel())
-    li, lj = np.divmod(lost_flat, w)
-    pi, pj = np.divmod(present_flat, w)
-    out = np.empty(lost_flat.shape[0], dtype=np.int64)
-    for start in range(0, lost_flat.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        d = np.abs(li[sl, None] - pi[None, :]) + np.abs(lj[sl, None] - pj[None, :])
-        out[sl] = present_flat[np.argmin(d, axis=1)]
-    return out
+    flat = lost.ravel()
+    label = np.where(flat, flat.size, np.arange(flat.size))  # flat.size: not reached yet
+    frontier = np.flatnonzero(~flat)
+    while frontier.size:
+        r, c = np.divmod(frontier, w)
+        steps = ((r > 0, -w), (r < h - 1, w), (c > 0, -1), (c < w - 1, 1))
+        src = np.concatenate([frontier[ok] for ok, _ in steps])
+        dst = np.concatenate([frontier[ok] + d for ok, d in steps])
+        fresh = label[dst] == flat.size
+        src, dst = src[fresh], dst[fresh]
+        np.minimum.at(label, dst, label[src])
+        frontier = np.unique(dst)
+    return label[flat]
 
 
 def fill(

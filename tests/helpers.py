@@ -79,6 +79,24 @@ def build_straddle_fixture():
     raise AssertionError("no straddle configuration found")
 
 
+def brute_nearest_present(lost, chunk=1024):
+    """Reference for ``tolerance._nearest_present``: for each lost cell, in flat
+    order, the flat index of the nearest present cell by Manhattan distance,
+    ties to the lowest flat index, by comparing every lost cell with every
+    present one."""
+    h, w = lost.shape
+    lost_flat = np.flatnonzero(lost.ravel())
+    present_flat = np.flatnonzero(~lost.ravel())
+    li, lj = np.divmod(lost_flat, w)
+    pi, pj = np.divmod(present_flat, w)
+    out = np.empty(lost_flat.shape[0], dtype=np.int64)
+    for start in range(0, lost_flat.shape[0], chunk):
+        sl = slice(start, start + chunk)
+        d = np.abs(li[sl, None] - pi[None, :]) + np.abs(lj[sl, None] - pj[None, :])
+        out[sl] = present_flat[np.argmin(d, axis=1)]
+    return out
+
+
 def trained_codebooks_for(occ_vec, int_vec, k=16, seed=0, dead_limit=0):
     # dead_limit=0 disables the refresh machinery: these fixtures are far too
     # small for a meaningful usage floor
@@ -96,13 +114,10 @@ def trained_codebooks_for(occ_vec, int_vec, k=16, seed=0, dead_limit=0):
     return cb_occ, cb_int
 
 
-def _dense_assign(vectors, entries, chunk=8192):
-    idx = np.empty(vectors.shape[0], dtype=np.int64)
-    ent_sq = (entries**2).sum(axis=1)
-    for start in range(0, vectors.shape[0], chunk):
-        d = ent_sq - 2.0 * (vectors[start : start + chunk] @ entries.T)
-        idx[start : start + chunk] = np.argmin(d, axis=1)
-    return idx
+def _dense_assign(vectors, entries):
+    """``nearest``'s definition, row by row: the lowest index minimizing the
+    direct-form ``((entries - v) ** 2).sum(axis=1)``."""
+    return np.array([np.argmin(((entries - v) ** 2).sum(axis=1)) for v in vectors], dtype=np.int64)
 
 
 def _dense_kmeanspp_init(samples, k, rng):
@@ -123,10 +138,11 @@ def _dense_kmeanspp_init(samples, k, rng):
 
 
 def dense_train_codebook(samples, cfg):
-    """Reference trainer: dense k-means++ seeding, ``np.add.at`` centroid sums
-    and the direct per-pass error.  ``train_codebook`` must return the same
-    entries, usage and refresh iterations bit for bit, and the same errors up
-    to rounding.  Returns ``(entries, usage, errors, refresh_iters)``."""
+    """Reference trainer: dense k-means++ seeding, assignment by ``nearest``'s
+    definition, ``np.add.at`` centroid sums and the direct per-pass error.
+    ``train_codebook`` must return the same entries, usage and refresh
+    iterations bit for bit, and the same errors up to rounding.  Returns
+    ``(entries, usage, errors, refresh_iters)``."""
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     rng = np.random.default_rng(cfg.seed)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import dense_train_codebook
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpcomm import quantizer
 from qpcomm.pcio import FormatError
 from qpcomm.quantizer import (
     Codebook,
@@ -15,6 +18,11 @@ from qpcomm.quantizer import (
     train_dual,
     write_codebook,
 )
+
+
+def nearest_rows(codebook, vectors):
+    """``nearest`` row by row: the oracle of ``quantize``'s indices."""
+    return np.array([nearest(codebook, v) for v in vectors], dtype=np.int64)
 
 
 def brute_nearest(entries, z):
@@ -202,6 +210,170 @@ class TestTrainDual:
         with pytest.raises(ValueError):
             train_dual(occ, np.empty((0, 2)), QuantizerConfig(k=1, dim=2),
                        QuantizerConfig(k=1, dim=2))
+
+
+class TestSearchKernel:
+    """``quantize`` (and so every training pass, which runs the same search)
+    returns ``nearest``'s index for every row, whatever float32 makes of the
+    coarse scores."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        k=st.integers(1, 16),
+        dim=st.integers(1, 24),
+        density=st.floats(0.0, 1.0),
+        binary=st.booleans(),
+        dup_rows=st.floats(0.0, 0.8),
+        dup_entries=st.floats(0.0, 0.8),
+        from_rows=st.floats(0.0, 1.0),
+        unused=st.floats(0.0, 0.8),
+        magnitude=st.sampled_from([1e-170, 1e-30, 1e-3, 1.0, 1e6, 1e30, 1e150]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_family(
+        self, n, k, dim, density, binary, dup_rows, dup_entries, from_rows, unused, magnitude, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, dim)) < density
+        mask[:, rng.random(dim) < unused] = False
+        vectors = mask.astype(np.float64) if binary else mask * rng.normal(size=(n, dim))
+        vectors *= magnitude
+        n_dup = int(dup_rows * n)
+        vectors[:n_dup] = vectors[rng.integers(n, size=n_dup)]
+        # entries copied from rows make exact matches and exact ties
+        entries = np.where(
+            (rng.random(k) < from_rows)[:, None],
+            vectors[rng.integers(n, size=k)],
+            magnitude * rng.normal(size=(k, dim)) * (rng.random((k, dim)) < density),
+        )
+        k_dup = int(dup_entries * k)
+        entries[:k_dup] = entries[rng.integers(k, size=k_dup)]
+        cb = Codebook.from_entries(entries)
+        idx, _ = quantize(cb, vectors)
+        np.testing.assert_array_equal(idx, nearest_rows(cb, vectors))
+
+    @staticmethod
+    def assert_exact_where_float32_is_not(entries, vectors):
+        cb = Codebook.from_entries(entries)
+        expected = nearest_rows(cb, vectors)
+        v32, e32 = vectors.astype(np.float32), entries.astype(np.float32)
+        coarse = np.argmin((e32**2).sum(axis=1) - 2 * v32 @ e32.T, axis=1)
+        assert (coarse != expected).sum() > len(vectors) // 10  # float32 alone gets these wrong
+        np.testing.assert_array_equal(quantize(cb, vectors)[0], expected)
+        return expected
+
+    # two small entries far from the rows make the band's ‖x‖·‖y‖ term
+    # dominate its ½‖y‖² term
+    @pytest.mark.parametrize("k,entry_scale,offset", [(6, 1.0, 1e-3), (2, 1e-3, 1.0)])
+    def test_near_ties_on_a_bisector(self, k, entry_scale, offset):
+        # rows on the bisector of two entries, moved 1e-9 of the entries' gap
+        # toward one side: the float64 direct form decides, float32 cannot
+        rng = np.random.default_rng(23)
+        dim, n = 8, 400
+        entries = entry_scale * rng.random((k, dim))
+        a, b = entries[0], entries[-1]
+        normal = (b - a) / np.linalg.norm(b - a)
+        off = rng.normal(size=(n, dim))
+        off -= np.outer(off @ normal, normal)
+        vectors = 0.5 * (a + b) + offset * off + np.outer(rng.choice([-1e-9, 1e-9], n), b - a)
+        assert set(self.assert_exact_where_float32_is_not(entries, vectors)) == {0, k - 1}
+
+    def test_near_ties_between_entries_of_equal_norm(self):
+        # rows within 1e-9 of the origin and unit entries whose norms differ
+        # by 1e-9: the score is almost all the band's ½‖y‖² term
+        rng = np.random.default_rng(27)
+        unit = rng.normal(size=(6, 8))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        entries = unit * (1 + 1e-9 * rng.normal(size=(6, 1)))
+        vectors = 1e-9 * rng.normal(size=(400, 8))
+        assert len(set(self.assert_exact_where_float32_is_not(entries, vectors))) > 1
+
+    @pytest.mark.parametrize("k,dim", [(1, 5), (7, 1), (1, 1)])
+    def test_single_entry_or_single_column(self, k, dim):
+        rng = np.random.default_rng(24)
+        cb = Codebook.from_entries(rng.normal(size=(k, dim)))
+        vectors = rng.normal(size=(50, dim))
+        vectors[::7] = cb.entries[0]
+        np.testing.assert_array_equal(quantize(cb, vectors)[0], nearest_rows(cb, vectors))
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-13])
+    def test_entries_float32_cannot_tell_apart(self, spread, monkeypatch):
+        # K entries equal (spread 0) or a few float64 ulps apart: every row
+        # ties with all of them in float32.  Equal entries are searched once,
+        # with no rerank; distinct ones are reranked as n·K pairs, in batches
+        rng = np.random.default_rng(25)
+        n, k, dim = 1000, 256, 64
+        vectors = rng.random((n, dim))
+        entries = rng.random(dim) + spread * rng.random((k, dim))
+        cb = Codebook.from_entries(entries)
+        if spread == 0:
+            monkeypatch.setattr(quantizer._Search, "_rerank", None)
+        tracemalloc.start()
+        try:
+            idx, _ = quantize(cb, vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (idx == 0).all() if spread == 0 else len(set(idx)) > 1
+        np.testing.assert_array_equal(idx, nearest_rows(cb, vectors))
+        assert peak < 64 * 2**20, peak  # all pairs at once would take n·K·D·8 = 131 MB
+
+    def test_entries_near_float32_max(self):
+        # QPCB stores float32, so its entries reach 3.4e38: a float32 product
+        # of them overflows unless scaled first
+        rng = np.random.default_rng(26)
+        top = float(np.finfo(np.float32).max)
+        entries = (top * rng.uniform(-1, 1, size=(300, 16))).astype(np.float32).astype(np.float64)
+        entries[:40] = entries[0]
+        vectors = np.vstack([
+            entries[rng.integers(300, size=200)] * (1 + 1e-7 * rng.normal(size=(200, 16))),
+            top * rng.uniform(-1, 1, size=(200, 16)),
+            rng.random((100, 16)),
+        ])
+        cb = Codebook.from_entries(entries)
+        tracemalloc.start()
+        try:
+            idx, err = quantize(cb, vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(idx, nearest_rows(cb, vectors))
+        assert np.isfinite(err)
+        assert peak < 16 * 2**20, peak
+
+
+class TestRejectsUnboundedInput:
+    """A row or entry whose squared norm is not finite (NaN, inf, or values
+    that overflow when squared) is a ``ValueError``, without a warning."""
+
+    # 1e154 squares to 1e308, finite, but a distance to -1e154 would overflow
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 1e154])
+    def test_quantize(self, bad):
+        cb = Codebook.from_entries([[0.0, 1.0], [1.0, 0.0]])
+        vectors = np.zeros((3, 2))
+        vectors[1, 0] = bad
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            quantize(cb, vectors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_train_codebook(self, bad):
+        samples = np.ones((10, 3))
+        samples[4, 2] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            train_codebook(samples, QuantizerConfig(k=2, dim=3))
+
+    @pytest.mark.parametrize("bad", [1e300, 1e154])
+    def test_codebook_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Codebook.from_entries([[0.0, 1.0], [bad, 0.5]])
+
+    def test_largest_accepted_magnitudes_give_finite_distances(self):
+        big = 1e153  # squared norm 1e306, under the limit; 2·big squared is 4e306
+        cb = Codebook.from_entries([[big, -big], [-big, big]])
+        idx, err = quantize(cb, np.array([[-big, big], [big, -big], [0.0, 0.0]]))
+        assert idx.tolist() == [1, 0, 0]
+        assert np.isfinite(err)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from helpers import desk_spec, representable_scene, trained_codebooks_for
+from helpers import brute_nearest_present, desk_spec, representable_scene, trained_codebooks_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpcomm.codec import DecodeConfig, decode, decode_grids, encode
 from qpcomm.geometry import PatchSpec, unpatchify
 from qpcomm.tolerance import (
     POLICIES,
     FillPolicy,
+    _nearest_present,
     LossMask,
     confidence_filter,
     expand_to_grid,
@@ -224,6 +227,45 @@ class TestFill:
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
         with pytest.raises(ValueError):
             fill(im, LossMask.none(1, 1), FillPolicy.empty(), cb_occ, cb_int)
+
+
+class TestNearestPresent:
+    """The breadth-first ``_nearest_present`` against the brute force over
+    every (lost, present) pair, lowest flat index on equal distance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        ratio=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_masks(self, shape, ratio, seed):
+        rng = np.random.default_rng(seed)
+        lost = rng.random(shape) < ratio
+        lost.flat[rng.integers(lost.size)] = False  # at least one present cell
+        np.testing.assert_array_equal(_nearest_present(lost), brute_nearest_present(lost))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        cells_per_packet=st.integers(1, 40),
+        drop=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_packet_shaped_masks(self, shape, cells_per_packet, drop, seed):
+        # a dropped packet loses a contiguous row-major run of cells
+        rng = np.random.default_rng(seed)
+        packets = -(-shape[0] * shape[1] // cells_per_packet)
+        dropped = rng.random(packets) < drop
+        lost = np.repeat(dropped, cells_per_packet)[: shape[0] * shape[1]].reshape(shape)
+        if lost.all():
+            lost.flat[rng.integers(lost.size)] = False
+        np.testing.assert_array_equal(_nearest_present(lost), brute_nearest_present(lost))
+
+    def test_single_present_cell_reaches_every_corner(self):
+        lost = np.ones((9, 13), dtype=bool)
+        lost[4, 6] = False
+        assert (_nearest_present(lost) == 4 * 13 + 6).all()
 
 
 class TestConfidenceFilter:

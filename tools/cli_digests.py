@@ -12,6 +12,8 @@ The runs execute in-process, in a fresh temporary directory, with the
 runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
 
 - ``gen-scene`` seeds 0-2, ``train --k 32``, ``encode``, ``decode --seed 4``;
+- ``train --k 512``, more entries than the scenes have distinct occupancy
+  vectors (347), so duplicate entries tie exactly;
 - ``simulate`` at drop rates 0, 0.3 and 0.9, each with every ``--fill``,
   each writing ``--report`` and ``--trace-out``;
 - a ``--trace-in`` replay of the 0.3 trace, and a replay whose trace lacks
@@ -67,6 +69,8 @@ def _run_all(stdouts: dict) -> None:
         qpc(f"gen-scene-{seed}", "gen-scene", "--out", f"scenes/s{seed}.qpcd", "--seed", seed)
     qpc("train", "train", "--scenes", "scenes", "--k", 32, "--seed", 5,
         "--out-occ", "occ.qpcb", "--out-int", "int.qpcb")
+    qpc("train-ties", "train", "--scenes", "scenes", "--k", 512, "--seed", 7,
+        "--out-occ", "ties-occ.qpcb", "--out-int", "ties-int.qpcb")
     qpc("encode", "encode", "--in", "scenes/s0.qpcd", *CODEBOOKS, "--out", "f.qpfr")
     qpc("decode", "decode", "--in", "f.qpfr", *CODEBOOKS, "--seed", 4, "--out", "dec.qpcd")
 
