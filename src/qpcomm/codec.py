@@ -171,12 +171,14 @@ def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig) ->
         hi = lo + cell
         pos = centers + sigma * rng.standard_normal(centers.shape)
         if cfg.clip_to_voxel:
-            out = ~np.all((pos >= lo) & (pos < hi), axis=1)
+            # the rows still outside their voxel, ascending; only they are redrawn and re-tested
+            out = np.flatnonzero(~np.all((pos >= lo) & (pos < hi), axis=1))
             for _ in range(_CLIP_ATTEMPTS):
-                if not out.any():
+                if not out.size:
                     break
-                pos[out] = centers[out] + sigma * rng.standard_normal((int(out.sum()), 3))
-                out = ~np.all((pos >= lo) & (pos < hi), axis=1)
+                redrawn = centers[out] + sigma * rng.standard_normal((out.size, 3))
+                pos[out] = redrawn
+                out = out[~np.all((redrawn >= lo[out]) & (redrawn < hi[out]), axis=1)]
             pos[out] = centers[out]
     points = np.column_stack([pos, np.repeat(values, ppv)])
     return PointCloud(points)

@@ -14,6 +14,12 @@ sub-seed of the trial seed: index 1 for the channel, index 2 for the
 decoder.  ``sweep`` runs the sender stage once per scene and a trial for
 every ``(scene, drop rate, trial)`` index triple, with deterministically
 derived seeds.
+
+Chamfer's two exact nearest-neighbour queries run on threads, one per CPU
+this process may use, or its share of them in each ``sweep`` worker
+(``_cpus() // workers``, at least 1).  Each point's distance is computed
+alone and the means sum in point order, so the result does not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -69,14 +75,24 @@ def _index(cloud: PointCloud):
     return tree, cloud.xyz[tree.indices]
 
 
-def _chamfer(tree, leaf_xyz, b: PointCloud) -> float:
-    """``chamfer`` from the first cloud's ``_index``.  Its points are queried
-    in leaf order, so consecutive queries visit nearby parts of b's tree, and
-    the distances are scattered back to the cloud's order, so both means sum
-    in the order the plain per-point queries give."""
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, else ``os.cpu_count()``, and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chamfer(tree, leaf_xyz, b: PointCloud, threads: int) -> float:
+    """``chamfer`` from the first cloud's ``_index``, each query split over
+    ``threads`` threads.  Its points are queried in leaf order, so
+    consecutive queries visit nearby parts of b's tree, and the distances are
+    scattered back to the cloud's order, so both means sum in the order the
+    plain per-point queries give."""
     d_ab = np.empty(len(leaf_xyz))
-    d_ab[tree.indices] = cKDTree(b.xyz, balanced_tree=False).query(leaf_xyz, k=1)[0]
-    d_ba, _ = tree.query(b.xyz, k=1)
+    b_tree = cKDTree(b.xyz, balanced_tree=False)
+    d_ab[tree.indices] = b_tree.query(leaf_xyz, k=1, workers=threads)[0]
+    d_ba, _ = tree.query(b.xyz, k=1, workers=threads)
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
@@ -85,7 +101,7 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
     neighbors; raises on an empty cloud."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance is undefined for empty clouds")
-    return _chamfer(*_index(a), b)
+    return _chamfer(*_index(a), b, _cpus())
 
 
 def _send(scene, cb_occ, cb_int, spec, patch):
@@ -118,9 +134,11 @@ def reconstruct(
     return mask, occ_raw, inten, cloud
 
 
-def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu):
+def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
+           threads):
     """Per-trial stage on a ``_send`` result: ``deliver`` -> ``reconstruct``
-    -> measure, deterministic given ``seed``."""
+    -> measure with Chamfer on ``threads`` threads, deterministic given
+    ``seed``."""
     occ_truth, int_truth, frame, tree, leaf_xyz = sent
     delivered, _report = deliver(frame, channel_cfg, mtu, seed)
     mask, occ_raw, inten, recon = reconstruct(
@@ -129,7 +147,7 @@ def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_poli
     bce = occupancy_bce(occ_truth, occ_raw)
     mse = intensity_mse(int_truth, inten, occ_truth) if occ_truth.n_occupied else None
     if len(leaf_xyz) and len(recon):
-        cd = _chamfer(tree, leaf_xyz, recon)
+        cd = _chamfer(tree, leaf_xyz, recon, threads)
         status = STATUS_OK
     else:
         cd = None
@@ -170,7 +188,8 @@ def evaluate_roundtrip(
     ``seed`` (channel and decoder sub-seeds are derived from it)."""
     sent = _send(scene, cb_occ, cb_int, spec, patch)
     return _trial(
-        sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu
+        sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
+        _cpus(),
     )
 
 
@@ -219,9 +238,10 @@ def sweep(
     encoding, one k-d tree); each trial then runs from its index triple
     with seed ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so
     results are reproducible and independent of ``jobs`` (>= 1; the worker
-    count is capped at the trial and CPU counts, and each worker receives
-    the sender-stage results and codebooks once).  There is one aggregate per
-    entry of ``p_values``, a repeated drop rate included.
+    count is capped at the trial and CPU counts, each worker receives the
+    sender-stage results and codebooks once, and each runs Chamfer on its
+    share of ``_cpus()``).  There is one aggregate per entry of
+    ``p_values``, a repeated drop rate included.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -230,13 +250,14 @@ def sweep(
     sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
     if not sent:
         raise ValueError("need at least one scene")
+    indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))
+    workers = min(jobs, len(indices), os.cpu_count() or 1)
     run = partial(
         _sweep_trial, sent=sent, p_values=list(p_values), master_seed=master_seed,
         cb_occ=cb_occ, cb_int=cb_int, spec=spec, patch=patch,
         decode_cfg=decode_cfg or DecodeConfig(), fill_policy=fill_policy, mtu=mtu,
+        threads=max(1, _cpus() // workers),
     )
-    indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))
-    workers = min(jobs, len(indices), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(run,)) as pool:
             reports = list(pool.map(_run_in_worker, indices, chunksize=8))

@@ -262,7 +262,14 @@ class _Search:
 
 
 def _direct_error(samples, entries, idx) -> float:
-    return float(((samples - entries[idx]) ** 2).sum(axis=1).mean())
+    """Mean squared distance of each sample to its entry, 256 samples at a
+    time; each row's sum is the one-shot expression's, bit for bit."""
+    err = np.empty(samples.shape[0])
+    for start in range(0, samples.shape[0], 256):
+        sl = slice(start, start + 256)
+        d = samples[sl] - entries[idx[sl]]
+        err[sl] = np.square(d, out=d).sum(axis=1)
+    return float(err.mean())
 
 
 def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float]:

@@ -48,6 +48,38 @@ def reference_chamfer(a, b):
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
+def reference_decode_grids(occ, inten, cfg, attempts=16):
+    """``codec.decode_grids`` as first implemented: every rejection round
+    re-tests all points against their voxel boxes.  The library's loop
+    re-tests only the redrawn rows and must return the same points bit for
+    bit, because it draws the same numbers in the same order."""
+    spec = occ.spec
+    idx = np.argwhere(occ.data > 0)
+    if idx.shape[0] == 0:
+        return PointCloud.empty()
+    values = inten.data[tuple(idx.T)]
+    ppv = cfg.points_per_voxel
+    centers = np.repeat(spec.centroids(idx), ppv, axis=0)
+    sigma = cfg.resolved_sigma(spec)
+    if sigma == 0.0:
+        pos = centers
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        cell = np.asarray(spec.cell)
+        lo = np.repeat(np.asarray(spec.origin) + idx * cell, ppv, axis=0)
+        hi = lo + cell
+        pos = centers + sigma * rng.standard_normal(centers.shape)
+        if cfg.clip_to_voxel:
+            out = ~np.all((pos >= lo) & (pos < hi), axis=1)
+            for _ in range(attempts):
+                if not out.any():
+                    break
+                pos[out] = centers[out] + sigma * rng.standard_normal((int(out.sum()), 3))
+                out = ~np.all((pos >= lo) & (pos < hi), axis=1)
+            pos[out] = centers[out]
+    return PointCloud(np.column_stack([pos, np.repeat(values, ppv)]))
+
+
 def reference_bce(truth, predicted_probs):
     """Occupancy BCE as first implemented, the full two-term formula; the
     library's one-log form must equal it bit for bit."""

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers import desk_spec, reference_bce, representable_scene, trained_codebooks_for
+from helpers import (
+    desk_spec,
+    reference_bce,
+    reference_decode_grids,
+    representable_scene,
+    trained_codebooks_for,
+)
 
 from qpcomm.codec import (
     DecodeConfig,
     IndexMap,
     decode,
+    decode_grids,
     encode,
     intensity_mse,
     occupancy_bce,
@@ -137,6 +144,43 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(im, other, cb_int, DecodeConfig())
 
+
+    @pytest.mark.parametrize(
+        "sigma,ppv,clip",
+        [(None, 1, True), (0.3, 3, True), (2.0, 4, True), (50.0, 2, True), (0.0, 2, True),
+         (2.0, 3, False)],
+    )
+    def test_decode_grids_bit_equal_to_whole_array_loop(self, sigma, ppv, clip):
+        # at sigma 0.3 a point lands in its voxel with probability ~0.11 per
+        # round, so the rounds re-test a shrinking, scattered subset and some
+        # points fall back to the centroid; at sigma 50 nearly all of them do
+        spec = desk_spec((12, 10, 3))
+        rng = np.random.default_rng(ppv)
+        occ = OccupancyGrid(spec, (rng.random(spec.dims) < 0.4).astype(np.uint8))
+        inten = IntensityGrid(spec, rng.random(spec.dims))
+        cfg = DecodeConfig(sigma=sigma, points_per_voxel=ppv, clip_to_voxel=clip, seed=11)
+        got = decode_grids(occ, inten, cfg)
+        assert len(got) == occ.n_occupied * ppv
+        np.testing.assert_array_equal(got.points, reference_decode_grids(occ, inten, cfg).points)
+        centroids = np.repeat(spec.centroids(np.argwhere(occ.data > 0)), ppv, axis=0)
+        if sigma == 0.3:  # the fallback really happened, and not to every point
+            at_centroid = np.all(got.xyz == centroids, axis=1)
+            assert 0 < at_centroid.sum() < len(got)
+
+    def test_decode_grids_bit_equal_at_every_attempt_count(self, monkeypatch):
+        # the same draws as the whole-array loop in every round count, the
+        # fallback after zero rounds included
+        spec = desk_spec((6, 6, 2))
+        rng = np.random.default_rng(5)
+        occ = OccupancyGrid(spec, (rng.random(spec.dims) < 0.5).astype(np.uint8))
+        inten = IntensityGrid(spec, rng.random(spec.dims))
+        cfg = DecodeConfig(sigma=1.0, points_per_voxel=5, seed=3)
+        for attempts in (0, 1, 2, 7):
+            monkeypatch.setattr("qpcomm.codec._CLIP_ATTEMPTS", attempts)
+            np.testing.assert_array_equal(
+                decode_grids(occ, inten, cfg).points,
+                reference_decode_grids(occ, inten, cfg, attempts).points,
+            )
 
     @pytest.mark.parametrize(
         "kwargs", [{"sigma": -1.0}, {"sigma": math.nan}, {"sigma": math.inf},

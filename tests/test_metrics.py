@@ -34,6 +34,38 @@ def random_cloud(rng, n=50):
     return PointCloud(np.column_stack([rng.normal(size=(n, 3)), rng.random(n)]))
 
 
+def recording_tree(workers):
+    """A ``cKDTree`` whose queries append their ``workers`` to ``workers``."""
+
+    class RecordingTree(cKDTree):
+        def query(self, *args, **kwargs):
+            workers.append(kwargs.get("workers", 1))
+            return super().query(*args, **kwargs)
+
+    return RecordingTree
+
+
+def in_process_executor(started):
+    """A ``ProcessPoolExecutor`` stand-in that appends its worker count to
+    ``started`` and runs the trials in this process."""
+
+    class FakeExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    return FakeExecutor
+
+
 class TestChamfer:
     def test_identical_zero(self):
         rng = np.random.default_rng(0)
@@ -80,9 +112,45 @@ class TestChamfer:
         index = metrics._index(a)
         for _ in range(3):
             b = with_duplicates(n_b)
-            got = metrics._chamfer(*index, b)
+            got = metrics._chamfer(*index, b, 1)
             assert got == chamfer(a, b) == reference_chamfer(a, b)
             assert got == pytest.approx(brute_chamfer(a, b), abs=1e-12)
+
+    def test_threads_bit_equal(self):
+        # clouds of 20k+ points with duplicates and many equal distances, so
+        # scipy splits both queries into one range per thread
+        rng = np.random.default_rng(21)
+
+        def with_duplicates(n):
+            grid = rng.integers(0, 40, size=(n, 3)) * 0.05
+            jitter = rng.normal(scale=1e-3, size=(n, 3)) * (rng.random((n, 1)) < 0.5)
+            pts = np.column_stack([grid + jitter, rng.random(n)])
+            return PointCloud(np.vstack([pts, pts[: n // 4]]))
+
+        a, b = with_duplicates(20_000), with_duplicates(24_000)
+        index = metrics._index(a)
+        expected = reference_chamfer(a, b)
+        for threads in (1, 2, 3, 8):
+            assert metrics._chamfer(*index, b, threads) == expected
+        assert chamfer(a, b) == expected
+
+    def test_uses_every_usable_cpu(self, monkeypatch):
+        workers = []
+        monkeypatch.setattr(metrics, "cKDTree", recording_tree(workers))
+        monkeypatch.setattr(metrics, "_cpus", lambda: 5)
+        rng = np.random.default_rng(5)
+        a, b = random_cloud(rng), random_cloud(rng)
+        assert chamfer(a, b) == reference_chamfer(a, b)
+        assert workers == [5, 5]
+
+    def test_without_a_cpu_count(self, monkeypatch):
+        # no affinity mask and no CPU count: one thread
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
+        monkeypatch.delattr(metrics.os, "sched_getaffinity", raising=False)
+        assert metrics._cpus() == 1
+        rng = np.random.default_rng(6)
+        a, b = random_cloud(rng), random_cloud(rng)
+        assert chamfer(a, b) == reference_chamfer(a, b)
 
     def test_empty_errors(self):
         rng = np.random.default_rng(4)
@@ -328,24 +396,7 @@ class TestSweep:
         # expected None: a single worker, so the trials run in this process
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         started = []
-
-        class FakeExecutor:
-            """Records the worker count and runs the trials in this process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
         monkeypatch.setattr(metrics, "_worker_run", None)
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: cpus)
         scenes = [cloud] * n_scenes
@@ -354,6 +405,48 @@ class TestSweep:
         assert started == ([] if expected is None else [expected])
         serial = sweep(scenes, [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=9)
+        assert [r.to_json_dict() for r in result.reports] == [
+            r.to_json_dict() for r in serial.reports
+        ]
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,workers,threads", [(1, 5, None, 5), (2, 5, 2, 2), (3, 2, 3, 1), (2, 1, 2, 1)]
+    )
+    def test_chamfer_threads_share_the_cpus(
+        self, pipeline, monkeypatch, jobs, cpus, workers, threads
+    ):
+        # each worker runs Chamfer on cpus // workers threads, at least one;
+        # the worker cap follows os.cpu_count(), patched to 8 here
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        serial = sweep([cloud], [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=9)
+        started, queries = [], []
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
+        monkeypatch.setattr(metrics, "_worker_run", None)
+        monkeypatch.setattr(metrics, "cKDTree", recording_tree(queries))
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(metrics, "_cpus", lambda: cpus)
+        result = sweep([cloud], [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=9, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        n_measured = sum(r.chamfer_m is not None for r in result.reports)
+        assert n_measured and queries == [threads] * (2 * n_measured)
+        assert [r.to_json_dict() for r in result.reports] == [
+            r.to_json_dict() for r in serial.reports
+        ]
+        queries.clear()
+        evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
+                           DecodeConfig(), policy, seed=1, mtu=64)
+        assert queries == [cpus, cpus]
+
+    def test_without_a_cpu_count(self, pipeline, monkeypatch):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        serial = sweep([cloud], [0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=4)
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
+        monkeypatch.delattr(metrics.os, "sched_getaffinity", raising=False)
+        result = sweep([cloud], [0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=4, jobs=4)
         assert [r.to_json_dict() for r in result.reports] == [
             r.to_json_dict() for r in serial.reports
         ]

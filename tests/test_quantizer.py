@@ -51,6 +51,21 @@ class TestNearest:
             z = rng.normal(size=5)
             assert nearest(cb, z) == brute_nearest(entries, z)
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_error_bit_equal_to_one_shot(self, n):
+        # the error is taken 256 rows at a time; every row sum and the mean
+        # over them equal the one-shot expression's, here at D = 200, where
+        # numpy's pairwise summation splits each row
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, 200)) * rng.lognormal(3.0, 2.0, size=(n, 1))
+        entries = rng.normal(size=(9, 200))
+        idx = rng.integers(9, size=n)
+        one_shot = float(((samples - entries[idx]) ** 2).sum(axis=1).mean())
+        assert quantizer._direct_error(samples, entries, idx) == one_shot
+        strided = np.repeat(samples, 2, axis=1)[:, ::2]  # quantize's input may be a view
+        got_idx, err = quantize(Codebook.from_entries(entries), strided)
+        assert err == float(((samples - entries[got_idx]) ** 2).sum(axis=1).mean())
+
     def test_dimension_mismatch(self):
         cb = Codebook.from_entries([[0.0, 0.0]])
         with pytest.raises(ValueError):
