@@ -156,8 +156,6 @@ def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig) ->
     """
     spec = occ.spec
     idx = np.argwhere(occ.data > 0)
-    if idx.shape[0] == 0:
-        return PointCloud.empty()
     values = inten.data[tuple(idx.T)]
     ppv = cfg.points_per_voxel
     centers = np.repeat(spec.centroids(idx), ppv, axis=0)

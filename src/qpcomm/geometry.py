@@ -186,16 +186,10 @@ def voxelize(cloud: PointCloud, spec: VoxelGridSpec) -> VoxelizeResult:
     dropped and counted in the result.
     """
     n_vox = spec.n_voxels
-    occ = np.zeros(n_vox, dtype=np.int64)
-    inten_sum = np.zeros(n_vox, dtype=np.float64)
-    dropped = 0
-    if len(cloud):
-        idx, inside = spec.voxel_indices(cloud.xyz)
-        dropped = int((~inside).sum())
-        if inside.any():
-            flat = np.ravel_multi_index(tuple(idx[inside].T), spec.dims)
-            occ = np.bincount(flat, minlength=n_vox)
-            inten_sum = np.bincount(flat, weights=cloud.intensity[inside], minlength=n_vox)
+    idx, inside = spec.voxel_indices(cloud.xyz)
+    flat = np.ravel_multi_index(tuple(idx[inside].T), spec.dims)
+    occ = np.bincount(flat, minlength=n_vox)
+    inten_sum = np.bincount(flat, weights=cloud.intensity[inside], minlength=n_vox)
     occupied = occ > 0
     inten = np.zeros(n_vox, dtype=np.float64)
     inten[occupied] = inten_sum[occupied] / occ[occupied]
@@ -204,7 +198,7 @@ def voxelize(cloud: PointCloud, spec: VoxelGridSpec) -> VoxelizeResult:
     return VoxelizeResult(
         OccupancyGrid(spec, occupied.reshape(spec.dims).astype(np.uint8)),
         IntensityGrid(spec, inten.reshape(spec.dims)),
-        dropped,
+        int((~inside).sum()),
     )
 
 

@@ -199,11 +199,11 @@ class SweepResult:
     aggregates: list  # one dict per entry of p_values
 
 
-def _sweep_trial(index, *, sent, p_values, master_seed, **common):
+def _sweep_trial(index, *, sent, channels, master_seed, **common):
     """The sweep trial at ``index = (scene_idx, p_idx, trial)``."""
     si, pi, trial = index
-    cfg = ChannelConfig(p_values[pi])
-    return _trial(sent[si], channel_cfg=cfg, seed=derive_seed(master_seed, si, pi, trial), **common)
+    seed = derive_seed(master_seed, si, pi, trial)
+    return _trial(sent[si], channel_cfg=channels[pi], seed=seed, **common)
 
 
 _worker_run = None  # a pool worker's bound ``_sweep_trial``, set once by ``_init_worker``
@@ -238,25 +238,28 @@ def sweep(
     encoding, one k-d tree); each trial then runs from its index triple
     with seed ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so
     results are reproducible and independent of ``jobs`` (>= 1; the worker
-    count is capped at the trial and CPU counts, each worker receives the
-    sender-stage results and codebooks once, and each runs Chamfer on its
-    share of ``_cpus()``).  There is one aggregate per entry of
-    ``p_values``, a repeated drop rate included.
+    count is capped at the trial count and at ``_cpus()``, the CPUs this
+    process may use, each worker receives the sender-stage results and
+    codebooks once, and each runs Chamfer on its share of those CPUs).
+    Every drop rate is validated before any scene is encoded.  There is one
+    aggregate per entry of ``p_values``, a repeated drop rate included.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    channels = [ChannelConfig(p) for p in p_values]
     sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
     if not sent:
         raise ValueError("need at least one scene")
     indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))
-    workers = min(jobs, len(indices), os.cpu_count() or 1)
+    cpus = _cpus()
+    workers = min(jobs, len(indices), cpus)
     run = partial(
-        _sweep_trial, sent=sent, p_values=list(p_values), master_seed=master_seed,
+        _sweep_trial, sent=sent, channels=channels, master_seed=master_seed,
         cb_occ=cb_occ, cb_int=cb_int, spec=spec, patch=patch,
         decode_cfg=decode_cfg or DecodeConfig(), fill_policy=fill_policy, mtu=mtu,
-        threads=max(1, _cpus() // workers),
+        threads=max(1, cpus // workers),
     )
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(run,)) as pool:

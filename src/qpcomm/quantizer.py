@@ -301,8 +301,7 @@ def _exact_small(d, scale, samples, centers):
     no correct digit; ``centers(rows)`` gives those rows' centres."""
     np.maximum(d, 0.0, out=d)
     rows = np.flatnonzero(d < 1e-9 * scale)
-    if rows.size:
-        d[rows] = ((samples[rows] - centers(rows)) ** 2).sum(axis=1)
+    d[rows] = ((samples[rows] - centers(rows)) ** 2).sum(axis=1)
     return d
 
 

@@ -221,11 +221,11 @@ def _fields(bits: np.ndarray, n: int, b_occ: int, b_int: int) -> tuple[np.ndarra
 def deserialize(frame: Frame, missing: np.ndarray | None = None) -> tuple[IndexMap, LossMask]:
     """Unpack a frame into an index map plus the per-cell loss mask.
 
-    ``missing`` is an optional boolean array over the full frame byte stream
-    (True = byte never arrived).  A cell is lost when any bit of its
-    occupancy or intensity field lies in a missing byte; its index values are
-    forced to 0.  With no loss the mask is all-present.  Missing header bytes
-    raise :class:`IncompleteFrameError`.
+    ``missing`` is a boolean array over the full frame byte stream (True =
+    byte never arrived); ``None`` means no byte is missing.  A cell is lost
+    when any bit of its occupancy or intensity field lies in a missing byte;
+    its index values are forced to 0.  Missing header bytes raise
+    :class:`IncompleteFrameError`.
     """
     n = frame.h * frame.w
     b_occ = bits_for(frame.k_occ)
@@ -236,17 +236,15 @@ def deserialize(frame: Frame, missing: np.ndarray | None = None) -> tuple[IndexM
         for f in _fields(payload_bits, n, b_occ, b_int)
     )
 
-    lost = np.zeros(n, dtype=bool)
-    if missing is not None:
-        missing = np.asarray(missing, dtype=bool)
-        if missing.shape[0] != frame.total_nbytes:
-            raise ValueError("missing-byte mask length != frame length")
-        if missing[:HEADER_LEN].any():
-            raise IncompleteFrameError("frame header bytes were lost")
-        lost_occ, lost_int = _fields(np.repeat(missing[HEADER_LEN:], 8), n, b_occ, b_int)
-        lost = lost_occ.any(axis=1) | lost_int.any(axis=1)
-        occ_idx[lost] = 0
-        int_idx[lost] = 0
+    missing = np.zeros(frame.total_nbytes, bool) if missing is None else np.asarray(missing, bool)
+    if missing.shape[0] != frame.total_nbytes:
+        raise ValueError("missing-byte mask length != frame length")
+    if missing[:HEADER_LEN].any():
+        raise IncompleteFrameError("frame header bytes were lost")
+    lost_occ, lost_int = _fields(np.repeat(missing[HEADER_LEN:], 8), n, b_occ, b_int)
+    lost = lost_occ.any(axis=1) | lost_int.any(axis=1)
+    occ_idx[lost] = 0
+    int_idx[lost] = 0
 
     ok = ~lost
     if (occ_idx[ok] >= frame.k_occ).any() or (int_idx[ok] >= frame.k_int).any():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpcomm import metrics
+from qpcomm import metrics, pcio
 from qpcomm.channel import ChannelConfig
-from qpcomm.cli import main
+from qpcomm.cli import PRESETS, main
 from qpcomm.codec import DecodeConfig, decode_grids
-from qpcomm.geometry import unpatchify
+from qpcomm.geometry import PatchSpec, VoxelGridSpec, unpatchify
 from qpcomm.pcio import read_qpcd, write_qpcd
 from qpcomm.quantizer import read_codebook
 from qpcomm.seeds import derive_seed
@@ -184,6 +184,22 @@ class TestSweepCommand:
         assert len(lines) == 2
         assert all(line.startswith("p=0.3   trials=2 ") for line in lines)
 
+    def test_codebooks_from_files(self, workspace):
+        scenes = make_scenes(workspace, n=1)
+        occ, inten = train_codebooks(workspace, scenes)
+        assert run("sweep", "--scenes", scenes, "--codebooks", occ, inten, "--p-list", "0,0.5",
+                   "--trials", 2, "--mtu", 128, "--seed", 3, "--fill", "neighbor_copy",
+                   "--out-jsonl", "r.jsonl") == 0
+        (cb_occ, fill_occ), (cb_int, fill_int) = read_codebook(occ), read_codebook(inten)
+        spec = VoxelGridSpec((0, 0, 0), PRESETS["desk"]["cell"], PRESETS["desk"]["dims"])
+        expected = metrics.sweep(
+            [read_qpcd(scenes / "s0.qpcd")], [0.0, 0.5], 2, cb_occ, cb_int, spec,
+            PatchSpec(*PRESETS["desk"]["patch"]), FillPolicy("neighbor_copy", fill_occ, fill_int),
+            mtu=128, master_seed=3,
+        )
+        lines = (workspace / "r.jsonl").read_text().splitlines()
+        assert lines == [json.dumps(r.to_json_dict(), sort_keys=True) for r in expected.reports]
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_exits_2(self, workspace, capsys, jobs):
         scenes = make_scenes(workspace, n=1)
@@ -259,6 +275,16 @@ class TestErrorHandling:
         assert not (workspace / "bad.qpfr").exists()
         leftovers = [p for p in workspace.iterdir() if ".tmp" in p.name]
         assert leftovers == []
+
+    def test_writer_failing_mid_write_leaves_nothing(self, workspace, monkeypatch, capsys):
+        def write_half(path, cloud):
+            path.write_bytes(b"QPCD")
+            raise OSError("device full")
+
+        monkeypatch.setattr(pcio, "write_qpcd", write_half)
+        assert run("gen-scene", "--out", "x.qpcd") == 3
+        assert "device full" in capsys.readouterr().err
+        assert list(workspace.iterdir()) == []
 
 
 # every input below is missing, so a row that exits 2 was rejected before any
@@ -410,6 +436,19 @@ class TestConfigOverlay:
         assert exit_code("simulate", "--in", "f.qpfr", "--codebooks", "a", "b",
                          "--out", "x.qpcd", "--config", path) == 2
         assert not (workspace / "x.qpcd").exists()
+
+    def test_list_and_switch_keys(self, workspace):
+        scenes = make_scenes(workspace, n=1)
+        occ, inten = train_codebooks(workspace, scenes)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"codebooks": [str(occ), str(inten)], "no_clip": True}))
+        sw = ("sweep", "--scenes", scenes, "--p-list", "0", "--sigma", 0.3, "--mtu", 128)
+        assert run(*sw, "--config", cfg, "--out-jsonl", "a.jsonl") == 0
+        assert run(*sw, "--codebooks", occ, inten, "--no-clip", "--out-jsonl", "b.jsonl") == 0
+        assert run(*sw, "--codebooks", occ, inten, "--out-jsonl", "c.jsonl") == 0
+        a, b, c = ((workspace / f"{n}.jsonl").read_text() for n in "abc")
+        assert a == b
+        assert a != c  # at sigma 0.3 clipping moves points, so Chamfer differs
 
     def test_config_values_parsed_as_flags(self, workspace):
         cfg = workspace / "cfg.json"

@@ -144,6 +144,13 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(im, other, cb_int, DecodeConfig())
 
+    def test_codebook_size_mismatch_rejected(self, lossless_setup):
+        spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
+        im = encode(cloud, spec, patch, cb_occ, cb_int)
+        smaller = Codebook.from_entries(cb_int.entries[:-1], kind="int")
+        with pytest.raises(ValueError, match="codebook sizes"):
+            decode(im, cb_occ, smaller, DecodeConfig())
+
 
     @pytest.mark.parametrize(
         "sigma,ppv,clip",
@@ -166,6 +173,11 @@ class TestDecode:
         if sigma == 0.3:  # the fallback really happened, and not to every point
             at_centroid = np.all(got.xyz == centroids, axis=1)
             assert 0 < at_centroid.sum() < len(got)
+        # an all-empty grid decodes to no points
+        empty = OccupancyGrid(spec, np.zeros(spec.dims, dtype=np.uint8))
+        got = decode_grids(empty, inten, cfg)
+        assert got.points.shape == (0, 4)
+        np.testing.assert_array_equal(got.points, reference_decode_grids(empty, inten, cfg).points)
 
     def test_decode_grids_bit_equal_at_every_attempt_count(self, monkeypatch):
         # the same draws as the whole-array loop in every round count, the

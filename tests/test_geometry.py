@@ -139,6 +139,10 @@ class TestVoxelize:
         occ, _, dropped = voxelize(PointCloud(pts), spec)
         assert dropped == 2
         assert occ.n_occupied == 1
+        # every point outside: all dropped, both grids zero
+        occ, inten, dropped = voxelize(PointCloud(pts[1:]), spec)
+        assert dropped == 2
+        assert not occ.data.any() and not inten.data.any()
 
     def test_points_beyond_int64_range_dropped(self):
         # 1e30 / dx is no int64; a warning would fail the test

@@ -300,7 +300,7 @@ class TestSweep:
 
     def test_parallel_jobs_bit_identical(self, pipeline, monkeypatch):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)  # a real two-worker pool
+        monkeypatch.setattr(metrics, "_cpus", lambda: 2)  # a real two-worker pool
         scenes = [cloud, PointCloud(cloud.points[::2])]
         p_values = [0.0, 0.4, 0.4]
         serial = sweep(scenes, p_values, 3, cb_occ, cb_int, spec, patch, policy,
@@ -390,7 +390,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "jobs,n_scenes,cpus,expected",
-        [(64, 1, 8, 3), (2, 1, 8, 2), (64, 2, 4, 4), (64, 1, None, None), (3, 1, 1, None)],
+        [(64, 1, 8, 3), (2, 1, 8, 2), (64, 2, 4, 4), (64, 1, 1, None), (3, 1, 1, None)],
     )
     def test_worker_count_capped(self, pipeline, monkeypatch, jobs, n_scenes, cpus, expected):
         # expected None: a single worker, so the trials run in this process
@@ -398,7 +398,7 @@ class TestSweep:
         started = []
         monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
         monkeypatch.setattr(metrics, "_worker_run", None)
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(metrics, "_cpus", lambda: cpus)
         scenes = [cloud] * n_scenes
         result = sweep(scenes, [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=9, jobs=jobs)
@@ -410,13 +410,13 @@ class TestSweep:
         ]
 
     @pytest.mark.parametrize(
-        "jobs,cpus,workers,threads", [(1, 5, None, 5), (2, 5, 2, 2), (3, 2, 3, 1), (2, 1, 2, 1)]
+        "jobs,cpus,workers,threads",
+        [(1, 5, None, 5), (2, 5, 2, 2), (3, 2, 2, 1), (2, 1, None, 1)],
     )
     def test_chamfer_threads_share_the_cpus(
         self, pipeline, monkeypatch, jobs, cpus, workers, threads
     ):
-        # each worker runs Chamfer on cpus // workers threads, at least one;
-        # the worker cap follows os.cpu_count(), patched to 8 here
+        # at most one worker per CPU, and each runs Chamfer on cpus // workers threads
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         serial = sweep([cloud], [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=9)
@@ -424,7 +424,6 @@ class TestSweep:
         monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
         monkeypatch.setattr(metrics, "_worker_run", None)
         monkeypatch.setattr(metrics, "cKDTree", recording_tree(queries))
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(metrics, "_cpus", lambda: cpus)
         result = sweep([cloud], [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=9, jobs=jobs)
@@ -438,6 +437,34 @@ class TestSweep:
         evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
                            DecodeConfig(), policy, seed=1, mtu=64)
         assert queries == [cpus, cpus]
+
+    def test_workers_follow_the_affinity_mask(self, pipeline, monkeypatch):
+        # one allowed CPU on an 8-CPU machine: no pool, and one Chamfer thread
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        started, queries = [], []
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
+        monkeypatch.setattr(metrics, "_worker_run", None)
+        monkeypatch.setattr(metrics, "cKDTree", recording_tree(queries))
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 8)
+        result = sweep([cloud], [0.0, 0.5], 1, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=3, jobs=2)
+        assert started == []
+        n_measured = sum(r.chamfer_m is not None for r in result.reports)
+        assert n_measured and queries == [1] * (2 * n_measured)
+
+    def test_drop_rates_validated_before_the_sender_stage(self, pipeline, monkeypatch):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        sends, original = [], metrics._send
+
+        def send(*args):
+            sends.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "_send", send)
+        with pytest.raises(ValueError, match="drop_rate"):
+            sweep([cloud, cloud], [0.3, 1.5], 2, cb_occ, cb_int, spec, patch, policy, mtu=64)
+        assert sends == []
 
     def test_without_a_cpu_count(self, pipeline, monkeypatch):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline

@@ -62,6 +62,19 @@ def test_csv_bad_header(tmp_path):
         read_csv_cloud(path)
 
 
+def test_csv_blank_rows_skipped(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("x,y,z,intensity\n\n1.0,2.0,3.0,0.25\n\n")
+    np.testing.assert_array_equal(read_csv_cloud(path).points, [[1.0, 2.0, 3.0, 0.25]])
+
+
+def test_csv_non_numeric_value(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("x,y,z,intensity\n1.0,two,3.0,0.25\n")
+    with pytest.raises(FormatError, match="non-numeric"):
+        read_csv_cloud(path)
+
+
 def test_read_cloud_dispatch(tmp_path):
     csv = tmp_path / "c.csv"
     csv.write_text("x,y,z,intensity\n0,0,0,0\n")

@@ -454,6 +454,22 @@ class TestCodebookFile:
         with pytest.raises(FormatError, match="2\\*\\*63"):
             read_codebook(path)
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "cb.qpcb"
+        write_codebook(path, Codebook.from_entries([[0.5]]))
+        raw = bytearray(path.read_bytes())
+        raw[5] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unknown codebook kind 7"):
+            read_codebook(path)
+
+    def test_trailing_bytes_after_fill_rejected(self, tmp_path):
+        path = tmp_path / "cb.qpcb"
+        write_codebook(path, Codebook.from_entries([[0.5], [1.0]]), fill=[0.75])
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes after FILL"):
+            read_codebook(path)
+
     @pytest.mark.parametrize("k,dim", [(0, 2), (2, 0), (0, 0)])
     def test_empty_codebook_header_rejected(self, tmp_path, k, dim):
         path = tmp_path / "cb.qpcb"

@@ -116,6 +116,9 @@ class TestBitPacking:
             back, mask = deserialize(frame)
             assert back == im
             assert mask.n_lost == 0
+            # no mask means no byte missing
+            again, present = deserialize(frame, np.zeros(frame.total_nbytes, dtype=bool))
+            assert again == back and np.array_equal(present.lost, mask.lost)
 
     def test_frame_bytes_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -257,6 +260,15 @@ class TestLossMapping:
     def test_no_packets_raises(self):
         with pytest.raises(IncompleteFrameError):
             reassemble([])
+
+    def test_missing_mask_checked(self):
+        frame = serialize(random_index_map(np.random.default_rng(16)), Pose())
+        with pytest.raises(ValueError, match="mask length"):
+            deserialize(frame, np.zeros(frame.total_nbytes - 1, dtype=bool))
+        missing = np.zeros(frame.total_nbytes, dtype=bool)
+        missing[HEADER_LEN - 1] = True
+        with pytest.raises(IncompleteFrameError):
+            deserialize(frame, missing)
 
     def test_header_loss_raises(self):
         rng = np.random.default_rng(10)
@@ -613,6 +625,14 @@ class TestFiles:
                 b.byte_offset,
                 b.payload,
             )
+
+    def test_truncated_length_prefix(self, tmp_path):
+        frame = serialize(random_index_map(np.random.default_rng(17)), Pose())
+        path = tmp_path / "t.pkts"
+        write_packet_trace(path, packetize(frame, 64)[:1])
+        path.write_bytes(path.read_bytes() + b"\x01\x00")  # half of the next record's length
+        with pytest.raises(FormatError, match="truncated packet trace"):
+            read_packet_trace(path)
 
     def test_pose_must_be_finite(self):
         with pytest.raises(ValueError):

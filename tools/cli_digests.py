@@ -18,6 +18,9 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
   each writing ``--report`` and ``--trace-out``;
 - a ``--trace-in`` replay of the 0.3 trace, and a replay whose trace lacks
   the header packet;
+- a scene generated outside the desk grid (``--extent 20,30,20,30,0,1.2``),
+  encoded with every point dropped, then ``simulate --drop-rate 1 --fill
+  empty`` on it: every cell lost and no point decoded;
 - ``sweep --codebooks`` at ``--jobs 1`` and ``--jobs 2``, a sweep that
   trains its own codebooks, and ``volume``;
 - the ``evaluate_roundtrip`` JSON for every fill at drop rates 0, 0.3, 0.9.
@@ -88,6 +91,12 @@ def _run_all(stdouts: dict) -> None:
     write_packet_trace("headless.pkts", packetize(frame, 128)[1:])
     qpc("headless", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--seed", 3,
         "--trace-in", "headless.pkts", "--out", "headless.qpcd", "--report", "headless.json")
+    # outside the 10 m desk grid, so voxelize drops every point
+    qpc("gen-scene-far", "gen-scene", "--out", "far.qpcd", "--seed", 3,
+        "--extent", "20,30,20,30,0,1.2")
+    qpc("encode-far", "encode", "--in", "far.qpcd", *CODEBOOKS, "--out", "far.qpfr")
+    qpc("sim-far", "simulate", "--in", "far.qpfr", *CODEBOOKS, "--seed", 6, "--drop-rate", 1,
+        "--fill", "empty", "--out", "sim-far.qpcd", "--report", "sim-far.json")
 
     for jobs in (1, 2):
         tag = f"sweep-jobs{jobs}"
