@@ -11,10 +11,12 @@ written to a temporary name and renamed on success, so a failing command
 never leaves a partial file behind.
 
 Every command but ``volume`` accepts ``--config FILE`` (JSON).  Keys are
-the flag names with dashes replaced by underscores.  The values are parsed
-as flags placed right after the command name, so they are validated exactly
-like flags, and an explicit flag, coming later, wins over the config file,
-which wins over built-in defaults.
+the flag names with dashes replaced by underscores (``in`` for ``--in``).
+The values are parsed as flags placed right after the command name, so they
+are validated exactly like flags and can supply required ones, and an
+explicit flag, coming later, wins over the config file, which wins over
+built-in defaults.  The config file is found, and read, before the other
+flags are checked.
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ def _config_tokens(path, command: argparse.ArgumentParser) -> list:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
-    actions = {a.dest: a for a in command._actions if a.option_strings}
-    del actions["help"]
+    actions = {
+        a.option_strings[0][2:].replace("-", "_"): a
+        for a in command._actions if a.option_strings and a.dest != "help"
+    }
     tokens = []
     for key, value in cfg.items():
         action = actions.get(key)
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name, run, help):
         cmd = sub.add_parser(name, help=help)
-        # the command's own parser tells _config_tokens its flags
+        # a command may ask its own parser for a flag's default
         cmd.set_defaults(run=run, parser=cmd)
         return cmd
 
@@ -479,15 +483,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_config(argv: list, commands: dict) -> list:
+    """``argv`` with its command's ``--config`` tokens placed right after the
+    command name.  A pre-parser of that one flag finds the file, so the
+    config takes part in the only full parse and can supply required flags,
+    while explicit flags, coming later, win."""
+    command = commands.get(argv[0]) if argv else None
+    if command is None or not any(a.dest == "config" for a in command._actions):
+        return argv
+    pre = argparse.ArgumentParser(prog=command.prog, add_help=False)
+    pre.add_argument("--config", default=None)
+    path = pre.parse_known_args(argv[1:])[0].config
+    return argv if path is None else argv[:1] + _config_tokens(path, command) + argv[1:]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
     try:
-        if getattr(args, "config", None) is not None:
-            at = argv.index(args.command) + 1
-            tokens = _config_tokens(args.config, args.parser)
-            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        args = parser.parse_args(_with_config(argv, commands))
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,11 +15,17 @@ decoder.  ``sweep`` runs the sender stage once per scene and a trial for
 every ``(scene, drop rate, trial)`` index triple, with deterministically
 derived seeds.
 
-Chamfer's two exact nearest-neighbour queries run on threads, one per CPU
-this process may use, or its share of them in each ``sweep`` worker
-(``_cpus() // workers``, at least 1).  Each point's distance is computed
-alone and the means sum in point order, so the result does not depend on
-the thread count.
+Chamfer threads: a process's CPU share is ``share = max(1, _cpus() //
+workers)``, all the CPUs it may use outside a ``sweep`` pool.  A process
+that runs ``n`` sweep trials overlaps them: the calling thread runs every
+trial in index order and builds each reconstruction's k-d tree, and the two
+exact nearest-neighbour queries of a trial then run on one of ``lanes =
+min(share, n)`` helper threads, each query split over ``share // lanes``
+threads, while the calling thread goes on to the next trial.  At most
+``lanes`` trials wait for their queries.  ``evaluate_roundtrip`` and
+``chamfer`` query inline on all ``share`` CPUs.  Each point's distance is
+computed alone and the means sum in point order, so the result does not
+depend on the thread or lane count.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -85,14 +92,18 @@ def _cpus() -> int:
 
 def _chamfer(tree, leaf_xyz, b: PointCloud, threads: int) -> float:
     """``chamfer`` from the first cloud's ``_index``, each query split over
-    ``threads`` threads.  Its points are queried in leaf order, so
-    consecutive queries visit nearby parts of b's tree, and the distances are
-    scattered back to the cloud's order, so both means sum in the order the
-    plain per-point queries give."""
+    ``threads`` threads."""
+    return _queries(tree, leaf_xyz, cKDTree(b.xyz, balanced_tree=False), threads)
+
+
+def _queries(tree, leaf_xyz, b_tree, threads: int) -> float:
+    """``_chamfer`` once both trees are built.  The first cloud's points are
+    queried in leaf order, so consecutive queries visit nearby parts of b's
+    tree, and the distances are scattered back to the cloud's order, so both
+    means sum in the order the plain per-point queries give."""
     d_ab = np.empty(len(leaf_xyz))
-    b_tree = cKDTree(b.xyz, balanced_tree=False)
     d_ab[tree.indices] = b_tree.query(leaf_xyz, k=1, workers=threads)[0]
-    d_ba, _ = tree.query(b.xyz, k=1, workers=threads)
+    d_ba, _ = tree.query(b_tree.data, k=1, workers=threads)
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
@@ -137,8 +148,10 @@ def reconstruct(
 def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
            threads):
     """Per-trial stage on a ``_send`` result: ``deliver`` -> ``reconstruct``
-    -> measure with Chamfer on ``threads`` threads, deterministic given
-    ``seed``."""
+    -> measure, deterministic given ``seed``.  Returns the report with its
+    ``chamfer_m`` still unset and the Chamfer still to run: a zero-argument
+    function that runs both queries on ``threads`` threads, with both trees
+    already built, or None when either cloud is empty."""
     occ_truth, int_truth, frame, tree, leaf_xyz = sent
     delivered, _report = deliver(frame, channel_cfg, mtu, seed)
     mask, occ_raw, inten, recon = reconstruct(
@@ -146,20 +159,18 @@ def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_poli
     )
     bce = occupancy_bce(occ_truth, occ_raw)
     mse = intensity_mse(int_truth, inten, occ_truth) if occ_truth.n_occupied else None
+    measure = None
     if len(leaf_xyz) and len(recon):
-        cd = _chamfer(tree, leaf_xyz, recon, threads)
-        status = STATUS_OK
-    else:
-        cd = None
-        status = STATUS_EMPTY
-    return EvalReport(
-        chamfer_m=cd,
+        measure = partial(_queries, tree, leaf_xyz, cKDTree(recon.xyz, balanced_tree=False),
+                          threads)
+    report = EvalReport(
+        chamfer_m=None,
         occupancy_bce=bce,
         intensity_mse=mse,
         comm_log2_bytes=log2_volume(frame.payload_nbits),
         cell_loss_rate=mask.cell_loss_rate,
         seed=seed,
-        status=status,
+        status=STATUS_OK if measure else STATUS_EMPTY,
         config={
             "drop_rate": channel_cfg.drop_rate,
             "mtu": mtu,
@@ -170,6 +181,7 @@ def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_poli
             "k_int": frame.k_int,
         },
     )
+    return report, measure
 
 
 def evaluate_roundtrip(
@@ -187,10 +199,13 @@ def evaluate_roundtrip(
     """One full transmit-and-reconstruct measurement, deterministic given
     ``seed`` (channel and decoder sub-seeds are derived from it)."""
     sent = _send(scene, cb_occ, cb_int, spec, patch)
-    return _trial(
+    report, measure = _trial(
         sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
         _cpus(),
     )
+    if measure:
+        report.chamfer_m = measure()
+    return report
 
 
 @dataclass
@@ -199,14 +214,36 @@ class SweepResult:
     aggregates: list  # one dict per entry of p_values
 
 
-def _sweep_trial(index, *, sent, channels, master_seed, **common):
-    """The sweep trial at ``index = (scene_idx, p_idx, trial)``."""
+def _sweep_trial(index, threads, *, sent, channels, master_seed, **common):
+    """The sweep trial at ``index = (scene_idx, p_idx, trial)``, as ``_trial``
+    returns it."""
     si, pi, trial = index
     seed = derive_seed(master_seed, si, pi, trial)
-    return _trial(sent[si], channel_cfg=channels[pi], seed=seed, **common)
+    return _trial(sent[si], channel_cfg=channels[pi], seed=seed, threads=threads, **common)
 
 
-_worker_run = None  # a pool worker's bound ``_sweep_trial``, set once by ``_init_worker``
+def _pipeline(run, indices, share: int) -> list:
+    """The reports of ``run`` at every index, in order, on ``share`` CPUs, by
+    the lane rule of the module docstring.  Before it hands off a trial's
+    queries, this thread finishes the report ``lanes`` hand-offs back."""
+    lanes = min(share, len(indices))
+    reports, pending = [], deque()
+    with ThreadPoolExecutor(lanes) as helpers:
+        for index in indices:
+            report, measure = run(index, share // lanes)
+            reports.append(report)
+            if measure:
+                if len(pending) == lanes:
+                    done, future = pending.popleft()
+                    done.chamfer_m = future.result()
+                pending.append((report, helpers.submit(measure)))
+        for done, future in pending:
+            done.chamfer_m = future.result()
+    return reports
+
+
+_worker_run = None  # a pool worker's ``_pipeline`` over its chunks, set once by ``_init_worker``
+_CHUNK = 8  # consecutive trial indices per pool task
 
 
 def _init_worker(run) -> None:
@@ -214,8 +251,8 @@ def _init_worker(run) -> None:
     _worker_run = run
 
 
-def _run_in_worker(index):
-    return _worker_run(index)
+def _run_in_worker(chunk):
+    return _worker_run(chunk)
 
 
 def sweep(
@@ -239,10 +276,12 @@ def sweep(
     with seed ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so
     results are reproducible and independent of ``jobs`` (>= 1; the worker
     count is capped at the trial count and at ``_cpus()``, the CPUs this
-    process may use, each worker receives the sender-stage results and
-    codebooks once, and each runs Chamfer on its share of those CPUs).
-    Every drop rate is validated before any scene is encoded.  There is one
-    aggregate per entry of ``p_values``, a repeated drop rate included.
+    process may use, and each worker receives the sender-stage results and
+    codebooks once, then chunks of consecutive trial indices).  Each process
+    overlaps a trial's Chamfer with its next trials by the lane rule of the
+    module docstring; no lane or thread count changes a result.  Every drop
+    rate is validated before any scene is encoded.  There is one aggregate
+    per entry of ``p_values``, a repeated drop rate included.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -255,17 +294,19 @@ def sweep(
     indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))
     cpus = _cpus()
     workers = min(jobs, len(indices), cpus)
+    share = max(1, cpus // workers)
     run = partial(
         _sweep_trial, sent=sent, channels=channels, master_seed=master_seed,
         cb_occ=cb_occ, cb_int=cb_int, spec=spec, patch=patch,
         decode_cfg=decode_cfg or DecodeConfig(), fill_policy=fill_policy, mtu=mtu,
-        threads=max(1, cpus // workers),
     )
     if workers > 1:
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(run,)) as pool:
-            reports = list(pool.map(_run_in_worker, indices, chunksize=8))
+        chunks = [indices[i : i + _CHUNK] for i in range(0, len(indices), _CHUNK)]
+        worker_run = partial(_pipeline, run, share=share)
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(worker_run,)) as pool:
+            reports = [r for chunk in pool.map(_run_in_worker, chunks) for r in chunk]
     else:
-        reports = [run(index) for index in indices]
+        reports = _pipeline(run, indices, share)
 
     aggregates = []
     for pi, p in enumerate(p_values):

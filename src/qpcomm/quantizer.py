@@ -371,7 +371,8 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
         idx = search(entries)
         scale = sq_norms + (entries**2).sum(axis=1)[idx]
         # x·c of ‖x‖² + ‖c‖² − 2·x·c, summed over the CSR copy (entries is C-ordered)
-        picked = np.take(entries, idx[nnz_rows] * cfg.dim + sparse.indices)
+        cell = idx[nnz_rows] * cfg.dim + sparse.indices  # flat (entry, column) of each nonzero
+        picked = np.take(entries, cell)
         cross = np.bincount(nnz_rows, sparse.data * picked, minlength=n)
         dist = _exact_small(scale - 2.0 * cross, scale, samples, lambda rows: entries[idx[rows]])
         err = float(dist.mean())
@@ -390,10 +391,7 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
         prev = (err, slack, entries.copy(), idx)
 
         counts = np.bincount(idx, minlength=cfg.k).astype(np.float64)
-        # one-hot (K, N) @ (N, D) sums each cluster's rows in ascending sample
-        # order starting from 0: the same additions as a per-row scatter-add
-        one_hot = sp.csr_array((np.ones(n), (idx, np.arange(n))), shape=(cfg.k, n))
-        sums = (one_hot @ sparse).toarray()
+        sums = np.bincount(cell, sparse.data, minlength=cfg.k * cfg.dim).reshape(cfg.k, cfg.dim)
         age += 1
         ema_counts = decay * ema_counts + (1.0 - decay) * counts
         ema_sums = decay * ema_sums + (1.0 - decay) * sums

@@ -450,6 +450,37 @@ class TestConfigOverlay:
         assert a == b
         assert a != c  # at sigma 0.3 clipping moves points, so Chamfer differs
 
+    @pytest.mark.parametrize("command,infile,out", [
+        pytest.param("encode", "scenes/s0.qpcd", "frame.qpfr", id="encode"),
+        pytest.param("decode", "f.qpfr", "cloud.qpcd", id="decode"),
+        pytest.param("simulate", "f.qpfr", "cloud.qpcd", id="simulate"),
+    ])
+    def test_config_supplies_required_flags(self, workspace, command, infile, out):
+        occ, inten = encoded_frame(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"in": infile, "codebooks": [str(occ), str(inten)], "out": f"a_{out}"}
+        ))
+        assert run(command, "--config", cfg) == 0
+        assert run(command, "--in", infile, "--codebooks", occ, inten, "--out", f"b_{out}") == 0
+        assert (workspace / f"a_{out}").read_bytes() == (workspace / f"b_{out}").read_bytes()
+
+    def test_flag_beats_config_for_a_required_flag(self, workspace):
+        occ, inten = encoded_frame(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"in": "f.qpfr", "codebooks": [str(occ), str(inten)], "out": "a.qpcd"}
+        ))
+        assert run("decode", "--out", "b.qpcd", "--config", cfg) == 0
+        assert (workspace / "b.qpcd").exists() and not (workspace / "a.qpcd").exists()
+
+    def test_required_flag_in_neither_place_exits_2(self, workspace, capsys):
+        occ, inten = encoded_frame(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"in": "f.qpfr", "codebooks": [str(occ), str(inten)]}))
+        assert exit_code("decode", "--config", cfg) == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_config_values_parsed_as_flags(self, workspace):
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps({"n_vehicles": "0", "extent": "-5,5,-5,5,0,1.2"}))

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -45,13 +48,16 @@ def recording_tree(workers):
     return RecordingTree
 
 
-def in_process_executor(started):
+def in_process_executor(started, alive=None):
     """A ``ProcessPoolExecutor`` stand-in that appends its worker count to
-    ``started`` and runs the trials in this process."""
+    ``started`` (and this process's live thread count to ``alive``, if given)
+    and runs the trials in this process."""
 
     class FakeExecutor:
         def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            if alive is not None:
+                alive.append(threading.active_count())
             initializer(*initargs)
 
         def __enter__(self):
@@ -64,6 +70,31 @@ def in_process_executor(started):
             return map(fn, iterable)
 
     return FakeExecutor
+
+
+# the layer functions a trial calls, each as (defining module, name)
+LAYER_FUNCTIONS = [
+    ("qpcomm.quantizer", "quantize"),
+    ("qpcomm.metrics", "chamfer"),
+    ("qpcomm.metrics", "evaluate_roundtrip"),
+    ("qpcomm.geometry", "voxelize"),
+    ("qpcomm.geometry", "patchify"),
+    ("qpcomm.geometry", "unpatchify"),
+    ("qpcomm.geometry", "assemble_grid"),
+    ("qpcomm.geometry", "threshold_grids"),
+    ("qpcomm.codec", "encode"),
+    ("qpcomm.codec", "encode_grids"),
+    ("qpcomm.codec", "decode_grids"),
+    ("qpcomm.codec", "occupancy_bce"),
+    ("qpcomm.codec", "intensity_mse"),
+    ("qpcomm.tolerance", "fill"),
+    ("qpcomm.wire", "serialize"),
+    ("qpcomm.wire", "packetize"),
+    ("qpcomm.wire", "reassemble"),
+    ("qpcomm.wire", "deserialize"),
+    ("qpcomm.wire", "receive"),
+    ("qpcomm.channel", "transmit"),
+]
 
 
 class TestChamfer:
@@ -411,12 +442,14 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "jobs,cpus,workers,threads",
-        [(1, 5, None, 5), (2, 5, 2, 2), (3, 2, 2, 1), (2, 1, None, 1)],
+        [(1, 5, None, 1), (2, 5, 2, 1), (3, 2, 2, 1), (2, 1, None, 1), (1, 8, None, 2),
+         (2, 16, 2, 2)],
     )
     def test_chamfer_threads_share_the_cpus(
         self, pipeline, monkeypatch, jobs, cpus, workers, threads
     ):
-        # at most one worker per CPU, and each runs Chamfer on cpus // workers threads
+        # at most one worker per CPU; a process's share = cpus // workers goes to
+        # lanes = min(share, its 3 trials) lanes of share // lanes threads each
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         serial = sweep([cloud], [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=9)
@@ -437,6 +470,9 @@ class TestSweep:
         evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
                            DecodeConfig(), policy, seed=1, mtu=64)
         assert queries == [cpus, cpus]
+        queries.clear()  # one trial: one lane on every CPU
+        sweep([cloud], [0.0], 1, cb_occ, cb_int, spec, patch, policy, mtu=64)
+        assert queries == [cpus, cpus]
 
     def test_workers_follow_the_affinity_mask(self, pipeline, monkeypatch):
         # one allowed CPU on an 8-CPU machine: no pool, and one Chamfer thread
@@ -452,6 +488,123 @@ class TestSweep:
         assert started == []
         n_measured = sum(r.chamfer_m is not None for r in result.reports)
         assert n_measured and queries == [1] * (2 * n_measured)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_traced_layers_stay_on_the_calling_thread(self, pipeline, monkeypatch, jobs):
+        # every binding of a layer function in a qpcomm module is spied on, as the
+        # benchmark's tracer wraps them; only the Chamfer queries leave this thread
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        callers, query_threads = [], []
+
+        def spy(fn):
+            def record(*args, **kwargs):
+                callers.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return record
+
+        for module, name in LAYER_FUNCTIONS:
+            original = getattr(sys.modules[module], name)
+            wrapper = spy(original)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod is not None and mod_name.split(".")[0] == "qpcomm":
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, wrapper)
+        queries = metrics._queries
+
+        def query(*args):
+            query_threads.append(threading.get_ident())
+            return queries(*args)
+
+        monkeypatch.setattr(metrics, "_queries", query)
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor([]))
+        monkeypatch.setattr(metrics, "_worker_run", None)
+        monkeypatch.setattr(metrics, "_cpus", lambda: 2)
+        result = sweep([cloud, PointCloud(cloud.points[::2])], [0.0, 0.5], 3, cb_occ, cb_int,
+                       spec, patch, policy, mtu=64, master_seed=2, jobs=jobs)
+        here = threading.get_ident()
+        assert {name for name, _ in callers} >= {"voxelize", "transmit", "fill", "occupancy_bce"}
+        assert {ident for _, ident in callers} == {here}
+        n_measured = sum(r.chamfer_m is not None for r in result.reports)
+        assert len(query_threads) == n_measured > 0 and here not in query_threads
+
+    def test_pending_chamfers_bounded_by_lanes(self, pipeline, monkeypatch):
+        # slow queries: this thread runs ahead until `lanes` trials wait for theirs
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        lock, made, finished, peaks = threading.Lock(), [0], [0], []
+        trial, queries = metrics._trial, metrics._queries
+
+        def counted_trial(*args, **kwargs):
+            with lock:
+                peaks.append(made[0] - finished[0])
+            report, measure = trial(*args, **kwargs)
+            with lock:
+                made[0] += measure is not None
+            return report, measure
+
+        def slow_query(*args):
+            time.sleep(0.1)
+            d = queries(*args)
+            with lock:
+                finished[0] += 1
+            return d
+
+        monkeypatch.setattr(metrics, "_trial", counted_trial)
+        monkeypatch.setattr(metrics, "_queries", slow_query)
+        monkeypatch.setattr(metrics, "_cpus", lambda: 2)
+        result = sweep([cloud], [0.0, 0.3], 3, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=1)
+        lanes = 2  # min(2 CPUs, 6 trials)
+        assert made[0] == finished[0] == 6
+        assert max(peaks) == lanes
+        assert all(r.chamfer_m is not None for r in result.reports)
+
+    def test_more_lanes_than_cores_match_one_lane(self, pipeline, monkeypatch):
+        # 8 lanes share one scene tree, with thread switches as often as possible
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        scenes, p_values = [cloud, PointCloud(cloud.points[::2])], [0.0, 0.3, 0.6]
+        monkeypatch.setattr(metrics, "_cpus", lambda: 1)
+        one_lane = sweep(scenes, p_values, 4, cb_occ, cb_int, spec, patch, policy, mtu=64)
+        monkeypatch.setattr(metrics, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = sweep(scenes, p_values, 4, cb_occ, cb_int, spec, patch, policy, mtu=64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.to_json_dict() for r in many.reports] == [
+            r.to_json_dict() for r in one_lane.reports
+        ]
+
+    def test_query_error_propagates(self, pipeline, monkeypatch):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        calls, queries = [], metrics._queries
+
+        def failing_query(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("query failed")
+            return queries(*args)
+
+        monkeypatch.setattr(metrics, "_queries", failing_query)
+        monkeypatch.setattr(metrics, "_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="query failed"):
+            sweep([cloud], [0.0, 0.3], 3, cb_occ, cb_int, spec, patch, policy, mtu=64)
+        assert threading.active_count() == before
+
+    def test_pool_starts_without_helper_threads(self, pipeline, monkeypatch):
+        # a forked worker copies only the thread that forks
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        started, alive = [], []
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started, alive))
+        monkeypatch.setattr(metrics, "_worker_run", None)
+        monkeypatch.setattr(metrics, "_cpus", lambda: 2)
+        before = threading.active_count()
+        sweep([cloud], [0.0, 0.3], 3, cb_occ, cb_int, spec, patch, policy, mtu=64, jobs=2)
+        assert started == [2] and alive == [before]
+        assert threading.active_count() == before
 
     def test_drop_rates_validated_before_the_sender_stage(self, pipeline, monkeypatch):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline

@@ -503,8 +503,13 @@ class TestSparseTrainingOracle:
     def test_sparse_float_with_duplicate_rows(self):
         rng = np.random.default_rng(21)
         base = (rng.random((300, 40)) < 0.08) * rng.random((300, 40))
-        samples = np.vstack([base, base[:120], base[5:9]])[rng.permutation(424)]
-        assert_matches_dense_oracle(samples, QuantizerConfig(k=32, dim=40, dead_limit=4, seed=4))
+        order = rng.permutation(424)
+        # the same rows with random signs, so clusters also sum negative values
+        signed = base * rng.choice([-1.0, 1.0], size=base.shape)
+        for rows in (base, signed):
+            samples = np.vstack([rows, rows[:120], rows[5:9]])[order]
+            cfg = QuantizerConfig(k=32, dim=40, dead_limit=4, seed=4)
+            assert_matches_dense_oracle(samples, cfg)
 
     @pytest.mark.parametrize("dead_limit", [0, 256])
     def test_all_identical_samples(self, dead_limit):
