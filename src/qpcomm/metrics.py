@@ -6,8 +6,8 @@ encode -> serialize -> packetize -> lossy channel -> reassemble -> fill ->
 decode and reports fidelity plus communication volume.  It is two stages: a
 sender stage (``_send``) that depends on the scene alone, and a trial.
 ``_send`` voxelizes the scene once, quantizes the frame from those truth
-grids and builds the scene's Chamfer index (a k-d tree and the points in its
-leaf order).  A trial is ``deliver`` (packetize -> channel), then
+grids and returns them with the scene's Chamfer index (a k-d tree and the
+points in its leaf order).  A trial is ``deliver`` (packetize -> channel), then
 ``reconstruct`` (receive -> fill -> decode), then the measurements;
 ``qpc simulate`` runs the same two functions.  Each of them defines one
 sub-seed of the trial seed: index 1 for the channel, index 2 for the
@@ -22,8 +22,14 @@ trial in index order and builds each reconstruction's k-d tree, and the two
 exact nearest-neighbour queries of a trial then run on one of ``lanes =
 min(share, n)`` helper threads, each query split over ``share // lanes``
 threads, while the calling thread goes on to the next trial.  At most
-``lanes`` trials wait for their queries.  ``evaluate_roundtrip`` and
-``chamfer`` query inline on all ``share`` CPUs.  Each point's distance is
+``lanes`` trials wait for their queries.  ``evaluate_roundtrip`` overlaps
+its k-d tree work with its own stages on one helper thread: the scene's
+``_index`` builds there while the calling thread voxelizes and encodes, and
+once ``reconstruct`` returns, the whole Chamfer (the reconstruction's tree
+and both queries on all ``share`` CPUs) runs there while the calling thread
+computes BCE and MSE.  ``chamfer`` queries inline on all ``share`` CPUs.  In
+every case the calling thread runs each traced stage, and the helpers run
+only ``_index``, ``_chamfer`` and ``_queries``.  Each point's distance is
 computed alone and the means sum in point order, so the result does not
 depend on the thread or lane count.
 """
@@ -76,10 +82,12 @@ class EvalReport:
         return asdict(self)
 
 
-def _index(cloud: PointCloud):
-    """A cloud's k-d tree and the cloud's points in the tree's leaf order."""
-    tree = cKDTree(cloud.xyz, balanced_tree=False)
-    return tree, cloud.xyz[tree.indices]
+def _index(xyz: np.ndarray):
+    """The k-d tree of the points ``xyz`` (n, 3) and the points in the tree's
+    leaf order.  The tree keeps ``xyz`` itself as its ``data`` when that is
+    C-contiguous float64, else a copy."""
+    tree = cKDTree(xyz, balanced_tree=False)
+    return tree, tree.data[tree.indices]
 
 
 def _cpus() -> int:
@@ -90,10 +98,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chamfer(tree, leaf_xyz, b: PointCloud, threads: int) -> float:
-    """``chamfer`` from the first cloud's ``_index``, each query split over
+def _chamfer(tree, leaf_xyz, b_xyz, threads: int) -> float:
+    """``chamfer`` from the first cloud's ``_index`` and its points in the
+    tree's leaf order to the points ``b_xyz``, each query split over
     ``threads`` threads."""
-    return _queries(tree, leaf_xyz, cKDTree(b.xyz, balanced_tree=False), threads)
+    return _queries(tree, leaf_xyz, cKDTree(b_xyz, balanced_tree=False), threads)
 
 
 def _queries(tree, leaf_xyz, b_tree, threads: int) -> float:
@@ -112,15 +121,16 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
     neighbors; raises on an empty cloud."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance is undefined for empty clouds")
-    return _chamfer(*_index(a), b, _cpus())
+    return _chamfer(*_index(a.xyz), b.xyz, _cpus())
 
 
-def _send(scene, cb_occ, cb_int, spec, patch):
+def _send(scene, cb_occ, cb_int, spec, patch, index):
     """Sender stage: the scene's truth grids, the frame quantized from them,
-    and the scene's ``_index``."""
+    and the scene's ``_index``, which the zero-argument ``index`` returns
+    once the frame is built."""
     occ, inten, _ = voxelize(scene, spec)
     frame = serialize(encode_grids(occ, inten, patch, cb_occ, cb_int), Pose())
-    return (occ, inten, frame, *_index(scene))
+    return (occ, inten, frame, *index())
 
 
 def deliver(frame: Frame, channel_cfg: ChannelConfig, mtu: int, seed: int):
@@ -146,23 +156,22 @@ def reconstruct(
 
 
 def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
-           threads):
+           start_chamfer):
     """Per-trial stage on a ``_send`` result: ``deliver`` -> ``reconstruct``
-    -> measure, deterministic given ``seed``.  Returns the report with its
-    ``chamfer_m`` still unset and the Chamfer still to run: a zero-argument
-    function that runs both queries on ``threads`` threads, with both trees
-    already built, or None when either cloud is empty."""
+    -> measure, deterministic given ``seed``.  Once the reconstruction
+    exists, and before BCE and MSE, ``start_chamfer(tree, leaf_xyz, recon)``
+    starts its Chamfer against the scene's ``_index`` and returns a
+    zero-argument function for the distance.  Returns the report with its
+    ``chamfer_m`` still unset and that function, or None when either cloud
+    is empty."""
     occ_truth, int_truth, frame, tree, leaf_xyz = sent
     delivered, _report = deliver(frame, channel_cfg, mtu, seed)
     mask, occ_raw, inten, recon = reconstruct(
         delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg, seed
     )
+    measure = start_chamfer(tree, leaf_xyz, recon) if len(leaf_xyz) and len(recon) else None
     bce = occupancy_bce(occ_truth, occ_raw)
     mse = intensity_mse(int_truth, inten, occ_truth) if occ_truth.n_occupied else None
-    measure = None
-    if len(leaf_xyz) and len(recon):
-        measure = partial(_queries, tree, leaf_xyz, cKDTree(recon.xyz, balanced_tree=False),
-                          threads)
     report = EvalReport(
         chamfer_m=None,
         occupancy_bce=bce,
@@ -197,14 +206,25 @@ def evaluate_roundtrip(
     mtu: int = 1200,
 ) -> EvalReport:
     """One full transmit-and-reconstruct measurement, deterministic given
-    ``seed`` (channel and decoder sub-seeds are derived from it)."""
-    sent = _send(scene, cb_occ, cb_int, spec, patch)
-    report, measure = _trial(
-        sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
-        _cpus(),
-    )
-    if measure:
-        report.chamfer_m = measure()
+    ``seed`` (channel and decoder sub-seeds are derived from it).  One
+    helper thread builds the scene's ``_index`` while this thread voxelizes
+    and encodes, then runs the Chamfer while this thread measures BCE and
+    MSE; an error on either thread propagates, after the helper has
+    stopped."""
+    cpus = _cpus()
+    # memory the helper frees stays in its own malloc arena, out of this thread's
+    # reach, so the point arrays both trees keep are copied here
+    contiguous = np.ascontiguousarray
+    with ThreadPoolExecutor(1) as helper:
+        sent = _send(scene, cb_occ, cb_int, spec, patch,
+                     helper.submit(_index, contiguous(scene.xyz)).result)
+        report, measure = _trial(
+            sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
+            lambda tree, leaf_xyz, recon: helper.submit(
+                _chamfer, tree, leaf_xyz, contiguous(recon.xyz), cpus).result,
+        )
+        if measure:
+            report.chamfer_m = measure()
     return report
 
 
@@ -214,12 +234,20 @@ class SweepResult:
     aggregates: list  # one dict per entry of p_values
 
 
+def _queries_later(tree, leaf_xyz, recon, threads):
+    """A sweep trial's ``start_chamfer``: builds the reconstruction's tree
+    on this thread and leaves both queries, on ``threads`` threads, to the
+    returned function."""
+    return partial(_queries, tree, leaf_xyz, cKDTree(recon.xyz, balanced_tree=False), threads)
+
+
 def _sweep_trial(index, threads, *, sent, channels, master_seed, **common):
     """The sweep trial at ``index = (scene_idx, p_idx, trial)``, as ``_trial``
     returns it."""
     si, pi, trial = index
     seed = derive_seed(master_seed, si, pi, trial)
-    return _trial(sent[si], channel_cfg=channels[pi], seed=seed, threads=threads, **common)
+    return _trial(sent[si], channel_cfg=channels[pi], seed=seed,
+                  start_chamfer=partial(_queries_later, threads=threads), **common)
 
 
 def _pipeline(run, indices, share: int) -> list:
@@ -287,8 +315,11 @@ def sweep(
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if len(p_values) == 0:
+        raise ValueError("need at least one drop rate")
     channels = [ChannelConfig(p) for p in p_values]
-    sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
+    sent = [_send(scene, cb_occ, cb_int, spec, patch, partial(_index, scene.xyz))
+            for scene in scenes]
     if not sent:
         raise ValueError("need at least one scene")
     indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))

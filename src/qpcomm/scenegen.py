@@ -30,11 +30,11 @@ class SceneConfig:
     def __post_init__(self):
         if self.seed < 0 or self.n_vehicles < 0:
             raise ValueError("seed and n_vehicles must be >= 0")
-        if self.ground_density <= 0 or self.surface_density <= 0:
-            raise ValueError("densities must be positive")
+        if not 0 < self.ground_density < math.inf or not 0 < self.surface_density < math.inf:
+            raise ValueError("densities must be positive and finite")
         for lo, hi in self.extent:
-            if hi <= lo:
-                raise ValueError("extent ranges must be increasing")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError("extent ranges must be finite and increasing")
         (z0, z1) = self.extent[2]
         if not z0 <= self.ground_height < z1:
             raise ValueError("ground_height must lie inside the z extent")

@@ -51,6 +51,7 @@ HEADER_LEN = struct.calcsize(_HEADER_FMT)  # 121 bytes
 HEADER_OVERHEAD_BEYOND_POSE = HEADER_LEN - 24
 MIN_MTU = 64
 POSE_BITS = 6 * 32
+_F32_MAX = float(np.finfo(np.float32).max)  # the largest |value| a pose field holds
 
 
 class IncompleteFrameError(FormatError):
@@ -67,8 +68,8 @@ class Pose:
     yaw: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.as_tuple()):
-            raise ValueError("pose parameters must be finite")
+        if not all(abs(v) <= _F32_MAX for v in self.as_tuple()):
+            raise ValueError("pose parameters must be finite float32 values")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.x, self.y, self.z, self.roll, self.pitch, self.yaw)

@@ -308,6 +308,8 @@ class TestFlagsPhase:
             "encode --agent-id -1",
             "encode --frame-id 4294967296",
             "encode --pose inf,0,0,0,0,0",
+            "encode --pose 1e39,0,0,0,0,0",
+            "encode --pose 0,0,0,0,0,-1e39",
             "encode --pose 1,2",
             "encode --dim-patch 3,3",
             "train --dim-patch 3,3",
@@ -333,6 +335,11 @@ class TestFlagsPhase:
             "decode --seed -5",
             "gen-scene --seed -5",
             "gen-scene --n-vehicles -1",
+            "gen-scene --ground-density inf",
+            "gen-scene --ground-density nan",
+            "gen-scene --surface-density inf",
+            "gen-scene --extent 0,inf,0,10,0,1.2",
+            "gen-scene --extent nan,10,0,10,0,1.2",
             "volume --n 0",
             "volume --k 3",
         ],

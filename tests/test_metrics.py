@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -140,10 +141,10 @@ class TestChamfer:
             return PointCloud(np.vstack([pts, pts[: n // 3]]))
 
         a = with_duplicates(n_a)
-        index = metrics._index(a)
+        index = metrics._index(a.xyz)
         for _ in range(3):
             b = with_duplicates(n_b)
-            got = metrics._chamfer(*index, b, 1)
+            got = metrics._chamfer(*index, b.xyz, 1)
             assert got == chamfer(a, b) == reference_chamfer(a, b)
             assert got == pytest.approx(brute_chamfer(a, b), abs=1e-12)
 
@@ -159,10 +160,10 @@ class TestChamfer:
             return PointCloud(np.vstack([pts, pts[: n // 4]]))
 
         a, b = with_duplicates(20_000), with_duplicates(24_000)
-        index = metrics._index(a)
+        index = metrics._index(a.xyz)
         expected = reference_chamfer(a, b)
         for threads in (1, 2, 3, 8):
-            assert metrics._chamfer(*index, b, threads) == expected
+            assert metrics._chamfer(*index, b.xyz, threads) == expected
         assert chamfer(a, b) == expected
 
     def test_uses_every_usable_cpu(self, monkeypatch):
@@ -255,6 +256,78 @@ class TestEvaluateRoundtrip:
         a = evaluate_roundtrip(*args, seed=9, mtu=64)
         b = evaluate_roundtrip(*args, seed=9, mtu=64)
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_k_d_tree_work_overlaps_the_traced_stages(self, pipeline, monkeypatch):
+        # voxelize waits until the helper builds the scene index, and BCE until
+        # the helper starts the Chamfer: without the overlap, both would time out
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        indexed, chamfer_started, waits = threading.Event(), threading.Event(), []
+        index, chamfer_ = metrics._index, metrics._chamfer
+        voxelize_, bce = metrics.voxelize, metrics.occupancy_bce
+
+        def signal(event, fn):
+            def run(*args):
+                event.set()
+                return fn(*args)
+
+            return run
+
+        def wait_for(event, fn):
+            def run(*args):
+                waits.append(event.wait(timeout=10))
+                return fn(*args)
+
+            return run
+
+        monkeypatch.setattr(metrics, "_index", signal(indexed, index))
+        monkeypatch.setattr(metrics, "_chamfer", signal(chamfer_started, chamfer_))
+        monkeypatch.setattr(metrics, "voxelize", wait_for(indexed, voxelize_))
+        monkeypatch.setattr(metrics, "occupancy_bce", wait_for(chamfer_started, bce))
+        rep = evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
+                                 DecodeConfig(), policy, seed=1, mtu=64)
+        assert waits == [True, True] and rep.chamfer_m is not None
+
+    @pytest.mark.parametrize("where", ["_index", "_queries"])
+    def test_helper_error_propagates(self, pipeline, monkeypatch, where):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+
+        def fail(*args):
+            raise RuntimeError(f"{where} failed")
+
+        monkeypatch.setattr(metrics, where, fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
+                               DecodeConfig(), policy, seed=1, mtu=64)
+        assert threading.active_count() == before
+
+    def test_calling_thread_error_propagates(self, pipeline, monkeypatch):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        before = threading.active_count()
+        # quantize's error while the helper builds the scene index
+        narrow = Codebook.from_entries(cb_occ.entries[:, :-1])
+        with pytest.raises(ValueError, match="codebook dim"):
+            evaluate_roundtrip(cloud, narrow, cb_int, spec, patch, ChannelConfig(0.0),
+                               DecodeConfig(), policy, seed=1, mtu=64)
+        assert threading.active_count() == before
+
+        # BCE's error while the helper runs the Chamfer
+        def fail(*args):
+            raise ValueError("bce failed")
+
+        monkeypatch.setattr(metrics, "occupancy_bce", fail)
+        with pytest.raises(ValueError, match="bce failed"):
+            evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
+                               DecodeConfig(), policy, seed=1, mtu=64)
+        assert threading.active_count() == before
+
+    def test_helper_stops_after_each_call(self, pipeline):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        before = threading.active_count()
+        for p, fill in [(0.0, policy), (1.0, FillPolicy.empty())]:  # measured, then empty
+            evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(p),
+                               DecodeConfig(), fill, seed=1, mtu=64)
+            assert threading.active_count() == before
 
 
     @pytest.mark.parametrize("kind", ["empty", "learned_constant", "neighbor_copy"])
@@ -489,12 +562,13 @@ class TestSweep:
         n_measured = sum(r.chamfer_m is not None for r in result.reports)
         assert n_measured and queries == [1] * (2 * n_measured)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, None])  # None: evaluate_roundtrip, not sweep
     def test_traced_layers_stay_on_the_calling_thread(self, pipeline, monkeypatch, jobs):
         # every binding of a layer function in a qpcomm module is spied on, as the
-        # benchmark's tracer wraps them; only the Chamfer queries leave this thread
+        # benchmark's tracer wraps them; only k-d tree work leaves this thread: a
+        # sweep's queries, and evaluate_roundtrip's scene index and whole Chamfer
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        callers, query_threads = [], []
+        callers, index_threads, query_threads = [], [], []
 
         def spy(fn):
             def record(*args, **kwargs):
@@ -511,23 +585,41 @@ class TestSweep:
                     for key, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, key, wrapper)
-        queries = metrics._queries
+        index, queries = metrics._index, metrics._queries
+
+        def indexed(*args):
+            index_threads.append(threading.get_ident())
+            return index(*args)
 
         def query(*args):
             query_threads.append(threading.get_ident())
             return queries(*args)
 
+        monkeypatch.setattr(metrics, "_index", indexed)
         monkeypatch.setattr(metrics, "_queries", query)
         monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor([]))
         monkeypatch.setattr(metrics, "_worker_run", None)
         monkeypatch.setattr(metrics, "_cpus", lambda: 2)
-        result = sweep([cloud, PointCloud(cloud.points[::2])], [0.0, 0.5], 3, cb_occ, cb_int,
-                       spec, patch, policy, mtu=64, master_seed=2, jobs=jobs)
+        scenes = [cloud, PointCloud(cloud.points[::2])]
         here = threading.get_ident()
+        if jobs is None:
+            reports = [
+                metrics.evaluate_roundtrip(scene, cb_occ, cb_int, spec, patch, ChannelConfig(p),
+                                           DecodeConfig(), policy, seed=seed, mtu=64)
+                for scene, p, seed in product(scenes, [0.0, 0.5], range(3))
+            ]
+        else:
+            reports = sweep(scenes, [0.0, 0.5], 3, cb_occ, cb_int, spec, patch, policy,
+                            mtu=64, master_seed=2, jobs=jobs).reports
         assert {name for name, _ in callers} >= {"voxelize", "transmit", "fill", "occupancy_bce"}
         assert {ident for _, ident in callers} == {here}
-        n_measured = sum(r.chamfer_m is not None for r in result.reports)
+        n_measured = sum(r.chamfer_m is not None for r in reports)
         assert len(query_threads) == n_measured > 0 and here not in query_threads
+        # one scene index per call of evaluate_roundtrip, or per scene of a sweep
+        if jobs is None:
+            assert len(index_threads) == len(reports) and here not in index_threads
+        else:
+            assert index_threads == [here] * len(scenes)
 
     def test_pending_chamfers_bounded_by_lanes(self, pipeline, monkeypatch):
         # slow queries: this thread runs ahead until `lanes` trials wait for theirs
@@ -617,6 +709,14 @@ class TestSweep:
         monkeypatch.setattr(metrics, "_send", send)
         with pytest.raises(ValueError, match="drop_rate"):
             sweep([cloud, cloud], [0.3, 1.5], 2, cb_occ, cb_int, spec, patch, policy, mtu=64)
+        assert sends == []
+
+    def test_empty_drop_rates_rejected_before_the_sender_stage(self, pipeline, monkeypatch):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        sends = []
+        monkeypatch.setattr(metrics, "_send", lambda *args: sends.append(args))
+        with pytest.raises(ValueError, match="drop rate"):
+            sweep([cloud], [], 1, cb_occ, cb_int, spec, patch, policy, mtu=64)
         assert sends == []
 
     def test_without_a_cpu_count(self, pipeline, monkeypatch):

@@ -500,6 +500,14 @@ class TestSparseTrainingOracle:
         samples = (rng.random((600, 48)) < 0.04).astype(np.float64)
         assert_matches_dense_oracle(samples, QuantizerConfig(k=24, dim=48, dead_limit=8, seed=3))
 
+    def test_reservoir_smaller_than_samples(self):
+        # n > reservoir_size: refreshes re-seed from a sampled reservoir
+        rng = np.random.default_rng(26)
+        samples = (rng.random((600, 48)) < 0.04).astype(np.float64)
+        cfg = QuantizerConfig(k=24, dim=48, dead_limit=8, reservoir_size=50, seed=7)
+        assert train_codebook(samples, cfg).trace.refresh_iters
+        assert_matches_dense_oracle(samples, cfg)
+
     def test_sparse_float_with_duplicate_rows(self):
         rng = np.random.default_rng(21)
         base = (rng.random((300, 40)) < 0.08) * rng.random((300, 40))

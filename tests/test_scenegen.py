@@ -107,3 +107,20 @@ def test_config_validation():
 def test_negative_seed_and_vehicle_count_rejected(field):
     with pytest.raises(ValueError, match=field):
         SceneConfig(**{field: -1})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"ground_density": math.inf},
+        {"ground_density": math.nan},
+        {"surface_density": math.inf},
+        {"surface_density": math.nan},
+        {"extent": ((0, math.inf), (0, 10), (0, 1.2))},
+        {"extent": ((-math.inf, 10), (0, 10), (0, 1.2))},
+        {"extent": ((0, 10), (math.nan, 10), (0, 1.2))},
+    ],
+)
+def test_non_finite_density_or_extent_rejected(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        SceneConfig(**kwargs)

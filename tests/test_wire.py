@@ -184,6 +184,16 @@ class TestBitPacking:
         with pytest.raises(FormatError, match="bad frame header"):
             reassemble(packets)
 
+    def test_pose_must_fit_float32(self):
+        # the header stores each pose value as f32: the largest one round-trips
+        top = float(np.finfo(np.float32).max)
+        im = random_index_map(np.random.default_rng(25))
+        again = Frame.from_bytes(serialize(im, Pose(top, -top)).to_bytes())
+        assert again.pose.as_tuple() == (top, -top, 0.0, 0.0, 0.0, 0.0)
+        for value in (1e39, -1e39, math.inf, math.nan, np.nextafter(top, math.inf)):
+            with pytest.raises(ValueError, match="pose"):
+                Pose(0.0, 0.0, 0.0, 0.0, 0.0, value)
+
     @pytest.mark.parametrize("agent_id,frame_id", [(-1, 0), (0, -1), (1 << 32, 0), (0, 1 << 32)])
     def test_ids_outside_u32_rejected(self, agent_id, frame_id):
         im = random_index_map(np.random.default_rng(24))
