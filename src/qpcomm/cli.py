@@ -6,9 +6,9 @@ Exit codes: 0 success; 2 a bad flag, reported before any file is read;
 failures).  Each command starts with one flags phase (``_flags``) that reads
 no file and builds every value that comes from flags with the library's own
 constructors, so their ``ValueError`` is the exit-2 message.  The environment
-variable ``QPC_SEED`` overrides any ``--seed`` flag.  Output files are
-written to a temporary name and renamed on success, so a failing command
-never leaves a partial file behind.
+variable ``QPC_SEED`` overrides any ``--seed`` flag, and either seed must lie
+in [0, 2**64).  Output files are written to a temporary name and renamed on
+success, so a failing command never leaves a partial file behind.
 
 Every command but ``volume`` accepts ``--config FILE`` (JSON).  Keys are
 the flag names with dashes replaced by underscores (``in`` for ``--in``).
@@ -95,12 +95,17 @@ def _ints(vals, what: str) -> tuple:
 
 
 def _seed(args) -> int:
+    """``QPC_SEED`` if it is set, else ``--seed``; either must lie in [0, 2**64)."""
     env = os.environ.get("QPC_SEED")
     if env is None:
-        return args.seed
-    if not env.strip().lstrip("+-").replace("_", "").isdecimal():
+        seed, name = args.seed, "--seed"
+    elif env.strip().lstrip("+-").replace("_", "").isdecimal():
+        seed, name = int(env), "QPC_SEED"
+    else:
         raise ValueError(f"QPC_SEED must be an integer, got {env!r}")
-    return int(env)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _grid(args) -> tuple[VoxelGridSpec, PatchSpec]:
@@ -316,8 +321,6 @@ def cmd_sweep(args) -> int:
             ChannelConfig(p)
         if args.trials < 1:
             raise ValueError("--trials must be >= 1")
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
         wire.check_mtu(args.mtu)
         if args.codebooks and args.k is not None:
             raise ValueError("--codebooks reads trained codebooks; it takes no --k")
@@ -337,20 +340,8 @@ def cmd_sweep(args) -> int:
         (cb_occ, fill_occ), (cb_int, fill_int) = _train(scenes, spec, patch, cfg_occ, cfg_int)
     policy = FillPolicy(args.fill, fill_occ, fill_int)
 
-    result = run_sweep(
-        scenes,
-        p_values,
-        args.trials,
-        cb_occ,
-        cb_int,
-        spec,
-        patch,
-        policy,
-        decode_cfg=decode_cfg,
-        mtu=args.mtu,
-        master_seed=seed,
-        jobs=args.jobs,
-    )
+    result = run_sweep(scenes, p_values, args.trials, cb_occ, cb_int, spec, patch, policy,
+                       decode_cfg=decode_cfg, mtu=args.mtu, master_seed=seed)
     scene_ids = [f.stem for f in files]
     if args.out_jsonl:
         _atomic(args.out_jsonl, lambda p: metrics.write_reports_jsonl(p, result.reports))
@@ -473,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-jsonl", default=None)
     p.add_argument("--codebooks", nargs=2, default=None, metavar=("OCC", "INT"))
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_receiver_flags(p)
 
     p = add_command("volume", cmd_volume, help="print the communication-volume metric")

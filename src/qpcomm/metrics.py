@@ -5,33 +5,26 @@ Euclidean, halved, in meters).  ``evaluate_roundtrip`` runs one scene through
 encode -> serialize -> packetize -> lossy channel -> reassemble -> fill ->
 decode and reports fidelity plus communication volume.  It is two stages: a
 sender stage (``_send``) that depends on the scene alone, and a trial.
-``_send`` voxelizes the scene once, quantizes the frame from those truth
-grids and returns them with the scene's Chamfer index (a k-d tree and the
-points in its leaf order).  A trial is ``deliver`` (packetize -> channel), then
-``reconstruct`` (receive -> fill -> decode), then the measurements;
-``qpc simulate`` runs the same two functions.  Each of them defines one
-sub-seed of the trial seed: index 1 for the channel, index 2 for the
-decoder.  ``sweep`` runs the sender stage once per scene and a trial for
-every ``(scene, drop rate, trial)`` index triple, with deterministically
-derived seeds.
+``_send`` voxelizes the scene once and quantizes the frame from those truth
+grids.  A trial is ``deliver`` (packetize -> channel), then ``reconstruct``
+(receive -> fill -> decode), then the measurements; ``qpc simulate`` runs
+the same two functions.  Each of them defines one sub-seed of the trial
+seed: index 1 for the channel, index 2 for the decoder.  ``sweep`` runs the
+sender stage once per scene and a trial for every ``(scene, drop rate,
+trial)`` index triple, with deterministically derived seeds.
 
-Chamfer threads: a process's CPU share is ``share = max(1, _cpus() //
-workers)``, all the CPUs it may use outside a ``sweep`` pool.  A process
-that runs ``n`` sweep trials overlaps them: the calling thread runs every
-trial in index order and builds each reconstruction's k-d tree, and the two
-exact nearest-neighbour queries of a trial then run on one of ``lanes =
-min(share, n)`` helper threads, each query split over ``share // lanes``
-threads, while the calling thread goes on to the next trial.  At most
-``lanes`` trials wait for their queries.  ``evaluate_roundtrip`` overlaps
-its k-d tree work with its own stages on one helper thread: the scene's
-``_index`` builds there while the calling thread voxelizes and encodes, and
-once ``reconstruct`` returns, the whole Chamfer (the reconstruction's tree
-and both queries on all ``share`` CPUs) runs there while the calling thread
-computes BCE and MSE.  ``chamfer`` queries inline on all ``share`` CPUs.  In
-every case the calling thread runs each traced stage, and the helpers run
-only ``_index``, ``_chamfer`` and ``_queries``.  Each point's distance is
-computed alone and the means sum in point order, so the result does not
-depend on the thread or lane count.
+Chamfer threads: ``evaluate_roundtrip`` and ``sweep`` run their ``n``
+trials through one loop, ``_roundtrips``, with ``lanes = min(_cpus(), n)``
+helper threads.  The helpers build each scene's ``_index`` (a k-d tree and
+the points in its leaf order) while the calling thread runs ``_send``.  The
+calling thread then runs every trial in order, builds each reconstruction's
+k-d tree and hands the two exact nearest-neighbour queries to a helper, on
+``_cpus() // lanes`` threads each, before it measures BCE and MSE; once
+``lanes`` Chamfers wait, it first finishes the oldest.  So every traced
+stage runs on the calling thread, and the helpers run only ``_index`` and
+``_chamfer``.  ``chamfer`` queries inline on all ``_cpus()`` CPUs.  Each
+point's distance is computed alone and the means sum in point order, so no
+result depends on the thread or lane count.
 """
 
 from __future__ import annotations
@@ -40,9 +33,8 @@ import csv
 import json
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -98,18 +90,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chamfer(tree, leaf_xyz, b_xyz, threads: int) -> float:
-    """``chamfer`` from the first cloud's ``_index`` and its points in the
-    tree's leaf order to the points ``b_xyz``, each query split over
-    ``threads`` threads."""
-    return _queries(tree, leaf_xyz, cKDTree(b_xyz, balanced_tree=False), threads)
-
-
-def _queries(tree, leaf_xyz, b_tree, threads: int) -> float:
-    """``_chamfer`` once both trees are built.  The first cloud's points are
-    queried in leaf order, so consecutive queries visit nearby parts of b's
-    tree, and the distances are scattered back to the cloud's order, so both
-    means sum in the order the plain per-point queries give."""
+def _chamfer(tree, leaf_xyz, b_tree, threads: int) -> float:
+    """``chamfer`` from the first cloud's ``_index`` to the second cloud's
+    k-d tree, each query split over ``threads`` threads.  The first cloud's
+    points are queried in leaf order, so consecutive queries visit nearby
+    parts of b's tree, and the distances are scattered back to the cloud's
+    order, so both means sum in the order the plain per-point queries give."""
     d_ab = np.empty(len(leaf_xyz))
     d_ab[tree.indices] = b_tree.query(leaf_xyz, k=1, workers=threads)[0]
     d_ba, _ = tree.query(b_tree.data, k=1, workers=threads)
@@ -121,16 +107,13 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
     neighbors; raises on an empty cloud."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer distance is undefined for empty clouds")
-    return _chamfer(*_index(a.xyz), b.xyz, _cpus())
+    return _chamfer(*_index(a.xyz), cKDTree(b.xyz, balanced_tree=False), _cpus())
 
 
-def _send(scene, cb_occ, cb_int, spec, patch, index):
-    """Sender stage: the scene's truth grids, the frame quantized from them,
-    and the scene's ``_index``, which the zero-argument ``index`` returns
-    once the frame is built."""
+def _send(scene, cb_occ, cb_int, spec, patch):
+    """Sender stage: the scene's truth grids and the frame quantized from them."""
     occ, inten, _ = voxelize(scene, spec)
-    frame = serialize(encode_grids(occ, inten, patch, cb_occ, cb_int), Pose())
-    return (occ, inten, frame, *index())
+    return occ, inten, serialize(encode_grids(occ, inten, patch, cb_occ, cb_int), Pose())
 
 
 def deliver(frame: Frame, channel_cfg: ChannelConfig, mtu: int, seed: int):
@@ -155,42 +138,57 @@ def reconstruct(
     return mask, occ_raw, inten, cloud
 
 
-def _trial(sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
-           start_chamfer):
-    """Per-trial stage on a ``_send`` result: ``deliver`` -> ``reconstruct``
-    -> measure, deterministic given ``seed``.  Once the reconstruction
-    exists, and before BCE and MSE, ``start_chamfer(tree, leaf_xyz, recon)``
-    starts its Chamfer against the scene's ``_index`` and returns a
-    zero-argument function for the distance.  Returns the report with its
-    ``chamfer_m`` still unset and that function, or None when either cloud
-    is empty."""
-    occ_truth, int_truth, frame, tree, leaf_xyz = sent
-    delivered, _report = deliver(frame, channel_cfg, mtu, seed)
-    mask, occ_raw, inten, recon = reconstruct(
-        delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg, seed
-    )
-    measure = start_chamfer(tree, leaf_xyz, recon) if len(leaf_xyz) and len(recon) else None
-    bce = occupancy_bce(occ_truth, occ_raw)
-    mse = intensity_mse(int_truth, inten, occ_truth) if occ_truth.n_occupied else None
-    report = EvalReport(
-        chamfer_m=None,
-        occupancy_bce=bce,
-        intensity_mse=mse,
-        comm_log2_bytes=log2_volume(frame.payload_nbits),
-        cell_loss_rate=mask.cell_loss_rate,
-        seed=seed,
-        status=STATUS_OK if measure else STATUS_EMPTY,
-        config={
-            "drop_rate": channel_cfg.drop_rate,
-            "mtu": mtu,
-            "fill": fill_policy.kind,
-            "sigma": decode_cfg.resolved_sigma(spec),
-            "points_per_voxel": decode_cfg.points_per_voxel,
-            "k_occ": frame.k_occ,
-            "k_int": frame.k_int,
-        },
-    )
-    return report, measure
+def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_policy, mtu):
+    """The ``EvalReport`` of every trial ``(scene index, ChannelConfig,
+    seed)`` of ``trials``, in order: ``deliver`` -> ``reconstruct`` ->
+    measure, on the threads of the module docstring's rule.  An error on
+    any thread propagates once every helper has stopped."""
+    cpus = _cpus()
+    lanes = min(cpus, len(trials))
+    reports, pending = [], deque()  # pending: (report index, its Chamfer's future)
+    with ThreadPoolExecutor(lanes) as helpers:
+        # memory a helper frees stays in its own malloc arena, out of this thread's
+        # reach, so the point arrays the scene trees keep are copied here
+        indexes = [helpers.submit(_index, np.ascontiguousarray(s.xyz)) for s in scenes]
+        sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
+        indexes = [future.result() for future in indexes]
+        for si, channel_cfg, seed in trials:
+            occ_truth, int_truth, frame = sent[si]
+            tree, leaf_xyz = indexes[si]
+            delivered, _ = deliver(frame, channel_cfg, mtu, seed)
+            mask, occ_raw, inten, recon = reconstruct(
+                delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg, seed
+            )
+            measured = len(leaf_xyz) > 0 and len(recon) > 0
+            if measured:
+                recon_tree = cKDTree(recon.xyz, balanced_tree=False)
+                if len(pending) == lanes:
+                    i, future = pending.popleft()
+                    reports[i].chamfer_m = future.result()
+                pending.append((len(reports), helpers.submit(
+                    _chamfer, tree, leaf_xyz, recon_tree, cpus // lanes)))
+            reports.append(EvalReport(
+                chamfer_m=None,
+                occupancy_bce=occupancy_bce(occ_truth, occ_raw),
+                intensity_mse=(intensity_mse(int_truth, inten, occ_truth)
+                               if occ_truth.n_occupied else None),
+                comm_log2_bytes=log2_volume(frame.payload_nbits),
+                cell_loss_rate=mask.cell_loss_rate,
+                seed=seed,
+                status=STATUS_OK if measured else STATUS_EMPTY,
+                config={
+                    "drop_rate": channel_cfg.drop_rate,
+                    "mtu": mtu,
+                    "fill": fill_policy.kind,
+                    "sigma": decode_cfg.resolved_sigma(spec),
+                    "points_per_voxel": decode_cfg.points_per_voxel,
+                    "k_occ": frame.k_occ,
+                    "k_int": frame.k_int,
+                },
+            ))
+        for i, future in pending:
+            reports[i].chamfer_m = future.result()
+    return reports
 
 
 def evaluate_roundtrip(
@@ -206,81 +204,15 @@ def evaluate_roundtrip(
     mtu: int = 1200,
 ) -> EvalReport:
     """One full transmit-and-reconstruct measurement, deterministic given
-    ``seed`` (channel and decoder sub-seeds are derived from it).  One
-    helper thread builds the scene's ``_index`` while this thread voxelizes
-    and encodes, then runs the Chamfer while this thread measures BCE and
-    MSE; an error on either thread propagates, after the helper has
-    stopped."""
-    cpus = _cpus()
-    # memory the helper frees stays in its own malloc arena, out of this thread's
-    # reach, so the point arrays both trees keep are copied here
-    contiguous = np.ascontiguousarray
-    with ThreadPoolExecutor(1) as helper:
-        sent = _send(scene, cb_occ, cb_int, spec, patch,
-                     helper.submit(_index, contiguous(scene.xyz)).result)
-        report, measure = _trial(
-            sent, cb_occ, cb_int, spec, patch, channel_cfg, decode_cfg, fill_policy, seed, mtu,
-            lambda tree, leaf_xyz, recon: helper.submit(
-                _chamfer, tree, leaf_xyz, contiguous(recon.xyz), cpus).result,
-        )
-        if measure:
-            report.chamfer_m = measure()
-    return report
+    ``seed`` (channel and decoder sub-seeds are derived from it)."""
+    return _roundtrips([scene], [(0, channel_cfg, seed)], cb_occ, cb_int, spec, patch,
+                       decode_cfg, fill_policy, mtu)[0]
 
 
 @dataclass
 class SweepResult:
     reports: list  # EvalReport per (scene, p, trial), in that nesting order
     aggregates: list  # one dict per entry of p_values
-
-
-def _queries_later(tree, leaf_xyz, recon, threads):
-    """A sweep trial's ``start_chamfer``: builds the reconstruction's tree
-    on this thread and leaves both queries, on ``threads`` threads, to the
-    returned function."""
-    return partial(_queries, tree, leaf_xyz, cKDTree(recon.xyz, balanced_tree=False), threads)
-
-
-def _sweep_trial(index, threads, *, sent, channels, master_seed, **common):
-    """The sweep trial at ``index = (scene_idx, p_idx, trial)``, as ``_trial``
-    returns it."""
-    si, pi, trial = index
-    seed = derive_seed(master_seed, si, pi, trial)
-    return _trial(sent[si], channel_cfg=channels[pi], seed=seed,
-                  start_chamfer=partial(_queries_later, threads=threads), **common)
-
-
-def _pipeline(run, indices, share: int) -> list:
-    """The reports of ``run`` at every index, in order, on ``share`` CPUs, by
-    the lane rule of the module docstring.  Before it hands off a trial's
-    queries, this thread finishes the report ``lanes`` hand-offs back."""
-    lanes = min(share, len(indices))
-    reports, pending = [], deque()
-    with ThreadPoolExecutor(lanes) as helpers:
-        for index in indices:
-            report, measure = run(index, share // lanes)
-            reports.append(report)
-            if measure:
-                if len(pending) == lanes:
-                    done, future = pending.popleft()
-                    done.chamfer_m = future.result()
-                pending.append((report, helpers.submit(measure)))
-        for done, future in pending:
-            done.chamfer_m = future.result()
-    return reports
-
-
-_worker_run = None  # a pool worker's ``_pipeline`` over its chunks, set once by ``_init_worker``
-_CHUNK = 8  # consecutive trial indices per pool task
-
-
-def _init_worker(run) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _run_in_worker(chunk):
-    return _worker_run(chunk)
 
 
 def sweep(
@@ -295,49 +227,29 @@ def sweep(
     decode_cfg: DecodeConfig | None = None,
     mtu: int = 1200,
     master_seed: int = 0,
-    jobs: int = 1,
 ) -> SweepResult:
     """Evaluate every (scene, drop rate, trial) combination.
 
     Each scene goes through the sender stage once (one voxelization, one
-    encoding, one k-d tree); each trial then runs from its index triple
-    with seed ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so
-    results are reproducible and independent of ``jobs`` (>= 1; the worker
-    count is capped at the trial count and at ``_cpus()``, the CPUs this
-    process may use, and each worker receives the sender-stage results and
-    codebooks once, then chunks of consecutive trial indices).  Each process
-    overlaps a trial's Chamfer with its next trials by the lane rule of the
-    module docstring; no lane or thread count changes a result.  Every drop
-    rate is validated before any scene is encoded.  There is one aggregate
-    per entry of ``p_values``, a repeated drop rate included.
+    encoding, one k-d tree); each trial then runs with seed
+    ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so results are
+    reproducible.  Every drop rate is validated before any scene is
+    encoded.  There is one aggregate per entry of ``p_values``, a repeated
+    drop rate included.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     if len(p_values) == 0:
         raise ValueError("need at least one drop rate")
     channels = [ChannelConfig(p) for p in p_values]
-    sent = [_send(scene, cb_occ, cb_int, spec, patch, partial(_index, scene.xyz))
-            for scene in scenes]
-    if not sent:
+    scenes = list(scenes)
+    if not scenes:
         raise ValueError("need at least one scene")
-    indices = list(product(range(len(sent)), range(len(p_values)), range(trials)))
-    cpus = _cpus()
-    workers = min(jobs, len(indices), cpus)
-    share = max(1, cpus // workers)
-    run = partial(
-        _sweep_trial, sent=sent, channels=channels, master_seed=master_seed,
-        cb_occ=cb_occ, cb_int=cb_int, spec=spec, patch=patch,
-        decode_cfg=decode_cfg or DecodeConfig(), fill_policy=fill_policy, mtu=mtu,
+    indices = list(product(range(len(scenes)), range(len(p_values)), range(trials)))
+    reports = _roundtrips(
+        scenes, [(si, channels[pi], derive_seed(master_seed, si, pi, t)) for si, pi, t in indices],
+        cb_occ, cb_int, spec, patch, decode_cfg or DecodeConfig(), fill_policy, mtu,
     )
-    if workers > 1:
-        chunks = [indices[i : i + _CHUNK] for i in range(0, len(indices), _CHUNK)]
-        worker_run = partial(_pipeline, run, share=share)
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(worker_run,)) as pool:
-            reports = [r for chunk in pool.map(_run_in_worker, chunks) for r in chunk]
-    else:
-        reports = _pipeline(run, indices, share)
 
     aggregates = []
     for pi, p in enumerate(p_values):

@@ -12,8 +12,16 @@ import numpy as np
 from .geometry import PointCloud
 
 
+MAX_POINTS = 2**26
+
+
 @dataclass
 class SceneConfig:
+    """A scene's parameters.  A config whose point count could exceed
+    ``MAX_POINTS`` (2**26) is rejected before anything is allocated; the
+    bound is the ground points plus, per vehicle, the surface points at the
+    largest vehicle dimensions plus 5 (one per face for rounding)."""
+
     seed: int = 0
     extent: tuple = ((0.0, 10.0), (0.0, 10.0), (0.0, 1.2))
     n_vehicles: int = 4
@@ -40,6 +48,14 @@ class SceneConfig:
             raise ValueError("ground_height must lie inside the z extent")
         if self.n_vehicles and self.ground_height + self.vehicle_height[1] > z1:
             raise ValueError("vehicles would poke out of the z extent")
+        (x0, x1), (y0, y1), _ = self.extent
+        l, w, h = self.vehicle_length[1], self.vehicle_width[1], self.vehicle_height[1]
+        # a vehicle has at least 5 points, so capping the count keeps the product a float
+        vehicles = min(self.n_vehicles, MAX_POINTS)
+        bound = (self.ground_density * (x1 - x0) * (y1 - y0) + 1
+                 + vehicles * (self.surface_density * (2 * (l + w) * h + l * w) + 5))
+        if not bound <= MAX_POINTS:
+            raise ValueError(f"the scene could hold {bound:.3g} points, more than {MAX_POINTS}")
 
 
 @dataclass

@@ -204,7 +204,20 @@ class TestSweepCommand:
     def test_jobs_below_one_exits_2(self, workspace, capsys, jobs):
         scenes = make_scenes(workspace, n=1)
         assert exit_code("sweep", "--scenes", scenes, "--trials", 1, "--jobs", jobs) == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, workspace, capsys):
+        # a sweep runs its trials in one process, whatever the CPU count
+        scenes = make_scenes(workspace, n=1)
+        assert exit_code("sweep", "--scenes", scenes, "--trials", 1, "--jobs", 2) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_jobs_config_key_is_gone(self, workspace, capsys):
+        scenes = make_scenes(workspace, n=1)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        assert exit_code("sweep", "--scenes", scenes, "--trials", 1, "--config", cfg) == 2
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
 
 
 class TestVolume:
@@ -317,23 +330,33 @@ class TestFlagsPhase:
             "train --grid 0.1,0.1,0.1,nan,64,8",
             "train --k 0",
             "train --ema-decay 2",
+            "train --seed -1",
+            "train --seed 18446744073709551616",
             "sweep --dim-patch 3,3",
             "sweep --mtu 10 --codebooks a b",
             "sweep --k 0",
             "sweep --k 32 --codebooks a b",
             "sweep --p-list 0.1,2",
             "sweep --trials 0",
-            "sweep --jobs 0",
+            "sweep --seed -1",
+            "sweep --seed 18446744073709551616",
             "simulate --latency-ms -1",
             "simulate --jitter-ms nan",
             "simulate --drop-rate nan",
             "simulate --mtu 10",
+            "simulate --seed -1",
+            "simulate --seed 18446744073709551616",
             "simulate --trace-in t.pkts --drop-rate 0.1",
             "simulate --trace-in t.pkts --mtu 500",
             "decode --sigma -1",
             "decode --sigma nan",
             "decode --seed -5",
+            "decode --seed 18446744073709551616",
             "gen-scene --seed -5",
+            "gen-scene --seed 18446744073709551616",
+            "gen-scene --surface-density 1e300",
+            "gen-scene --ground-density 1e15",
+            "gen-scene --n-vehicles 1000000000",
             "gen-scene --n-vehicles -1",
             "gen-scene --ground-density inf",
             "gen-scene --ground-density nan",
@@ -368,6 +391,16 @@ class TestFlagsPhase:
         monkeypatch.setenv("QPC_SEED", "x")
         assert exit_code(command, *MISSING[command]) == 2
         assert "QPC_SEED must be an integer" in capsys.readouterr().err
+        assert sorted(p.name for p in workspace.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("command", ["gen-scene", "train", "decode", "simulate", "sweep"])
+    def test_qpc_seed_out_of_range_exits_2_before_any_file_is_read(
+        self, workspace, monkeypatch, capsys, command, value
+    ):
+        monkeypatch.setenv("QPC_SEED", value)
+        assert exit_code(command, *MISSING[command]) == 2
+        assert f"QPC_SEED must be in [0, 2**64), got {value}" in capsys.readouterr().err
         assert sorted(p.name for p in workspace.iterdir()) == []
 
     def test_bad_agent_id_on_real_files(self, workspace, capsys):

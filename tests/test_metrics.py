@@ -49,30 +49,6 @@ def recording_tree(workers):
     return RecordingTree
 
 
-def in_process_executor(started, alive=None):
-    """A ``ProcessPoolExecutor`` stand-in that appends its worker count to
-    ``started`` (and this process's live thread count to ``alive``, if given)
-    and runs the trials in this process."""
-
-    class FakeExecutor:
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            if alive is not None:
-                alive.append(threading.active_count())
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    return FakeExecutor
-
-
 # the layer functions a trial calls, each as (defining module, name)
 LAYER_FUNCTIONS = [
     ("qpcomm.quantizer", "quantize"),
@@ -144,7 +120,7 @@ class TestChamfer:
         index = metrics._index(a.xyz)
         for _ in range(3):
             b = with_duplicates(n_b)
-            got = metrics._chamfer(*index, b.xyz, 1)
+            got = metrics._chamfer(*index, cKDTree(b.xyz, balanced_tree=False), 1)
             assert got == chamfer(a, b) == reference_chamfer(a, b)
             assert got == pytest.approx(brute_chamfer(a, b), abs=1e-12)
 
@@ -160,10 +136,10 @@ class TestChamfer:
             return PointCloud(np.vstack([pts, pts[: n // 4]]))
 
         a, b = with_duplicates(20_000), with_duplicates(24_000)
-        index = metrics._index(a.xyz)
+        index, b_tree = metrics._index(a.xyz), cKDTree(b.xyz, balanced_tree=False)
         expected = reference_chamfer(a, b)
         for threads in (1, 2, 3, 8):
-            assert metrics._chamfer(*index, b.xyz, threads) == expected
+            assert metrics._chamfer(*index, b_tree, threads) == expected
         assert chamfer(a, b) == expected
 
     def test_uses_every_usable_cpu(self, monkeypatch):
@@ -287,7 +263,7 @@ class TestEvaluateRoundtrip:
                                  DecodeConfig(), policy, seed=1, mtu=64)
         assert waits == [True, True] and rep.chamfer_m is not None
 
-    @pytest.mark.parametrize("where", ["_index", "_queries"])
+    @pytest.mark.parametrize("where", ["_index", "_chamfer"])
     def test_helper_error_propagates(self, pipeline, monkeypatch, where):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
 
@@ -402,21 +378,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([cloud], [0.0], 0, cb_occ, cb_int, spec, patch, policy)
 
-    def test_parallel_jobs_bit_identical(self, pipeline, monkeypatch):
-        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        monkeypatch.setattr(metrics, "_cpus", lambda: 2)  # a real two-worker pool
-        scenes = [cloud, PointCloud(cloud.points[::2])]
-        p_values = [0.0, 0.4, 0.4]
-        serial = sweep(scenes, p_values, 3, cb_occ, cb_int, spec, patch, policy,
-                       mtu=64, master_seed=8, jobs=1)
-        parallel = sweep(scenes, p_values, 3, cb_occ, cb_int, spec, patch, policy,
-                         mtu=64, master_seed=8, jobs=2)
-        assert len(serial.reports) == 18
-        assert [r.to_json_dict() for r in serial.reports] == [
-            r.to_json_dict() for r in parallel.reports
-        ]
-        assert serial.aggregates == parallel.aggregates
-
     def test_reports_match_evaluate_roundtrip_per_index(self, pipeline):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         scenes = [cloud, PointCloud(cloud.points[::2])]
@@ -481,92 +442,62 @@ class TestSweep:
         first = [result.reports[0].cell_loss_rate, result.reports[2].cell_loss_rate]
         assert result.aggregates[0]["mean_cell_loss_rate"] == float(np.mean(first))
 
+    def test_scenes_from_a_generator(self, pipeline):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        scenes = [cloud, PointCloud(cloud.points[::2])]
+        args = ([0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy)
+        listed = sweep(scenes, *args, mtu=64, master_seed=5)
+        generated = sweep((s for s in scenes), *args, mtu=64, master_seed=5)
+        assert [r.to_json_dict() for r in generated.reports] == [
+            r.to_json_dict() for r in listed.reports
+        ]
+        assert generated.aggregates == listed.aggregates
+
     def test_empty_scenes_rejected(self, pipeline):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         with pytest.raises(ValueError, match="scene"):
             sweep([], [0.3], 1, cb_occ, cb_int, spec, patch, policy)
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_validated(self, pipeline, jobs):
+    @pytest.mark.parametrize("trials", [1, 3, 6])
+    @pytest.mark.parametrize("cpus", [1, 2, 5, 8])
+    def test_chamfer_threads_share_the_cpus(self, pipeline, monkeypatch, cpus, trials):
+        # lanes = min(cpus, trials) lanes of cpus // lanes threads each
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        with pytest.raises(ValueError, match="jobs"):
-            sweep([cloud], [0.0], 1, cb_occ, cb_int, spec, patch, policy, jobs=jobs)
-
-    @pytest.mark.parametrize(
-        "jobs,n_scenes,cpus,expected",
-        [(64, 1, 8, 3), (2, 1, 8, 2), (64, 2, 4, 4), (64, 1, 1, None), (3, 1, 1, None)],
-    )
-    def test_worker_count_capped(self, pipeline, monkeypatch, jobs, n_scenes, cpus, expected):
-        # expected None: a single worker, so the trials run in this process
-        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        started = []
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
-        monkeypatch.setattr(metrics, "_worker_run", None)
-        monkeypatch.setattr(metrics, "_cpus", lambda: cpus)
-        scenes = [cloud] * n_scenes
-        result = sweep(scenes, [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
-                       mtu=64, master_seed=9, jobs=jobs)
-        assert started == ([] if expected is None else [expected])
-        serial = sweep(scenes, [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
+        serial = sweep([cloud], [0.0], trials, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=9)
-        assert [r.to_json_dict() for r in result.reports] == [
-            r.to_json_dict() for r in serial.reports
-        ]
-
-    @pytest.mark.parametrize(
-        "jobs,cpus,workers,threads",
-        [(1, 5, None, 1), (2, 5, 2, 1), (3, 2, 2, 1), (2, 1, None, 1), (1, 8, None, 2),
-         (2, 16, 2, 2)],
-    )
-    def test_chamfer_threads_share_the_cpus(
-        self, pipeline, monkeypatch, jobs, cpus, workers, threads
-    ):
-        # at most one worker per CPU; a process's share = cpus // workers goes to
-        # lanes = min(share, its 3 trials) lanes of share // lanes threads each
-        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        serial = sweep([cloud], [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
-                       mtu=64, master_seed=9)
-        started, queries = [], []
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
-        monkeypatch.setattr(metrics, "_worker_run", None)
+        queries = []
         monkeypatch.setattr(metrics, "cKDTree", recording_tree(queries))
         monkeypatch.setattr(metrics, "_cpus", lambda: cpus)
-        result = sweep([cloud], [0.0, 0.5, 1.0], 1, cb_occ, cb_int, spec, patch, policy,
-                       mtu=64, master_seed=9, jobs=jobs)
-        assert started == ([] if workers is None else [workers])
+        result = sweep([cloud], [0.0], trials, cb_occ, cb_int, spec, patch, policy,
+                       mtu=64, master_seed=9)
         n_measured = sum(r.chamfer_m is not None for r in result.reports)
-        assert n_measured and queries == [threads] * (2 * n_measured)
+        assert n_measured == trials
+        assert queries == [cpus // min(cpus, trials)] * (2 * n_measured)
         assert [r.to_json_dict() for r in result.reports] == [
             r.to_json_dict() for r in serial.reports
         ]
-        queries.clear()
+        queries.clear()  # one trial: one lane on every CPU
         evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
                            DecodeConfig(), policy, seed=1, mtu=64)
         assert queries == [cpus, cpus]
-        queries.clear()  # one trial: one lane on every CPU
-        sweep([cloud], [0.0], 1, cb_occ, cb_int, spec, patch, policy, mtu=64)
-        assert queries == [cpus, cpus]
 
     def test_workers_follow_the_affinity_mask(self, pipeline, monkeypatch):
-        # one allowed CPU on an 8-CPU machine: no pool, and one Chamfer thread
+        # one allowed CPU on an 8-CPU machine: one lane of one Chamfer thread
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        started, queries = [], []
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started))
-        monkeypatch.setattr(metrics, "_worker_run", None)
+        queries = []
         monkeypatch.setattr(metrics, "cKDTree", recording_tree(queries))
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 8)
         result = sweep([cloud], [0.0, 0.5], 1, cb_occ, cb_int, spec, patch, policy,
-                       mtu=64, master_seed=3, jobs=2)
-        assert started == []
+                       mtu=64, master_seed=3)
         n_measured = sum(r.chamfer_m is not None for r in result.reports)
         assert n_measured and queries == [1] * (2 * n_measured)
 
-    @pytest.mark.parametrize("jobs", [1, 2, None])  # None: evaluate_roundtrip, not sweep
-    def test_traced_layers_stay_on_the_calling_thread(self, pipeline, monkeypatch, jobs):
+    @pytest.mark.parametrize("lanes", [1, 2, None])  # None: evaluate_roundtrip, not sweep
+    def test_traced_layers_stay_on_the_calling_thread(self, pipeline, monkeypatch, lanes):
         # every binding of a layer function in a qpcomm module is spied on, as the
-        # benchmark's tracer wraps them; only k-d tree work leaves this thread: a
-        # sweep's queries, and evaluate_roundtrip's scene index and whole Chamfer
+        # benchmark's tracer wraps them; only k-d tree work leaves this thread:
+        # the scene indexes and the queries
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         callers, index_threads, query_threads = [], [], []
 
@@ -585,7 +516,7 @@ class TestSweep:
                     for key, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, key, wrapper)
-        index, queries = metrics._index, metrics._queries
+        index, queries = metrics._index, metrics._chamfer
 
         def indexed(*args):
             index_threads.append(threading.get_ident())
@@ -596,13 +527,11 @@ class TestSweep:
             return queries(*args)
 
         monkeypatch.setattr(metrics, "_index", indexed)
-        monkeypatch.setattr(metrics, "_queries", query)
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor([]))
-        monkeypatch.setattr(metrics, "_worker_run", None)
-        monkeypatch.setattr(metrics, "_cpus", lambda: 2)
+        monkeypatch.setattr(metrics, "_chamfer", query)
+        monkeypatch.setattr(metrics, "_cpus", lambda: lanes or 2)  # sweeps of 12 trials
         scenes = [cloud, PointCloud(cloud.points[::2])]
         here = threading.get_ident()
-        if jobs is None:
+        if lanes is None:
             reports = [
                 metrics.evaluate_roundtrip(scene, cb_occ, cb_int, spec, patch, ChannelConfig(p),
                                            DecodeConfig(), policy, seed=seed, mtu=64)
@@ -610,40 +539,37 @@ class TestSweep:
             ]
         else:
             reports = sweep(scenes, [0.0, 0.5], 3, cb_occ, cb_int, spec, patch, policy,
-                            mtu=64, master_seed=2, jobs=jobs).reports
+                            mtu=64, master_seed=2).reports
         assert {name for name, _ in callers} >= {"voxelize", "transmit", "fill", "occupancy_bce"}
         assert {ident for _, ident in callers} == {here}
         n_measured = sum(r.chamfer_m is not None for r in reports)
         assert len(query_threads) == n_measured > 0 and here not in query_threads
         # one scene index per call of evaluate_roundtrip, or per scene of a sweep
-        if jobs is None:
-            assert len(index_threads) == len(reports) and here not in index_threads
-        else:
-            assert index_threads == [here] * len(scenes)
+        assert len(index_threads) == (len(reports) if lanes is None else len(scenes))
+        assert here not in index_threads
 
     def test_pending_chamfers_bounded_by_lanes(self, pipeline, monkeypatch):
-        # slow queries: this thread runs ahead until `lanes` trials wait for theirs
+        # slow queries: this thread runs ahead until `lanes` trials wait for theirs;
+        # each trial hands its Chamfer off before its BCE
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         lock, made, finished, peaks = threading.Lock(), [0], [0], []
-        trial, queries = metrics._trial, metrics._queries
+        bce, chamfer_ = metrics.occupancy_bce, metrics._chamfer
 
-        def counted_trial(*args, **kwargs):
+        def counted_bce(*args):
             with lock:
+                made[0] += 1
                 peaks.append(made[0] - finished[0])
-            report, measure = trial(*args, **kwargs)
-            with lock:
-                made[0] += measure is not None
-            return report, measure
+            return bce(*args)
 
-        def slow_query(*args):
+        def slow_chamfer(*args):
             time.sleep(0.1)
-            d = queries(*args)
+            d = chamfer_(*args)
             with lock:
                 finished[0] += 1
             return d
 
-        monkeypatch.setattr(metrics, "_trial", counted_trial)
-        monkeypatch.setattr(metrics, "_queries", slow_query)
+        monkeypatch.setattr(metrics, "occupancy_bce", counted_bce)
+        monkeypatch.setattr(metrics, "_chamfer", slow_chamfer)
         monkeypatch.setattr(metrics, "_cpus", lambda: 2)
         result = sweep([cloud], [0.0, 0.3], 3, cb_occ, cb_int, spec, patch, policy,
                        mtu=64, master_seed=1)
@@ -671,7 +597,7 @@ class TestSweep:
 
     def test_query_error_propagates(self, pipeline, monkeypatch):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        calls, queries = [], metrics._queries
+        calls, queries = [], metrics._chamfer
 
         def failing_query(*args):
             calls.append(None)
@@ -679,23 +605,11 @@ class TestSweep:
                 raise RuntimeError("query failed")
             return queries(*args)
 
-        monkeypatch.setattr(metrics, "_queries", failing_query)
+        monkeypatch.setattr(metrics, "_chamfer", failing_query)
         monkeypatch.setattr(metrics, "_cpus", lambda: 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="query failed"):
             sweep([cloud], [0.0, 0.3], 3, cb_occ, cb_int, spec, patch, policy, mtu=64)
-        assert threading.active_count() == before
-
-    def test_pool_starts_without_helper_threads(self, pipeline, monkeypatch):
-        # a forked worker copies only the thread that forks
-        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
-        started, alive = [], []
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", in_process_executor(started, alive))
-        monkeypatch.setattr(metrics, "_worker_run", None)
-        monkeypatch.setattr(metrics, "_cpus", lambda: 2)
-        before = threading.active_count()
-        sweep([cloud], [0.0, 0.3], 3, cb_occ, cb_int, spec, patch, policy, mtu=64, jobs=2)
-        assert started == [2] and alive == [before]
         assert threading.active_count() == before
 
     def test_drop_rates_validated_before_the_sender_stage(self, pipeline, monkeypatch):
@@ -726,7 +640,7 @@ class TestSweep:
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
         monkeypatch.delattr(metrics.os, "sched_getaffinity", raising=False)
         result = sweep([cloud], [0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy,
-                       mtu=64, master_seed=4, jobs=4)
+                       mtu=64, master_seed=4)
         assert [r.to_json_dict() for r in result.reports] == [
             r.to_json_dict() for r in serial.reports
         ]

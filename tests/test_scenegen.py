@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qpcomm.scenegen import Box, SceneConfig, generate
+from qpcomm.scenegen import MAX_POINTS, Box, SceneConfig, generate
 
 
 def surface_distance(point, box: Box) -> float:
@@ -123,4 +123,20 @@ def test_negative_seed_and_vehicle_count_rejected(field):
 )
 def test_non_finite_density_or_extent_rejected(kwargs):
     with pytest.raises(ValueError, match="finite"):
+        SceneConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"surface_density": 1e300},
+        {"ground_density": 1e15},
+        {"n_vehicles": 10**9},
+        {"n_vehicles": 10**400},  # too large for a float
+        {"ground_density": 1e300, "extent": ((-1e200, 1e200), (0, 10), (0, 1.2))},
+    ],
+)
+def test_point_count_capped(kwargs):
+    # far above the cap, so nothing of the scene's size could be allocated
+    with pytest.raises(ValueError, match=f"more than {MAX_POINTS}"):
         SceneConfig(**kwargs)

@@ -21,8 +21,8 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
 - a scene generated outside the desk grid (``--extent 20,30,20,30,0,1.2``),
   encoded with every point dropped, then ``simulate --drop-rate 1 --fill
   empty`` on it: every cell lost and no point decoded;
-- ``sweep --codebooks`` at ``--jobs 1`` and ``--jobs 2``, a sweep that
-  trains its own codebooks, and ``volume``;
+- ``sweep --codebooks``, a sweep that trains its own codebooks, and
+  ``volume``;
 - the ``evaluate_roundtrip`` JSON for every fill at drop rates 0, 0.3, 0.9.
 
 It exits 1 if any run exits non-zero.
@@ -98,11 +98,9 @@ def _run_all(stdouts: dict) -> None:
     qpc("sim-far", "simulate", "--in", "far.qpfr", *CODEBOOKS, "--seed", 6, "--drop-rate", 1,
         "--fill", "empty", "--out", "sim-far.qpcd", "--report", "sim-far.json")
 
-    for jobs in (1, 2):
-        tag = f"sweep-jobs{jobs}"
-        qpc(tag, "sweep", "--scenes", "scenes", *CODEBOOKS, "--p-list", "0,0.3,0.3,0.9",
-            "--trials", 2, "--mtu", 128, "--seed", 2, "--fill", "neighbor_copy",
-            "--jobs", jobs, "--out-jsonl", f"{tag}.jsonl", "--out-csv", f"{tag}.csv")
+    qpc("sweep", "sweep", "--scenes", "scenes", *CODEBOOKS, "--p-list", "0,0.3,0.3,0.9",
+        "--trials", 2, "--mtu", 128, "--seed", 2, "--fill", "neighbor_copy",
+        "--out-jsonl", "sweep.jsonl", "--out-csv", "sweep.csv")
     qpc("sweep-train", "sweep", "--scenes", "scenes", "--k", 16, "--p-list", "0.2,0.5",
         "--trials", 2, "--seed", 8, "--out-jsonl", "sweep-train.jsonl",
         "--out-csv", "sweep-train.csv")
