@@ -9,12 +9,11 @@ import numpy as np
 from .wire import Packet
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
     drop_rate: float
     latency_ms: float = 0.0
     jitter_ms: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.drop_rate <= 1.0:
@@ -44,18 +43,18 @@ class ChannelReport:
         }
 
 
-def transmit(packets, cfg: ChannelConfig) -> tuple[list[Packet], "ChannelReport"]:
+def transmit(packets, cfg: ChannelConfig, seed: int = 0) -> tuple[list[Packet], "ChannelReport"]:
     """Push packets through the channel.
 
     Each packet is dropped independently with probability ``drop_rate``;
     survivors keep their order and are stamped with
     ``latency_ms + uniform(0, jitter_ms)``.  The jitter draw is indexed by
     packet position, so a packet's timestamp does not depend on which other
-    packets were dropped.  Deterministic given the seed.
+    packets were dropped.  Deterministic given ``seed``, which must be >= 0.
     """
     packets = list(packets)
     n = len(packets)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     u_drop = rng.random(n)
     u_jitter = rng.random(n)
     dropped = u_drop < cfg.drop_rate

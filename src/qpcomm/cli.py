@@ -259,11 +259,12 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     with _flags():
-        decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip, _seed(args))
+        seed = _seed(args)
+        decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip)
     frame = read_frame(args.infile)
     (cb_occ, _), (cb_int, _) = _read_codebooks(args.codebooks)
     im, _mask = wire.deserialize(frame)
-    cloud = decode(im, cb_occ, cb_int, decode_cfg)
+    cloud = decode(im, cb_occ, cb_int, decode_cfg, seed)
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     print(f"decoded {len(cloud)} points to {args.out}")
     return 0
@@ -273,8 +274,7 @@ def cmd_simulate(args) -> int:
     with _flags():
         seed = _seed(args)
         channel = ChannelConfig(args.drop_rate, args.latency_ms, args.jitter_ms)
-        if args.trace_in and (args.drop_rate or args.latency_ms or args.jitter_ms
-                              or args.mtu != args.parser.get_default("mtu")):
+        if args.trace_in and (channel != ChannelConfig(0.0) or args.mtu != wire.DEFAULT_MTU):
             raise ValueError("--trace-in replays recorded packets: no channel flags, no --mtu")
         wire.check_mtu(args.mtu)
         decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip)
@@ -319,8 +319,8 @@ def cmd_sweep(args) -> int:
         p_values = _floats(args.p_list, None, "--p-list")
         for p in p_values:
             ChannelConfig(p)
-        if args.trials < 1:
-            raise ValueError("--trials must be >= 1")
+        if not 1 <= args.trials <= metrics.MAX_TRIALS:
+            raise ValueError(f"--trials must lie in [1, {metrics.MAX_TRIALS}]")
         wire.check_mtu(args.mtu)
         if args.codebooks and args.k is not None:
             raise ValueError("--codebooks reads trained codebooks; it takes no --k")
@@ -389,7 +389,7 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_receiver_flags(p: argparse.ArgumentParser) -> None:
     """The flags of a lossy trial's receiver, shared by ``simulate`` and ``sweep``."""
-    p.add_argument("--mtu", type=int, default=1200)
+    p.add_argument("--mtu", type=int, default=wire.DEFAULT_MTU)
     p.add_argument("--fill", choices=POLICIES, default=POLICY_LEARNED)
     _add_decode_flags(p)
 
@@ -402,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name, run, help):
         cmd = sub.add_parser(name, help=help)
-        # a command may ask its own parser for a flag's default
-        cmd.set_defaults(run=run, parser=cmd)
+        cmd.set_defaults(run=run)
         return cmd
 
     p = add_command("gen-scene", cmd_gen_scene, help="generate a synthetic scene as QPCD")

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    MAX_POINTS,
     IntensityGrid,
     OccupancyGrid,
     PatchSpec,
@@ -84,24 +85,22 @@ class IndexMap:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeConfig:
     """``sigma`` is the Gaussian sampling std in meters (None means dx/4);
     with ``clip_to_voxel`` samples are kept inside the voxel box by rejection
-    (fallback to the centroid after 16 attempts)."""
+    (fallback to the centroid after 16 attempts).  ``points_per_voxel`` lies
+    in [1, ``MAX_POINTS``]."""
 
     sigma: float | None = None
     points_per_voxel: int = 1
     clip_to_voxel: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma is not None and not 0 <= self.sigma < np.inf:
             raise ValueError("sigma must be finite and >= 0")
-        if self.points_per_voxel < 1:
-            raise ValueError("points_per_voxel must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 1 <= self.points_per_voxel <= MAX_POINTS:
+            raise ValueError(f"points_per_voxel must lie in [1, {MAX_POINTS}]")
 
     def resolved_sigma(self, spec: VoxelGridSpec) -> float:
         return spec.cell[0] / 4.0 if self.sigma is None else float(self.sigma)
@@ -147,23 +146,27 @@ def encode_grids(
     )
 
 
-def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig) -> PointCloud:
+def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig,
+                 seed: int = 0) -> PointCloud:
     """Reconstruct a cloud from thresholded grids.
 
     Each occupied voxel emits ``points_per_voxel`` Gaussian samples around
     its centroid (exactly the centroid when sigma is 0), all carrying the
-    voxel's intensity value.
+    voxel's intensity value.  Draws come from ``seed``, >= 0 at every sigma.
+    More than ``MAX_POINTS`` points raise before any is allocated.
     """
+    rng = np.random.default_rng(seed)
     spec = occ.spec
     idx = np.argwhere(occ.data > 0)
-    values = inten.data[tuple(idx.T)]
     ppv = cfg.points_per_voxel
+    if len(idx) * ppv > MAX_POINTS:
+        raise ValueError(f"{len(idx)} voxels x {ppv} points exceed {MAX_POINTS} points")
+    values = inten.data[tuple(idx.T)]
     centers = np.repeat(spec.centroids(idx), ppv, axis=0)
     sigma = cfg.resolved_sigma(spec)
     if sigma == 0.0:
         pos = centers
     else:
-        rng = np.random.default_rng(cfg.seed)
         cell = np.asarray(spec.cell)
         lo = np.repeat(np.asarray(spec.origin) + idx * cell, ppv, axis=0)
         hi = lo + cell
@@ -182,8 +185,9 @@ def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig) ->
     return PointCloud(points)
 
 
-def decode(im: IndexMap, cb_occ: Codebook, cb_int: Codebook, cfg: DecodeConfig) -> PointCloud:
-    """Look the indices up in their codebooks and reconstruct the cloud."""
+def decode(im: IndexMap, cb_occ: Codebook, cb_int: Codebook, cfg: DecodeConfig,
+           seed: int = 0) -> PointCloud:
+    """Look the indices up in their codebooks and ``decode_grids`` with ``seed``."""
     if cb_occ.k != im.k_occ or cb_int.k != im.k_int:
         raise ValueError("codebook sizes do not match the index map")
     if im.codebook_ids is not None:
@@ -191,7 +195,7 @@ def decode(im: IndexMap, cb_occ: Codebook, cb_int: Codebook, cfg: DecodeConfig) 
         if ids != tuple(im.codebook_ids):
             raise ValueError("codebook content does not match the index map ids")
     occ_vec, int_vec = cb_occ.entries[im.occ_indices], cb_int.entries[im.int_indices]
-    return decode_grids(*unpatchify(occ_vec, int_vec, im.patch, im.spec), cfg)
+    return decode_grids(*unpatchify(occ_vec, int_vec, im.patch, im.spec), cfg, seed)
 
 
 def occupancy_bce(truth: OccupancyGrid, predicted_probs: np.ndarray) -> float:

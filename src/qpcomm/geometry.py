@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+MAX_POINTS = 2**26  # the most points a generated scene or a decoded cloud may hold
+
 
 @dataclass
 class PointCloud:

@@ -8,10 +8,11 @@ sender stage (``_send``) that depends on the scene alone, and a trial.
 ``_send`` voxelizes the scene once and quantizes the frame from those truth
 grids.  A trial is ``deliver`` (packetize -> channel), then ``reconstruct``
 (receive -> fill -> decode), then the measurements; ``qpc simulate`` runs
-the same two functions.  Each of them defines one sub-seed of the trial
-seed: index 1 for the channel, index 2 for the decoder.  ``sweep`` runs the
-sender stage once per scene and a trial for every ``(scene, drop rate,
-trial)`` index triple, with deterministically derived seeds.
+the same two functions.  Each passes one sub-seed of the trial seed to the
+stage that draws from it: index 1 to ``transmit``, index 2 to
+``decode_grids``; no config carries a seed.  ``sweep`` runs the sender
+stage once per scene and a trial for every ``(scene, drop rate, trial)``
+index triple, with deterministically derived seeds.
 
 Chamfer threads: ``evaluate_roundtrip`` and ``sweep`` run their ``n``
 trials through one loop, ``_roundtrips``, with ``lanes = min(_cpus(), n)``
@@ -34,7 +35,7 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -53,10 +54,11 @@ from .geometry import (
 from .quantizer import Codebook
 from .seeds import derive_seed
 from .tolerance import FillPolicy
-from .wire import Frame, Pose, log2_volume, packetize, receive, serialize
+from .wire import DEFAULT_MTU, Frame, Pose, log2_volume, packetize, receive, serialize
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_reconstruction"
+MAX_TRIALS = 2**20  # per scene and drop rate; bounds the index triples a sweep holds
 
 
 @dataclass
@@ -117,10 +119,10 @@ def _send(scene, cb_occ, cb_int, spec, patch):
 
 
 def deliver(frame: Frame, channel_cfg: ChannelConfig, mtu: int, seed: int):
-    """The trial's sender side: ``frame``'s packets at ``mtu`` through the
-    channel, seeded with sub-seed 1 of ``seed``.  Returns the delivered
-    packets and the ``ChannelReport``."""
-    return transmit(packetize(frame, mtu), replace(channel_cfg, seed=derive_seed(seed, 1)))
+    """The trial's sender side: ``frame``'s packets at ``mtu`` through
+    ``transmit`` with sub-seed 1 of ``seed``.  Returns the delivered packets
+    and the ``ChannelReport``."""
+    return transmit(packetize(frame, mtu), channel_cfg, derive_seed(seed, 1))
 
 
 def reconstruct(
@@ -134,7 +136,7 @@ def reconstruct(
     occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, policy)
     occ_raw = assemble_grid(occ_vec, patch, spec)
     occ, inten = threshold_grids(occ_raw, assemble_grid(int_vec, patch, spec), spec)
-    cloud = decode_grids(occ, inten, replace(decode_cfg, seed=derive_seed(seed, 2)))
+    cloud = decode_grids(occ, inten, decode_cfg, derive_seed(seed, 2))
     return mask, occ_raw, inten, cloud
 
 
@@ -201,7 +203,7 @@ def evaluate_roundtrip(
     decode_cfg: DecodeConfig,
     fill_policy: FillPolicy,
     seed: int,
-    mtu: int = 1200,
+    mtu: int = DEFAULT_MTU,
 ) -> EvalReport:
     """One full transmit-and-reconstruct measurement, deterministic given
     ``seed`` (channel and decoder sub-seeds are derived from it)."""
@@ -224,8 +226,8 @@ def sweep(
     spec: VoxelGridSpec,
     patch: PatchSpec,
     fill_policy: FillPolicy,
-    decode_cfg: DecodeConfig | None = None,
-    mtu: int = 1200,
+    decode_cfg: DecodeConfig = DecodeConfig(),
+    mtu: int = DEFAULT_MTU,
     master_seed: int = 0,
 ) -> SweepResult:
     """Evaluate every (scene, drop rate, trial) combination.
@@ -233,12 +235,12 @@ def sweep(
     Each scene goes through the sender stage once (one voxelization, one
     encoding, one k-d tree); each trial then runs with seed
     ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so results are
-    reproducible.  Every drop rate is validated before any scene is
-    encoded.  There is one aggregate per entry of ``p_values``, a repeated
-    drop rate included.
+    reproducible.  ``trials`` lies in [1, ``MAX_TRIALS``] (2**20), and every
+    drop rate is validated before any scene is encoded.  There is one
+    aggregate per entry of ``p_values``, a repeated drop rate included.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
     if len(p_values) == 0:
         raise ValueError("need at least one drop rate")
     channels = [ChannelConfig(p) for p in p_values]
@@ -248,7 +250,7 @@ def sweep(
     indices = list(product(range(len(scenes)), range(len(p_values)), range(trials)))
     reports = _roundtrips(
         scenes, [(si, channels[pi], derive_seed(master_seed, si, pi, t)) for si, pi, t in indices],
-        cb_occ, cb_int, spec, patch, decode_cfg or DecodeConfig(), fill_policy, mtu,
+        cb_occ, cb_int, spec, patch, decode_cfg, fill_policy, mtu,
     )
 
     aggregates = []

@@ -55,8 +55,8 @@ class QuantizerConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("codebook size must be >= 1")
+        if not 1 <= self.k < 2**32:  # K is a u32 in QPCB files and frames
+            raise ValueError("codebook size must lie in [1, 2**32)")
         if self.dim < 1:
             raise ValueError("vector dimension must be >= 1")
         if self.dead_limit < 0:

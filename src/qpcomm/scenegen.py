@@ -9,10 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud
-
-
-MAX_POINTS = 2**26
+from .geometry import MAX_POINTS, PointCloud
 
 
 @dataclass

@@ -50,6 +50,7 @@ HEADER_LEN = struct.calcsize(_HEADER_FMT)  # 121 bytes
 # header bytes not modeled by the volume formula (everything beyond the pose)
 HEADER_OVERHEAD_BEYOND_POSE = HEADER_LEN - 24
 MIN_MTU = 64
+DEFAULT_MTU = 1200
 POSE_BITS = 6 * 32
 _F32_MAX = float(np.finfo(np.float32).max)  # the largest |value| a pose field holds
 
@@ -383,11 +384,12 @@ def comm_volume_log2_bytes(n_vectors: int, k: int) -> float:
     """Communication volume, log2 of the frame byte count modeled as
     ``(2 * N * log2(K) + 6 * 32) / 8``: both index grids at log2(K) bits per
     cell plus six 32-bit pose parameters.  K must be a power of two for the
-    bit cost to be well-defined."""
-    if n_vectors < 1:
-        raise ValueError("n_vectors must be >= 1")
-    if k < 2 or (k & (k - 1)) != 0:
-        raise ValueError("codebook size must be a power of two >= 2")
+    bit cost to be well-defined.  Both are bounded by the header: N = h * w
+    with h and w u32, and K a u32."""
+    if not 1 <= n_vectors <= (2**32 - 1) ** 2:
+        raise ValueError("n_vectors must lie in [1, (2**32 - 1)**2]")
+    if not 2 <= k < 2**32 or (k & (k - 1)) != 0:
+        raise ValueError("codebook size must be a power of two in [2, 2**32)")
     return log2_volume(2 * n_vectors * bits_for(k))
 
 

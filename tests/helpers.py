@@ -48,7 +48,7 @@ def reference_chamfer(a, b):
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
-def reference_decode_grids(occ, inten, cfg, attempts=16):
+def reference_decode_grids(occ, inten, cfg, seed=0, attempts=16):
     """``codec.decode_grids`` as first implemented: every rejection round
     re-tests all points against their voxel boxes.  The library's loop
     re-tests only the redrawn rows and must return the same points bit for
@@ -64,7 +64,7 @@ def reference_decode_grids(occ, inten, cfg, attempts=16):
     if sigma == 0.0:
         pos = centers
     else:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         cell = np.asarray(spec.cell)
         lo = np.repeat(np.asarray(spec.origin) + idx * cell, ppv, axis=0)
         hi = lo + cell

@@ -148,10 +148,10 @@ def test_c04_wire_bit_exactness():
 
 def test_c05_channel_statistics():
     packets = [q.Packet(0, i, i, b"x") for i in range(10_000)]
-    delivered, rep = q.transmit(packets, q.ChannelConfig(drop_rate=0.3, seed=2025))
+    delivered, rep = q.transmit(packets, q.ChannelConfig(drop_rate=0.3), 2025)
     bound = 3 * math.sqrt(0.3 * 0.7 / 10_000)
     frac_ok = abs(rep.drop_fraction - 0.3) <= bound
-    _, rep2 = q.transmit(packets, q.ChannelConfig(drop_rate=0.3, seed=2025))
+    _, rep2 = q.transmit(packets, q.ChannelConfig(drop_rate=0.3), 2025)
     det_ok = rep.dropped_seqs == rep2.dropped_seqs
     report(
         "5 channel-statistics",

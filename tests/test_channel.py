@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,38 +15,38 @@ def make_packets(n):
 class TestTransmit:
     def test_p_zero_delivers_all(self):
         packets = make_packets(50)
-        delivered, report = transmit(packets, ChannelConfig(drop_rate=0.0, seed=1))
+        delivered, report = transmit(packets, ChannelConfig(drop_rate=0.0), 1)
         assert len(delivered) == 50
         assert report.packets_dropped == 0
         assert report.drop_fraction == 0.0
 
     def test_p_one_drops_all(self):
         packets = make_packets(50)
-        delivered, report = transmit(packets, ChannelConfig(drop_rate=1.0, seed=1))
+        delivered, report = transmit(packets, ChannelConfig(drop_rate=1.0), 1)
         assert delivered == []
         assert report.packets_dropped == 50
 
     def test_binomial_concentration(self):
         # 3-sigma binomial bound at p=0.3 over 10k packets
         packets = make_packets(10_000)
-        delivered, report = transmit(packets, ChannelConfig(drop_rate=0.3, seed=2024))
+        delivered, report = transmit(packets, ChannelConfig(drop_rate=0.3), 2024)
         bound = 3 * math.sqrt(0.3 * 0.7 / 10_000)
         assert abs(report.drop_fraction - 0.3) <= bound
         assert report.packets_sent == 10_000
 
     def test_determinism(self):
         packets = make_packets(500)
-        cfg = ChannelConfig(drop_rate=0.4, latency_ms=5.0, jitter_ms=2.0, seed=7)
-        d1, r1 = transmit(packets, cfg)
-        d2, r2 = transmit(packets, cfg)
+        cfg = ChannelConfig(drop_rate=0.4, latency_ms=5.0, jitter_ms=2.0)
+        d1, r1 = transmit(packets, cfg, 7)
+        d2, r2 = transmit(packets, cfg, 7)
         assert [p.seq for p in d1] == [p.seq for p in d2]
         assert r1.dropped_seqs == r2.dropped_seqs
         assert r1.delivery_times_ms == r2.delivery_times_ms
 
     def test_order_preserved_and_latency_window(self):
         packets = make_packets(200)
-        cfg = ChannelConfig(drop_rate=0.2, latency_ms=10.0, jitter_ms=4.0, seed=3)
-        delivered, report = transmit(packets, cfg)
+        cfg = ChannelConfig(drop_rate=0.2, latency_ms=10.0, jitter_ms=4.0)
+        delivered, report = transmit(packets, cfg, 3)
         seqs = [p.seq for p in delivered]
         assert seqs == sorted(seqs)
         times = np.asarray(report.delivery_times_ms)
@@ -54,13 +55,23 @@ class TestTransmit:
     def test_jitter_independent_of_drops(self):
         # dropping other packets must not change a survivor's timestamp
         packets = make_packets(100)
-        base_cfg = ChannelConfig(drop_rate=0.0, latency_ms=1.0, jitter_ms=9.0, seed=11)
-        _, base = transmit(packets, base_cfg)
-        lossy_cfg = ChannelConfig(drop_rate=0.5, latency_ms=1.0, jitter_ms=9.0, seed=11)
-        delivered, lossy = transmit(packets, lossy_cfg)
+        base_cfg = ChannelConfig(drop_rate=0.0, latency_ms=1.0, jitter_ms=9.0)
+        _, base = transmit(packets, base_cfg, 11)
+        lossy_cfg = ChannelConfig(drop_rate=0.5, latency_ms=1.0, jitter_ms=9.0)
+        delivered, lossy = transmit(packets, lossy_cfg, 11)
         base_times = dict(zip(range(100), base.delivery_times_ms))
         for p, t in zip(delivered, lossy.delivery_times_ms):
             assert t == base_times[p.seq]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            transmit(make_packets(5), ChannelConfig(drop_rate=0.5), -1)
+
+    def test_config_is_a_frozen_value(self):
+        cfg = ChannelConfig(drop_rate=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.drop_rate = 0.0
+        assert cfg == ChannelConfig(0.5) and not hasattr(cfg, "seed")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -76,7 +87,7 @@ class TestTransmit:
 
     def test_report_json_dict(self):
         packets = make_packets(10)
-        _, report = transmit(packets, ChannelConfig(drop_rate=0.5, seed=5))
+        _, report = transmit(packets, ChannelConfig(drop_rate=0.5), 5)
         d = report.to_json_dict()
         assert d["packets_sent"] == 10
         assert d["packets_dropped"] == len(d["dropped_seqs"])

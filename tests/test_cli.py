@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qpcomm import metrics, pcio
 from qpcomm.channel import ChannelConfig
-from qpcomm.cli import PRESETS, main
+from qpcomm.cli import PRESETS, build_parser, main
 from qpcomm.codec import DecodeConfig, decode_grids
 from qpcomm.geometry import PatchSpec, VoxelGridSpec, unpatchify
 from qpcomm.pcio import read_qpcd, write_qpcd
@@ -314,7 +314,52 @@ MISSING = {
 }
 
 
+# signed zero, negatives, NaN, infinities, a float beyond float32, an integer
+# beyond int64, one far beyond every size cap and one too large for a float
+HOSTILE_NUMBERS = ("0", "-0", "-1", "nan", "inf", "-inf", "1e39", str(2**63), str(10**30),
+                   str(10**400))
+
+
+def _numeric_flags(command):
+    """``command``'s flags that take numbers, each with how many
+    comma-separated values it takes (``--origin`` takes 3)."""
+    parser = build_parser()
+    sub = next(a.choices for a in parser._actions if a.dest == "command")[command]
+    flags = []
+    for action in sub._actions:
+        text = action.metavar if isinstance(action.metavar, str) else action.default
+        if action.type in (int, float):
+            flags.append((action.option_strings[0], 1))
+        elif isinstance(text, str) and "," in text:
+            flags.append((action.option_strings[0], text.count(",") + 1))
+    return flags
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("flags")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("QPC_SEED", raising=False)
+        mp.chdir(d)
+        yield d
+
+
 class TestFlagsPhase:
+    @pytest.mark.parametrize("command", ["train", "encode", "decode", "simulate", "sweep",
+                                         "volume"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hostile_numbers_never_raise(self, empty_dir, command, data):
+        # every input is missing, so a drawn value that passes the flags phase
+        # meets a missing file (exit 3) before it can size an allocation
+        argv = [command, *MISSING[command]]
+        for flag, n in _numeric_flags(command):
+            value = data.draw(st.none() | st.sampled_from(HOSTILE_NUMBERS), label=flag)
+            if value is not None:
+                argv.append(f"{flag}={','.join([value] * n)}")
+        assert exit_code(*argv) in ((0, 2) if command == "volume" else (2, 3))
+        assert list(empty_dir.iterdir()) == []
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -329,15 +374,19 @@ class TestFlagsPhase:
             "train --dim-patch inf,2",
             "train --grid 0.1,0.1,0.1,nan,64,8",
             "train --k 0",
+            f"train --k {10**30}",
             "train --ema-decay 2",
             "train --seed -1",
             "train --seed 18446744073709551616",
             "sweep --dim-patch 3,3",
             "sweep --mtu 10 --codebooks a b",
             "sweep --k 0",
+            f"sweep --k {10**30}",
             "sweep --k 32 --codebooks a b",
             "sweep --p-list 0.1,2",
             "sweep --trials 0",
+            f"sweep --trials {10**30}",
+            f"sweep --points-per-voxel {10**30}",
             "sweep --seed -1",
             "sweep --seed 18446744073709551616",
             "simulate --latency-ms -1",
@@ -348,10 +397,12 @@ class TestFlagsPhase:
             "simulate --seed 18446744073709551616",
             "simulate --trace-in t.pkts --drop-rate 0.1",
             "simulate --trace-in t.pkts --mtu 500",
+            f"simulate --points-per-voxel {10**30}",
             "decode --sigma -1",
             "decode --sigma nan",
             "decode --seed -5",
             "decode --seed 18446744073709551616",
+            f"decode --points-per-voxel {10**30}",
             "gen-scene --seed -5",
             "gen-scene --seed 18446744073709551616",
             "gen-scene --surface-density 1e300",
@@ -365,6 +416,8 @@ class TestFlagsPhase:
             "gen-scene --extent nan,10,0,10,0,1.2",
             "volume --n 0",
             "volume --k 3",
+            f"volume --n {10**400}",
+            f"volume --k {2**64}",
         ],
         ids=lambda row: row.replace(" ", "_"),
     )
@@ -575,7 +628,7 @@ class TestTraceReplay:
             want = decode_grids(
                 *unpatchify(np.broadcast_to(consts[0], shape), np.broadcast_to(consts[1], shape),
                             frame.patch, frame.spec),
-                DecodeConfig(seed=derive_seed(3, 2)),
+                DecodeConfig(), derive_seed(3, 2),
             )
             write_qpcd(workspace / "want.qpcd", want)
             assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()

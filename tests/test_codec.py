@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,13 @@ from qpcomm.codec import (
     decode,
     decode_grids,
     encode,
+    encode_grids,
     intensity_mse,
     occupancy_bce,
     vq_loss,
 )
 from qpcomm.geometry import (
+    MAX_POINTS,
     IntensityGrid,
     OccupancyGrid,
     PatchSpec,
@@ -89,7 +92,7 @@ class TestDecode:
     def test_sigma_zero_hits_centroids(self, lossless_setup):
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
         im = encode(cloud, spec, patch, cb_occ, cb_int)
-        out = decode(im, cb_occ, cb_int, DecodeConfig(sigma=0.0, seed=9))
+        out = decode(im, cb_occ, cb_int, DecodeConfig(sigma=0.0), 9)
         occ, _, _ = voxelize(cloud, spec)
         idx = np.argwhere(occ.data > 0)
         np.testing.assert_allclose(np.sort(out.xyz, axis=0), np.sort(spec.centroids(idx), axis=0))
@@ -97,7 +100,7 @@ class TestDecode:
     def test_point_count_matches_occupancy(self, lossless_setup):
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
         im = encode(cloud, spec, patch, cb_occ, cb_int)
-        out = decode(im, cb_occ, cb_int, DecodeConfig(points_per_voxel=1, seed=1))
+        out = decode(im, cb_occ, cb_int, DecodeConfig(points_per_voxel=1), 1)
         occ_rec, _, _ = voxelize(out, spec)  # counting oracle via re-voxelization
         recon_vec = cb_occ.entries[im.occ_indices]
         expected = int((recon_vec >= 0.5).sum())
@@ -107,7 +110,7 @@ class TestDecode:
     def test_points_share_voxel_intensity(self, lossless_setup):
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
         im = encode(cloud, spec, patch, cb_occ, cb_int)
-        out = decode(im, cb_occ, cb_int, DecodeConfig(points_per_voxel=4, seed=2))
+        out = decode(im, cb_occ, cb_int, DecodeConfig(points_per_voxel=4), 2)
         idx, inside = spec.voxel_indices(out.xyz)
         assert inside.all()
         flat = np.ravel_multi_index(tuple(idx.T), spec.dims)
@@ -118,8 +121,8 @@ class TestDecode:
     def test_clip_keeps_points_in_voxel(self, lossless_setup):
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
         im = encode(cloud, spec, patch, cb_occ, cb_int)
-        big_sigma = DecodeConfig(sigma=5.0, points_per_voxel=3, seed=3)
-        out = decode(im, cb_occ, cb_int, big_sigma)
+        big_sigma = DecodeConfig(sigma=5.0, points_per_voxel=3)
+        out = decode(im, cb_occ, cb_int, big_sigma, 3)
         # every sampled point re-voxelizes into an occupied voxel of the
         # reconstruction, i.e. it stayed inside its source voxel box
         from qpcomm.geometry import assemble_grid
@@ -132,17 +135,22 @@ class TestDecode:
     def test_deterministic_given_seed(self, lossless_setup):
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
         im = encode(cloud, spec, patch, cb_occ, cb_int)
-        cfg = DecodeConfig(points_per_voxel=2, seed=77)
-        a = decode(im, cb_occ, cb_int, cfg)
-        b = decode(im, cb_occ, cb_int, cfg)
+        cfg = DecodeConfig(points_per_voxel=2)
+        a = decode(im, cb_occ, cb_int, cfg, 77)
+        b = decode(im, cb_occ, cb_int, cfg, 77)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_wrong_codebook_rejected(self, lossless_setup):
+        # same K and D, other entries: only the codebook ids tell them apart
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
-        im = encode(cloud, spec, patch, cb_occ, cb_int)
-        other = Codebook.from_entries(cb_occ.entries + 1e-3, kind="occ")
-        with pytest.raises(ValueError):
-            decode(im, other, cb_int, DecodeConfig())
+        occ, inten, _ = voxelize(cloud, spec)
+        other_occ = Codebook.from_entries(cb_occ.entries + 1e-3, kind="occ")
+        other_int = Codebook.from_entries(cb_int.entries[::-1], kind="int")
+        for im in (encode(cloud, spec, patch, cb_occ, cb_int),
+                   encode_grids(occ, inten, patch, cb_occ, cb_int)):
+            for books in ((other_occ, cb_int), (cb_occ, other_int)):
+                with pytest.raises(ValueError, match="codebook content does not match"):
+                    decode(im, *books, DecodeConfig())
 
     def test_codebook_size_mismatch_rejected(self, lossless_setup):
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
@@ -165,19 +173,21 @@ class TestDecode:
         rng = np.random.default_rng(ppv)
         occ = OccupancyGrid(spec, (rng.random(spec.dims) < 0.4).astype(np.uint8))
         inten = IntensityGrid(spec, rng.random(spec.dims))
-        cfg = DecodeConfig(sigma=sigma, points_per_voxel=ppv, clip_to_voxel=clip, seed=11)
-        got = decode_grids(occ, inten, cfg)
+        cfg = DecodeConfig(sigma=sigma, points_per_voxel=ppv, clip_to_voxel=clip)
+        got = decode_grids(occ, inten, cfg, 11)
         assert len(got) == occ.n_occupied * ppv
-        np.testing.assert_array_equal(got.points, reference_decode_grids(occ, inten, cfg).points)
+        np.testing.assert_array_equal(got.points,
+                                      reference_decode_grids(occ, inten, cfg, 11).points)
         centroids = np.repeat(spec.centroids(np.argwhere(occ.data > 0)), ppv, axis=0)
         if sigma == 0.3:  # the fallback really happened, and not to every point
             at_centroid = np.all(got.xyz == centroids, axis=1)
             assert 0 < at_centroid.sum() < len(got)
         # an all-empty grid decodes to no points
         empty = OccupancyGrid(spec, np.zeros(spec.dims, dtype=np.uint8))
-        got = decode_grids(empty, inten, cfg)
+        got = decode_grids(empty, inten, cfg, 11)
         assert got.points.shape == (0, 4)
-        np.testing.assert_array_equal(got.points, reference_decode_grids(empty, inten, cfg).points)
+        np.testing.assert_array_equal(got.points,
+                                      reference_decode_grids(empty, inten, cfg, 11).points)
 
     def test_decode_grids_bit_equal_at_every_attempt_count(self, monkeypatch):
         # the same draws as the whole-array loop in every round count, the
@@ -186,21 +196,51 @@ class TestDecode:
         rng = np.random.default_rng(5)
         occ = OccupancyGrid(spec, (rng.random(spec.dims) < 0.5).astype(np.uint8))
         inten = IntensityGrid(spec, rng.random(spec.dims))
-        cfg = DecodeConfig(sigma=1.0, points_per_voxel=5, seed=3)
+        cfg = DecodeConfig(sigma=1.0, points_per_voxel=5)
         for attempts in (0, 1, 2, 7):
             monkeypatch.setattr("qpcomm.codec._CLIP_ATTEMPTS", attempts)
             np.testing.assert_array_equal(
-                decode_grids(occ, inten, cfg).points,
-                reference_decode_grids(occ, inten, cfg, attempts).points,
+                decode_grids(occ, inten, cfg, 3).points,
+                reference_decode_grids(occ, inten, cfg, 3, attempts).points,
             )
 
     @pytest.mark.parametrize(
         "kwargs", [{"sigma": -1.0}, {"sigma": math.nan}, {"sigma": math.inf},
-                   {"points_per_voxel": 0}, {"seed": -1}]
+                   {"points_per_voxel": 0}]
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             DecodeConfig(**kwargs)
+
+    def test_config_is_a_frozen_value(self):
+        cfg = DecodeConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sigma = 0.0
+        assert cfg == DecodeConfig() and not hasattr(cfg, "seed")
+
+    @pytest.mark.parametrize("sigma", [0.0, None])
+    def test_decode_grids_rejects_a_negative_seed(self, sigma):
+        # at sigma 0 no number is drawn, and the seed is still checked
+        spec = desk_spec((4, 4, 2))
+        occ = OccupancyGrid(spec, np.ones(spec.dims, dtype=np.uint8))
+        inten = IntensityGrid(spec, np.zeros(spec.dims))
+        with pytest.raises(ValueError, match="non-negative"):
+            decode_grids(occ, inten, DecodeConfig(sigma=sigma), -1)
+
+    def test_points_per_voxel_capped(self, monkeypatch):
+        DecodeConfig(points_per_voxel=MAX_POINTS)
+        for ppv in (MAX_POINTS + 1, 10**30):
+            with pytest.raises(ValueError, match="points_per_voxel must lie in"):
+                DecodeConfig(points_per_voxel=ppv)
+        # occupied voxels x points_per_voxel is checked before anything is allocated
+        spec = desk_spec((4, 4, 2))
+        occ = OccupancyGrid(spec, np.zeros(spec.dims, dtype=np.uint8))
+        occ.data[0, :3, 0] = 1
+        inten = IntensityGrid(spec, np.zeros(spec.dims))
+        monkeypatch.setattr("qpcomm.codec.MAX_POINTS", 10)
+        assert len(decode_grids(occ, inten, DecodeConfig(points_per_voxel=3))) == 9
+        with pytest.raises(ValueError, match="3 voxels x 4 points exceed 10 points"):
+            decode_grids(occ, inten, DecodeConfig(points_per_voxel=4))
 
 
 class TestLosses:
@@ -341,7 +381,7 @@ class TestRoundtripInvariants:
 
         spec, patch, cloud, *_rest, cb_occ, cb_int = lossless_setup
         im = encode(cloud, spec, patch, cb_occ, cb_int)
-        out = decode(im, cb_occ, cb_int, DecodeConfig(seed=4))
+        out = decode(im, cb_occ, cb_int, DecodeConfig(), 4)
         assert chamfer(cloud, out) <= spec.voxel_diagonal
 
     def test_quantized_representation_idempotent(self, lossless_setup):

@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import time
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -314,7 +313,7 @@ class TestEvaluateRoundtrip:
         packets = packetize(serialize(encode(cloud, spec, patch, cb_occ, cb_int), Pose()), 64)
 
         def header_lost_payload_kept(seed):
-            delivered, _ = transmit(packets, replace(channel, seed=derive_seed(seed, 1)))
+            delivered, _ = transmit(packets, channel, derive_seed(seed, 1))
             offsets = {p.byte_offset for p in delivered}
             return not {0, 64} <= offsets and packets[-1].byte_offset in offsets
 
@@ -332,7 +331,7 @@ class TestEvaluateRoundtrip:
         truth = voxelize(cloud, spec).occupancy
         assert rep.occupancy_bce == occupancy_bce(truth, assemble_grid(occ_vec, patch, spec))
         recon = decode_grids(
-            *unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig(seed=derive_seed(seed, 2))
+            *unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig(), derive_seed(seed, 2)
         )
         assert rep.chamfer_m == (chamfer(cloud, recon) if len(recon) else None)
         assert (rep.chamfer_m is None) == empty
@@ -377,6 +376,15 @@ class TestSweep:
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         with pytest.raises(ValueError):
             sweep([cloud], [0.0], 0, cb_occ, cb_int, spec, patch, policy)
+        # checked before any index triple is built
+        for trials in (metrics.MAX_TRIALS + 1, 10**30):
+            with pytest.raises(ValueError, match="trials must lie in"):
+                sweep([cloud], [0.0], trials, cb_occ, cb_int, spec, patch, policy)
+
+    def test_default_decode_config(self, pipeline):
+        spec, patch, cloud, cb_occ, cb_int, policy = pipeline
+        args = ([cloud], [0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy)
+        assert sweep(*args, mtu=64) == sweep(*args, DecodeConfig(), mtu=64)
 
     def test_reports_match_evaluate_roundtrip_per_index(self, pipeline):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline

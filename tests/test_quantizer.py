@@ -397,6 +397,14 @@ def test_codebook_rejects_non_finite_entries(bad):
         Codebook.from_entries([[0.0, 1.0], [bad, 0.5]])
 
 
+@pytest.mark.parametrize("k", [0, 2**32, 10**30])
+def test_config_k_fits_a_u32(k):
+    # K is a u32 in QPCB files and frame headers
+    QuantizerConfig(k=2**32 - 1, dim=1)
+    with pytest.raises(ValueError, match=r"codebook size must lie in \[1, 2\*\*32\)"):
+        QuantizerConfig(k=k, dim=1)
+
+
 def test_codebook_rejects_negative_usage():
     # write_codebook stores usage as u64, where -5 would read back as >= 2**63
     with pytest.raises(ValueError, match="usage"):

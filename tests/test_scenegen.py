@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from qpcomm.scenegen import MAX_POINTS, Box, SceneConfig, generate
+from qpcomm.geometry import MAX_POINTS
+from qpcomm.scenegen import Box, SceneConfig, generate
 
 
 def surface_distance(point, box: Box) -> float:

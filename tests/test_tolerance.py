@@ -141,9 +141,9 @@ class TestFill:
         spec, patch, cloud, im, cb_occ, cb_int, f_occ, f_int = fill_setup
         mask = LossMask.none(im.h, im.w)
         occ_vec, int_vec = fill(im, mask, FillPolicy.learned_constant(f_occ, f_int), cb_occ, cb_int)
-        cfg = DecodeConfig(seed=8)
-        a = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), cfg)
-        b = decode(im, cb_occ, cb_int, cfg)
+        cfg = DecodeConfig()
+        a = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), cfg, 8)
+        b = decode(im, cb_occ, cb_int, cfg, 8)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_all_lost_empty_policy_gives_empty_cloud(self, fill_setup):

@@ -582,6 +582,16 @@ class TestCommVolume:
         with pytest.raises(ValueError):
             comm_volume_log2_bytes(0, 8)
 
+    def test_bounded_by_the_header_fields(self):
+        # N = h * w with h and w u32, and K a u32: the largest frame is a finite float
+        assert comm_volume_log2_bytes((2**32 - 1) ** 2, 2**31) < 70
+        for n in ((2**32 - 1) ** 2 + 1, 10**400):
+            with pytest.raises(ValueError, match="n_vectors must lie in"):
+                comm_volume_log2_bytes(n, 8)
+        for k in (2**32, 2**100):
+            with pytest.raises(ValueError, match="power of two in"):
+                comm_volume_log2_bytes(8, k)
+
     def test_actual_size_explained_by_header_overhead(self):
         # actual frame bytes == ceil(model payload bytes) + documented header
         # overhead beyond the 6-float pose
