@@ -18,8 +18,10 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must lie in [0, 1]")
-        if not (0 <= self.latency_ms < np.inf and 0 <= self.jitter_ms < np.inf):
-            raise ValueError("latency_ms and jitter_ms must be finite and >= 0")
+        # the sum bounds every delivery time, latency_ms + jitter_ms * u for u < 1
+        if not (0 <= self.latency_ms and 0 <= self.jitter_ms
+                and self.latency_ms + self.jitter_ms < np.inf):
+            raise ValueError("latency_ms and jitter_ms must be >= 0 with a finite sum")
 
 
 @dataclass

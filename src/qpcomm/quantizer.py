@@ -10,15 +10,18 @@ usage falls below ``dead_limit`` at a refresh point are re-seeded from a
 reservoir sample of the data.
 
 Nearest-entry assignment, for ``quantize`` and every training pass, is one
-exact kernel (``_Search``): a float32 product over only the columns some row
-uses, a per-row band of candidates proven to contain ``nearest``'s index, and a
-rerank of the rows with more than one candidate in ``nearest``'s own direct
-form.  Indices therefore equal row-by-row ``nearest``, ties to the lowest index.
-Training keeps one CSR copy of the samples and their squared norms, so each
-k-means++ pick, each centroid update and each pass's error costs O(nnz)
-instead of O(N·D).  Distances from the expanded form ``‖x‖² + ‖c‖² − 2·x·c``
-are recomputed directly where they cancel to near zero, and the stop rule
-falls back to direct errors when a decision is within rounding.
+exact kernel (``_Search``): rows sorted by how far into the most-used columns
+they reach, a float32 product per block of rows over only that block's
+columns, a per-row band of candidates proven to contain ``nearest``'s index,
+and a rerank of the rows with more than one candidate in ``nearest``'s own
+direct form.  Indices therefore equal row-by-row ``nearest``, ties to the
+lowest index, in the caller's row order.  Training keeps one CSR copy of the
+samples, built from the nonzeros the search found in its one pass over them,
+and their squared norms, so each k-means++ pick, each centroid update and each
+pass's error costs O(nnz) instead of O(N·D).  Distances from the expanded form
+``‖x‖² + ‖c‖² − 2·x·c`` are recomputed directly where they cancel to near zero,
+and the stop rule falls back to direct errors when a decision is within
+rounding.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def _squared_norms(rows: np.ndarray, what: str) -> np.ndarray:
 class _Search:
     """Exact nearest-entry search for the fixed rows of ``vectors`` (n, D):
     ``search(entries)`` gives each row ``nearest``'s index, the lowest index
-    minimizing ``((entries − v)**2).sum(axis=1)``.
+    minimizing ``((entries − v)**2).sum(axis=1)``.  ``k`` (at least the
+    number of entries searched) sizes the row blocks.
 
     Values are scaled by the power of two ``c`` that puts the largest |value|
     of the rows (or ``bound``, if larger) in [0.5, 1); training entries are
@@ -159,16 +163,30 @@ class _Search:
     score ``S = ½‖y‖² − x·y``.  Equal entries have equal distances, so only
     the first of each is searched.
 
-    *Coarse pass.*  A float32 product of ``[x_J, 1]`` and ``[−y_J, ½‖y‖²]``
-    over the columns ``J`` some row uses (all-zero columns add exactly
-    nothing) scores every entry, at most ``_BLOCK`` scores at a time.  Input
+    *Rows.*  One row-major pass finds the nonzeros of ``vectors``
+    (``nz_rows``, ``nz_cols``, ``nz_vals``), which training also reuses as
+    its CSR copy (``csr()``).  The used columns ``J`` are ranked by how many
+    rows use them, most used first, ties to the lower column, and a row's
+    width is the rank of its last used column.  The coarse rows ``[1, x_J]`` (columns in
+    rank order) are stored stably sorted by width and cut into blocks of at
+    most ``_BLOCK // k`` rows, also wherever the width more than doubles.  A
+    block's rows use only its first ``m = 1 +`` (largest width) coarse
+    columns; the rest add exactly nothing.  The blocks and their constants
+    are fixed here, once for every search.
+
+    *Coarse pass.*  Per block, a float32 product of the rows' ``[1, x]`` and
+    ``[½‖y‖², −y]`` over those ``m`` columns scores every entry.  Input
     rounding plus Higham's dot-product bound (*Accuracy and Stability of
-    Numerical Algorithms*, §3.1, any summation order) give, with
-    ``m = |J| + 1``, ``u = 2⁻²⁴`` and ``Σ|x_i·y_i| <= ‖x‖·‖y‖``,
+    Numerical Algorithms*, §3.1, any summation order, so it holds for each
+    block with its own ``m``) give, with ``u = 2⁻²⁴`` and
+    ``Σ|x_i·y_i| <= ‖x‖·‖y‖``,
 
         |Ŝ − S| <= β = γ_{m+3}·(½‖y‖² + ‖x‖·‖y‖) + (4m + 8)·2⁻¹²⁶·max(1, ‖y‖),
 
-    the last term for float32 underflow, flushed or gradual.
+    the last term for float32 underflow, flushed or gradual.  ``‖x‖`` is
+    summed over a row's nonzeros alone: the zeros add exactly nothing, and
+    its rounding, like the einsum's it replaces, is one of the second-order
+    terms the band's doubling covers.
 
     *Band.*  ``nearest``'s float64 sum is within
     ``δ = γ_{D+2}·‖v − e‖² + 2D·2⁻¹⁰⁷⁴`` of the exact distance (``u = 2⁻⁵³``).
@@ -181,75 +199,113 @@ class _Search:
 
     *Rerank.*  A row with one entry in its band takes it.  Other rows take
     the least ``((e − v)**2).sum(axis=1)`` over their band, ties to the
-    lowest index, evaluated in batches of ``_BLOCK // (4·D)`` pairs.
+    lowest index, evaluated in batches of ``_BLOCK // (4·D)`` pairs.  Indices
+    go back to the caller's row order.
     """
 
-    def __init__(self, vectors: np.ndarray, bound: float = 0.0):
+    def __init__(self, vectors: np.ndarray, k: int, bound: float = 0.0):
         self.vectors = vectors
-        self.cols = np.flatnonzero(vectors.any(axis=0))
-        x = np.take(vectors, self.cols, axis=1)
-        top = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)), bound)
+        n, dim = vectors.shape
+        self.nz_rows, self.nz_cols = np.divmod(np.flatnonzero(vectors != 0), dim)
+        self.nz_vals = vectors[self.nz_rows, self.nz_cols]
+        uses = np.bincount(self.nz_cols, minlength=dim)
+        self.cols = np.argsort(-uses, kind="stable")[: np.count_nonzero(uses)]
+        rank = np.empty(dim, dtype=np.int64)
+        rank[self.cols] = np.arange(1, self.cols.size + 1)  # each column's coarse column
+        nz_rank = rank[self.nz_cols]
+        width = np.zeros(n, dtype=np.int64)
+        np.maximum.at(width, self.nz_rows, nz_rank)
+        order = np.argsort(width, kind="stable")  # coarse row -> caller row
+
+        vals = self.nz_vals
+        top = max(float(vals.max(initial=0.0)), -float(vals.min(initial=0.0)), bound)
         self.exp = -math.frexp(top)[1] if top > 0.0 else 0
-        x *= math.ldexp(1.0, self.exp)
-        self.coarse = np.empty((vectors.shape[0], self.cols.size + 1), dtype=np.float32)
-        self.coarse[:, :-1] = x
-        self.coarse[:, -1] = 1.0
+        x = vals * math.ldexp(1.0, self.exp)
+        self.coarse = np.zeros((n, self.cols.size + 1), dtype=np.float32)
+        self.coarse[:, 0] = 1.0
+        self.coarse[np.argsort(order)[self.nz_rows], nz_rank] = x
         # from the scaled rows: ‖v‖² may underflow where ‖x‖² does not
-        self.norms = np.sqrt(np.einsum("ij,ij->i", x, x))  # ‖x‖
-        self.top_norm = float(self.norms.max(initial=0.0))  # X
+        norms = np.sqrt(np.bincount(self.nz_rows, x * x, minlength=n))  # ‖x‖
+        self.top_norm = float(norms.max(initial=0.0))  # X
+
+        # per block: sorted rows, their caller rows, m, γ_{m+3}, (4m + 8)·2⁻¹²⁶, ‖x‖
+        width, norms = width[order], norms[order]
+        step = max(1, _BLOCK // k)
+        self.blocks = []
+        # rows of ones and of indices, grown in __call__ to the entries searched
+        self.tally = np.empty((2, 0), dtype=np.float32)
+        start = 0
+        while start < n:
+            doubled = int(np.searchsorted(width, 2 * width[start], side="right"))
+            stop = min(start + step, doubled)
+            m = int(width[stop - 1]) + 1
+            self.blocks.append((
+                slice(start, stop), order[start:stop], m,
+                _gamma(m + 3, 2.0**-24), (4 * m + 8) * 2.0**-126, norms[start:stop],
+            ))
+            start = stop
 
     def __call__(self, entries: np.ndarray) -> np.ndarray:
         dim = entries.shape[1]
+        # the first of each run of equal rows, in a stable sort of their bytes
         as_bytes = np.ascontiguousarray(entries).view(np.dtype((np.void, 8 * dim))).ravel()
-        first = np.sort(np.unique(as_bytes, return_index=True)[1])
+        perm = as_bytes.argsort(kind="stable")
+        ordered = as_bytes[perm]
+        first = np.sort(perm[np.concatenate(([True], ordered[1:] != ordered[:-1]))])
         if first.size < entries.shape[0]:
             entries = entries[first]
-        k_all, n, m = entries.shape[0], *self.coarse.shape
+        k_all = entries.shape[0]
         y = entries * math.ldexp(1.0, self.exp)
         half_sq = 0.5 * np.einsum("ij,ij->i", y, y)
-        coarse_e = np.empty((k_all, m), dtype=np.float32)
-        np.negative(np.take(y, self.cols, axis=1), out=coarse_e[:, :-1])
-        coarse_e[:, -1] = half_sq
+        coarse_e = np.empty((k_all, self.coarse.shape[1]), dtype=np.float32)
+        coarse_e[:, 0] = half_sq
+        np.negative(np.take(y, self.cols, axis=1), out=coarse_e[:, 1:])
 
         h = float(half_sq.max())
         top = math.sqrt(2.0 * h)  # Y
-        g32, g64 = _gamma(m + 3, 2.0**-24), _gamma(dim + 2, 2.0**-53)
+        g64 = _gamma(dim + 2, 2.0**-53)
         reach = self.top_norm + top
         # c²·2D·2⁻¹⁰⁷⁴ is capped where it already exceeds every score gap (|S| <= 1.5·D)
-        tiny = (4 * m + 8) * 2.0**-126 * max(1.0, top) + math.ldexp(
-            2 * dim, min(2 * self.exp - 1074, 64)
-        )
-        # W = A + B·‖x‖, rounded up to float32
-        band = 4 * g32 * h + 2 * g64 * reach * top + 4 * tiny
-        band = band + (4 * g32 * top + 2 * g64 * reach) * self.norms
-        band = np.nextafter(band.astype(np.float32), np.float32(np.inf))
+        tiny64 = math.ldexp(2 * dim, min(2 * self.exp - 1074, 64))
 
         # one product gives, per row, the candidate count and the sum of their
         # indices: the index itself where the count is 1 (exact: float32 holds
         # integers to 2**24)
-        tally_dtype = np.float32 if k_all <= 1 << 24 else np.float64
-        tally = np.stack([np.ones(k_all), np.arange(k_all)]).astype(tally_dtype)
-        idx = np.empty(n, dtype=np.int64)
-        step = max(1, _BLOCK // k_all)
-        for start in range(0, n, step):
-            scores = coarse_e @ self.coarse[start : start + step].T  # (K, rows)
+        if self.tally.shape[1] < k_all:
+            tally_dtype = np.float32 if k_all <= 1 << 24 else np.float64
+            self.tally = np.stack([np.ones(k_all), np.arange(k_all)]).astype(tally_dtype)
+        tally = self.tally[:, :k_all]
+        idx = np.empty(self.coarse.shape[0], dtype=np.int64)
+        for rows, caller_rows, m, g32, tiny32, norms in self.blocks:
+            # W = A + B·‖x‖, rounded up to float32
+            band = 4 * g32 * h + 2 * g64 * reach * top + 4 * (tiny32 * max(1.0, top) + tiny64)
+            band = band + (4 * g32 * top + 2 * g64 * reach) * norms
+            band = np.nextafter(band.astype(np.float32), np.float32(np.inf))
+            scores = coarse_e[:, :m] @ self.coarse[rows, :m].T  # (K, rows)
             # one ulp up from the rounded sum, so never below the exact min Ŝ + W
-            limit = scores.min(axis=0) + band[start : start + step]
-            limit = np.nextafter(limit, np.float32(np.inf))
+            limit = np.nextafter(scores.min(axis=0) + band, np.float32(np.inf))
             candidates = scores <= limit
-            count, best = tally @ candidates.astype(tally_dtype)
+            count, best = tally @ candidates.astype(tally.dtype)
             best = best.astype(np.int64)
             near = np.flatnonzero(count > 1)
             if near.size:
                 # row-major over (near row, entry): indices ascend within a row
                 r, k = np.divmod(np.flatnonzero(candidates[:, near].T), k_all)
-                best[near] = self._rerank(start + near[r], k, entries)
-            idx[start : start + step] = best
+                best[near] = self._rerank(caller_rows[near[r]], k, entries)
+            idx[caller_rows] = best
         return first[idx]
 
+    def csr(self) -> sp.csr_array:
+        """The rows as a CSR array, from the nonzeros ``__init__`` found."""
+        n = self.vectors.shape[0]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.nz_rows, minlength=n), out=indptr[1:])
+        return sp.csr_array((self.nz_vals, self.nz_cols, indptr), shape=self.vectors.shape)
+
     def _rerank(self, rows: np.ndarray, k: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        """For candidate pairs ``(rows, k)``, sorted by row and then index,
-        each row's lowest index of least direct-form distance."""
+        """For candidate pairs ``(rows, k)``, grouped by row and ascending in
+        index within a row, each row's lowest index of least direct-form
+        distance."""
         d = np.empty(rows.size)
         step = max(1, _BLOCK // (4 * entries.shape[1]))
         for start in range(0, rows.size, step):
@@ -291,7 +347,7 @@ def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float
     entries = codebook.entries
     bound = max(float(entries.max()), -float(entries.min()))
     _squared_norms(flat, "vectors")
-    idx = _Search(flat, bound)(entries)
+    idx = _Search(flat, entries.shape[0], bound)(entries)
     return idx.reshape(lead_shape), _direct_error(flat, codebook.entries, idx)
 
 
@@ -356,9 +412,9 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
         reservoir = samples[rng.choice(n, size=cfg.reservoir_size, replace=False)]
 
     sq_norms = _squared_norms(samples, "samples")
-    sparse = sp.csr_array(samples)
-    nnz_rows = np.repeat(np.arange(n), np.diff(sparse.indptr))
-    search = _Search(samples)
+    search = _Search(samples, cfg.k)
+    sparse = search.csr()
+    nnz_rows = search.nz_rows
     entries = _kmeanspp_init(samples, sparse, sq_norms, cfg.k, rng)
     ema_counts = np.zeros(cfg.k)
     ema_sums = np.zeros_like(entries)

@@ -85,6 +85,15 @@ class TestTransmit:
         with pytest.raises(ValueError, match="finite"):
             ChannelConfig(drop_rate=0.0, **{field: value})
 
+    def test_latency_plus_jitter_must_be_finite(self):
+        # each is finite but the largest delivery time, their sum, is not
+        big = 1.7e308
+        with pytest.raises(ValueError, match="finite sum"):
+            ChannelConfig(drop_rate=0.0, latency_ms=big, jitter_ms=big)
+        cfg = ChannelConfig(drop_rate=0.0, latency_ms=big, jitter_ms=1e306)
+        _, report = transmit(make_packets(50), cfg, 3)
+        assert all(math.isfinite(t) for t in report.delivery_times_ms)
+
     def test_report_json_dict(self):
         packets = make_packets(10)
         _, report = transmit(packets, ChannelConfig(drop_rate=0.5), 5)

@@ -391,6 +391,7 @@ class TestFlagsPhase:
             "sweep --seed 18446744073709551616",
             "simulate --latency-ms -1",
             "simulate --jitter-ms nan",
+            "simulate --latency-ms 1.7e308 --jitter-ms 1.7e308",
             "simulate --drop-rate nan",
             "simulate --mtu 10",
             "simulate --seed -1",

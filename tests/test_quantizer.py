@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from helpers import dense_train_codebook
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,6 +359,97 @@ class TestSearchKernel:
         assert peak < 16 * 2**20, peak
 
 
+def core_and_wide_rows(rng, n, dim, n_core, wide, zero, density, binary, magnitude):
+    """Patch-like sparse rows: most use only ``n_core`` popular columns, a
+    ``wide`` share also uses columns across all ``dim``, a ``zero`` share is
+    all zero, and some zeros are ``-0.0``.  Rows come in random order."""
+    core = rng.choice(dim, size=n_core, replace=False)
+    mask = np.zeros((n, dim), dtype=bool)
+    mask[:, core] = rng.random((n, n_core)) < density
+    kind = rng.random(n)
+    mask[kind < wide] |= rng.random((int((kind < wide).sum()), dim)) < rng.uniform(0.05, 0.6)
+    mask[kind > 1.0 - zero] = False
+    vectors = mask.astype(np.float64) if binary else mask * rng.normal(size=(n, dim))
+    vectors *= magnitude
+    vectors[~mask & (rng.random((n, dim)) < 0.3)] = -0.0
+    return vectors, core
+
+
+class TestBlockedSearch:
+    """The search sorts its rows by width, cuts them into blocks that each use
+    their own leading columns, and maps the indices back to the caller's row
+    order.  ``nearest`` is still the oracle, row by row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(65, 160),
+        k=st.integers(2, 16),
+        dim=st.integers(64, 300),
+        n_core=st.integers(1, 24),
+        wide=st.floats(0.0, 0.3),
+        zero=st.floats(0.0, 0.3),
+        density=st.floats(0.1, 1.0),
+        binary=st.booleans(),
+        from_rows=st.floats(0.0, 1.0),
+        ties=st.floats(0.0, 0.5),
+        rows_per_block=st.integers(1, 64),
+        magnitude=st.sampled_from([1e-30, 1e-3, 1.0, 1e6]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_family(
+        self, n, k, dim, n_core, wide, zero, density, binary, from_rows, ties, rows_per_block,
+        magnitude, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        vectors, core = core_and_wide_rows(rng, n, dim, n_core, wide, zero, density, binary,
+                                           magnitude)
+        on_core = np.zeros(dim)
+        on_core[core] = 1.0
+        entries = np.where(
+            (rng.random(k) < from_rows)[:, None],
+            vectors[rng.integers(n, size=k)],
+            magnitude * rng.normal(size=(k, dim)) * on_core,
+        )
+        # rows 1e-9 of the gap off the bisector of two core entries: near
+        # ties that only the rerank decides, inside a narrow block
+        a, b = magnitude * rng.random((2, dim)) * on_core
+        entries[0], entries[-1] = a, b
+        tie_rows = np.flatnonzero(rng.random(n) < ties)
+        side = rng.choice([-1e-9, 1e-9], tie_rows.size)
+        vectors[tie_rows] = 0.5 * (a + b) + np.outer(side, b - a)
+        cb = Codebook.from_entries(entries)
+        expected = nearest_rows(cb, vectors)
+        bound = max(float(entries.max()), -float(entries.min()))
+        with pytest.MonkeyPatch.context() as mp:
+            # more rows of one width than a block takes: K·rows_per_block scores
+            mp.setattr(quantizer, "_BLOCK", k * rows_per_block)
+            search = quantizer._Search(vectors, k, bound)
+            assert len(search.blocks) > 1
+            np.testing.assert_array_equal(search(entries), expected)
+        np.testing.assert_array_equal(quantize(cb, vectors)[0], expected)
+
+    def test_training_csr_equals_scipy(self, monkeypatch):
+        # the CSR copy training builds from the search's nonzeros is scipy's
+        # own conversion of the dense samples: -0.0 is no nonzero
+        rng = np.random.default_rng(28)
+        samples, _ = core_and_wide_rows(rng, 300, 96, 12, 0.1, 0.2, 0.5, False, 1.0)
+        assert (samples == 0).all(axis=1).any() and np.signbit(samples[samples == 0]).any()
+        made = []
+        to_csr = quantizer._Search.csr
+
+        def recorded(search):
+            made.append(to_csr(search))
+            return made[-1]
+
+        monkeypatch.setattr(quantizer._Search, "csr", recorded)
+        train_codebook(samples, QuantizerConfig(k=8, dim=96, max_iters=3, seed=1))
+        expected = sp.csr_array(samples)
+        (got,) = made
+        assert got.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
+
+
 class TestRejectsUnboundedInput:
     """A row or entry whose squared norm is not finite (NaN, inf, or values
     that overflow when squared) is a ``ValueError``, without a warning."""
@@ -526,6 +618,16 @@ class TestSparseTrainingOracle:
             samples = np.vstack([rows, rows[:120], rows[5:9]])[order]
             cfg = QuantizerConfig(k=32, dim=40, dead_limit=4, seed=4)
             assert_matches_dense_oracle(samples, cfg)
+
+    def test_rows_split_into_width_blocks(self):
+        # a popular core of columns plus wide rows at D = 160: the search cuts
+        # its rows into blocks of their own widths
+        rng = np.random.default_rng(29)
+        samples, _ = core_and_wide_rows(rng, 600, 160, 16, 0.05, 0.05, 0.4, False, 1.0)
+        cfg = QuantizerConfig(k=24, dim=160, dead_limit=8, seed=8)
+        widths = [block[2] for block in quantizer._Search(samples, cfg.k).blocks]
+        assert len(widths) > 1 and widths[0] < widths[-1]
+        assert_matches_dense_oracle(samples, cfg)
 
     @pytest.mark.parametrize("dead_limit", [0, 256])
     def test_all_identical_samples(self, dead_limit):

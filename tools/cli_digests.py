@@ -14,6 +14,8 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
 - ``gen-scene`` seeds 0-2, ``train --k 32``, ``encode``, ``decode --seed 4``;
 - ``train --k 512``, more entries than the scenes have distinct occupancy
   vectors (347), so duplicate entries tie exactly;
+- ``train --dim-patch 4,4 --k 32``: D = 128, where the nearest-entry search
+  cuts the 768 rows into three blocks by width;
 - ``simulate`` at drop rates 0, 0.3 and 0.9, each with every ``--fill``,
   each writing ``--report`` and ``--trace-out``;
 - a ``--trace-in`` replay of the 0.3 trace, and a replay whose trace lacks
@@ -74,6 +76,8 @@ def _run_all(stdouts: dict) -> None:
         "--out-occ", "occ.qpcb", "--out-int", "int.qpcb")
     qpc("train-ties", "train", "--scenes", "scenes", "--k", 512, "--seed", 7,
         "--out-occ", "ties-occ.qpcb", "--out-int", "ties-int.qpcb")
+    qpc("train-wide", "train", "--scenes", "scenes", "--dim-patch", "4,4", "--k", 32, "--seed", 6,
+        "--out-occ", "wide-occ.qpcb", "--out-int", "wide-int.qpcb")
     qpc("encode", "encode", "--in", "scenes/s0.qpcd", *CODEBOOKS, "--out", "f.qpfr")
     qpc("decode", "decode", "--in", "f.qpfr", *CODEBOOKS, "--seed", 4, "--out", "dec.qpcd")
 
