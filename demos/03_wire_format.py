@@ -2,8 +2,9 @@
 
 Serializes an index map into a frame, compares the actual byte count against
 the communication-volume formula, splits the frame into packets, and shows
-bit-exact reassembly.  Also prints the reference-configuration numbers
-(11520 latent cells, dual codebooks of size 2048/1024/512).
+what ``receive`` rebuilds from them, in any order and with a packet lost.
+Also prints the reference-configuration numbers (11520 latent cells, dual
+codebooks of size 2048/1024/512).
 """
 
 import math
@@ -35,10 +36,21 @@ bandwidth = 1e6 / 0.1  # 1 MB per 100 ms
 ms = q.latency_for_volume(frame.total_nbytes, bandwidth) * 1e3
 print(f"transfer time at 1 MB/100 ms: {ms:.2f} ms per frame")
 
+im_back, mask = q.deserialize(q.Frame.from_bytes(frame.to_bytes()))
+print("index map roundtrip:", im_back == im, "| lost cells:", mask.n_lost)
+
 packets = q.packetize(frame, mtu=1200)
 print(f"packetize: {len(packets)} packets of <= 1200 bytes")
-back, missing = q.reassemble(packets)
-print("reassembled bit-exact:", back.to_bytes() == frame.to_bytes(), "| missing bytes:", int(missing.sum()))
-
-im_back, mask = q.deserialize(back)
-print("index map roundtrip:", im_back == im, "| lost cells:", mask.n_lost)
+# the receiver shares the grid, patch and codebooks (random ones stand in
+# for trained codebooks here), so it knows the frame length before any packet
+dim = patch.vector_dim(spec)
+cb_occ = q.Codebook.from_entries(rng.random((2048, dim)))
+cb_int = q.Codebook.from_entries(rng.random((2048, dim)))
+receiver = (spec, patch, cb_occ, cb_int, q.FillPolicy.empty())
+occ_vec, int_vec, mask = q.receive(packets[::-1], *receiver)
+exact = (occ_vec == cb_occ.entries[im.occ_indices]).all() and (
+    int_vec == cb_int.entries[im.int_indices]
+).all()
+print("received in reverse order: code vectors exact:", exact, "| lost cells:", mask.n_lost)
+_, _, mask = q.receive(packets[:-1], *receiver)
+print(f"last packet dropped: {mask.n_lost} of {im.n_cells} cells lost")

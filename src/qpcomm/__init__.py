@@ -66,7 +66,6 @@ from .wire import (
     packetize,
     read_frame,
     read_packet_trace,
-    reassemble,
     receive,
     serialize,
     write_frame,

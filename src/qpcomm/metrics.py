@@ -2,7 +2,7 @@
 
 ``chamfer`` is the symmetric mean nearest-neighbor distance (unsquared
 Euclidean, halved, in meters).  ``evaluate_roundtrip`` runs one scene through
-encode -> serialize -> packetize -> lossy channel -> reassemble -> fill ->
+encode -> serialize -> packetize -> lossy channel -> receive -> fill ->
 decode and reports fidelity plus communication volume.  It is two stages: a
 sender stage (``_send``) that depends on the scene alone, and a trial.
 ``_send`` voxelizes the scene once and quantizes the frame from those truth

@@ -230,8 +230,8 @@ def confidence_filter(g: np.ndarray, percentile: float, smooth_sigma: float) -> 
     """
     if not 0.0 <= percentile < 1.0:
         raise ValueError("percentile must lie in [0, 1)")
-    if smooth_sigma < 0:
-        raise ValueError("smooth_sigma must be >= 0")
+    if not 0 <= smooth_sigma < math.inf:
+        raise ValueError("smooth_sigma must be finite and >= 0")
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError("confidence map must be 2-D")

@@ -25,7 +25,9 @@ file is exactly this byte stream on disk.
 Packets carry successive ``mtu``-sized byte ranges of the stream (no header
 replication); a latent cell is lost when any byte its bit-field touches is
 missing, the latent-level version of the all-or-nothing cell rule.
-``receive`` is the one receive path: reassemble, mark lost cells, fill them.
+``receive`` is the one receive path: it places the packets once, into the
+frame the receiver's grid, patch and codebooks give (no buffer is ever
+longer than that frame), then marks lost cells and fills them.
 """
 
 from __future__ import annotations
@@ -164,8 +166,10 @@ class Packet:
     payload: bytes
 
     def __post_init__(self):
-        if not 0 <= self.seq < (1 << 16):
-            raise ValueError("seq must fit in 16 bits")
+        # the widths a packet trace stores
+        for name, bits in (("frame_id", 32), ("seq", 16), ("byte_offset", 64)):
+            if not 0 <= getattr(self, name) < 1 << bits:
+                raise ValueError(f"{name} must fit in {bits} bits")
 
 
 def bits_for(k: int) -> int:
@@ -297,49 +301,6 @@ def _place(packets, nbytes: int) -> tuple[np.ndarray, np.ndarray]:
     return buf, present
 
 
-def _read_header(packets: list) -> Frame | None:
-    """The header the packets carry, or None when a header byte is missing."""
-    if len({p.frame_id for p in packets}) > 1:
-        raise FormatError("packets from more than one frame")
-    head, head_present = _place(packets, HEADER_LEN)
-    if not head_present.all():
-        return None
-    header = Frame._parse_header(head.tobytes())
-    if header.frame_id != packets[0].frame_id:
-        raise FormatError("packet frame id differs from the header's")
-    return header
-
-
-def _reassemble(packets: list, header: Frame) -> tuple[Frame, np.ndarray]:
-    """Place the packets over the stream ``header`` declares: the header
-    becomes the frame (zero-filled where bytes are missing), returned with
-    the ``missing`` array over the full byte stream."""
-    total = header.total_nbytes
-    if any(p.byte_offset + len(p.payload) > total for p in packets):
-        raise FormatError("packets extend past the declared frame length")
-    buf, present = _place(packets, total)
-    header.payload = buf[HEADER_LEN:].tobytes()
-    return header, ~present
-
-
-def reassemble(packets) -> tuple[Frame, np.ndarray]:
-    """Rebuild a frame from delivered packets.
-
-    Missing byte ranges are zero-filled; returns the frame plus a boolean
-    ``missing`` array over the full byte stream.  The header is read first
-    and fixes the stream length, so if any header byte is absent (or no
-    packets arrived at all) :class:`IncompleteFrameError` is raised -- the
-    whole frame counts as lost.  Packets of more than one frame, packets
-    whose frame id differs from the header's, duplicates with conflicting
-    bytes and bytes past the declared length raise :class:`FormatError`.
-    """
-    packets = list(packets)
-    header = _read_header(packets)
-    if header is None:
-        raise IncompleteFrameError("no packets carried the whole frame header")
-    return _reassemble(packets, header)
-
-
 def receive(
     packets,
     spec: VoxelGridSpec,
@@ -348,28 +309,42 @@ def receive(
     cb_int: Codebook,
     policy: FillPolicy,
 ) -> tuple[np.ndarray, np.ndarray, LossMask]:
-    """The receiver: reassemble the delivered packets, mark every latent
-    cell whose bits touch a missing byte as lost, and fill the lost cells.
+    """The receiver: place the delivered packets into the frame the grid,
+    patch and codebooks give, mark every latent cell whose bits touch a
+    missing byte as lost, and fill the lost cells.
 
     Returns the (h, w, D) occupancy and intensity vector grids plus the loss
-    mask.  The grid, patch and codebooks are pre-shared, so a lost header
-    still leaves the stream configuration known: every cell of
-    ``patch.latent_shape(spec)`` counts as lost and is filled.  A received
-    header that disagrees with them raises :class:`FormatError` before the
-    frame is reassembled, so the header cannot size the receiver's buffers.
+    mask.  The grid, patch and codebooks are pre-shared, so they fix the
+    frame length before any packet is read, and no buffer is longer than
+    that frame.  A lost header still leaves the stream configuration known:
+    every cell of ``patch.latent_shape(spec)`` counts as lost and is filled.
+    Packets of more than one frame, duplicates with conflicting bytes, a
+    header that disagrees with the receiver, a packet frame id that differs
+    from the header's and bytes past the frame raise :class:`FormatError`.
     """
-    expected = (spec, patch, cb_occ.k, cb_int.k)
     packets = list(packets)
-    header = _read_header(packets)
+    if len({p.frame_id for p in packets}) > 1:
+        raise FormatError("packets from more than one frame")
+    h, w = patch.latent_shape(spec)
+    expected = (spec, patch, cb_occ.k, cb_int.k)
+    nbytes = Frame(0, 0, cb_occ.k, cb_int.k, h, w, spec, patch, Pose(), b"").total_nbytes
+    buf, present = _place(packets, nbytes)
+    header = None
+    if present[:HEADER_LEN].all():
+        header = Frame._parse_header(buf[:HEADER_LEN].tobytes())
+        if (header.spec, header.patch, header.k_occ, header.k_int) != expected:
+            raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
+        if header.frame_id != packets[0].frame_id:
+            raise FormatError("packet frame id differs from the header's")
+    if any(p.byte_offset + len(p.payload) > nbytes for p in packets):
+        raise FormatError("packets extend past the receiver's frame length")
     if header is None:
-        h, w = patch.latent_shape(spec)
         zeros = np.zeros((h, w), dtype=np.int64)
         im = IndexMap(zeros, zeros, cb_occ.k, cb_int.k, spec, patch)
         mask = LossMask.all_lost(h, w)
-    elif (header.spec, header.patch, header.k_occ, header.k_int) != expected:
-        raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
     else:
-        im, mask = deserialize(*_reassemble(packets, header))
+        header.payload = buf[HEADER_LEN:].tobytes()
+        im, mask = deserialize(header, ~present)
     occ_vec, int_vec = fill(im, mask, policy, cb_occ, cb_int)
     return occ_vec, int_vec, mask
 

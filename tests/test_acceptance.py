@@ -136,11 +136,11 @@ def test_c04_wire_bit_exactness():
         k, k, spec, q.PatchSpec(1, 1),
     )
     packets = q.packetize(q.serialize(im, q.Pose()), mtu)
-    fr, missing = q.reassemble(packets[:-1])  # drop the last packet
-    _, mask = q.deserialize(fr, missing)
+    cb = q.Codebook.from_entries(rng.random((k, 1)))
+    receiver = (spec, im.patch, cb, cb, q.FillPolicy.empty())
+    _, _, mask = q.receive(packets[:-1], *receiver)  # drop the last packet
     straddle_exact = mask.n_lost == 1 and bool(mask.lost[0, w - 1])
-    fr, missing = q.reassemble(packets[:-2] + [packets[-1]])  # drop the one before
-    _, mask = q.deserialize(fr, missing)
+    _, _, mask = q.receive(packets[:-2] + [packets[-1]], *receiver)  # drop the one before
     straddle_other = bool(mask.lost[0, w - 1])
     ok = ok and straddle_exact and straddle_other
     report("4 wire-bit-exactness", ok, f"1000 roundtrips, straddle cell lost both ways")

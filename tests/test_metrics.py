@@ -66,7 +66,6 @@ LAYER_FUNCTIONS = [
     ("qpcomm.tolerance", "fill"),
     ("qpcomm.wire", "serialize"),
     ("qpcomm.wire", "packetize"),
-    ("qpcomm.wire", "reassemble"),
     ("qpcomm.wire", "deserialize"),
     ("qpcomm.wire", "receive"),
     ("qpcomm.channel", "transmit"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import brute_nearest_present, desk_spec, representable_scene, trained_codebooks_for
@@ -318,3 +320,8 @@ class TestConfidenceFilter:
             confidence_filter(np.zeros((2, 2)), 1.0, 0.0)
         with pytest.raises(ValueError):
             confidence_filter(np.zeros((2, 2)), 0.5, -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="smooth_sigma must be finite"):
+            confidence_filter(np.full((3, 3), 0.5), 0.5, sigma)

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from qpcomm.wire import (
     packetize,
     read_frame,
     read_packet_trace,
-    reassemble,
     receive,
     serialize,
     write_frame,
@@ -77,6 +78,37 @@ def byte_overlap_lost(im, missing):
             if set(range(lo // 8, hi // 8 + 1)) & lost_bytes:
                 expected[c] = True
     return expected
+
+
+def missing_bytes(packets, nbytes):
+    """The bytes of an ``nbytes`` stream that no packet carries."""
+    missing = np.ones(nbytes, dtype=bool)
+    for p in packets:
+        missing[p.byte_offset : p.byte_offset + len(p.payload)] = False
+    return missing
+
+
+def receive_indices(packets, im):
+    """``receive`` with codebooks whose entry i is the constant vector i and
+    the empty fill, so the vectors read back as the index map the receiver
+    built (lost cells read 0); returned with the loss mask."""
+    dim = im.patch.vector_dim(im.spec)
+    cb_occ, cb_int = (
+        Codebook.from_entries(np.repeat(np.arange(k, dtype=float)[:, None], dim, axis=1))
+        for k in (im.k_occ, im.k_int)
+    )
+    occ, inten, mask = receive(packets, im.spec, im.patch, cb_occ, cb_int, FillPolicy.empty())
+    got = IndexMap(
+        occ[..., 0].astype(np.int64), inten[..., 0].astype(np.int64),
+        im.k_occ, im.k_int, im.spec, im.patch,
+    )
+    return got, mask
+
+
+def receiver_nbytes(im):
+    """The frame length the receiver of ``im``'s configuration expects."""
+    n_bits = im.h * im.w * (bits_for(im.k_occ) + bits_for(im.k_int))
+    return HEADER_LEN + (n_bits + 7) // 8
 
 
 class TestBitPacking:
@@ -174,7 +206,8 @@ class TestBitPacking:
     def test_header_must_fit_the_grid(self, offset, value):
         # k_occ, k_int, h, w: a K of 0 or a latent shape the grid and patch do not give
         rng = np.random.default_rng(23)
-        frame = serialize(random_index_map(rng, h=2, w=2), Pose())
+        im = random_index_map(rng, h=2, w=2)
+        frame = serialize(im, Pose())
         blob = bytearray(frame.to_bytes())
         struct.pack_into("<I", blob, offset, value)
         with pytest.raises(FormatError, match="bad frame header"):
@@ -182,7 +215,7 @@ class TestBitPacking:
         packets = packetize(frame, 64)
         packets[0] = Packet(frame.frame_id, 0, 0, bytes(blob[:64]))
         with pytest.raises(FormatError, match="bad frame header"):
-            reassemble(packets)
+            receive_indices(packets, im)
 
     def test_pose_must_fit_float32(self):
         # the header stores each pose value as f32: the largest one round-trips
@@ -239,9 +272,9 @@ class TestPacketize:
         frame = serialize(im, Pose())
         packets = packetize(frame, 64)
         rng.shuffle(packets)
-        again, missing = reassemble(packets)
-        assert again.to_bytes() == frame.to_bytes()
-        assert not missing.any()
+        again, mask = receive_indices(packets, im)
+        assert again == im
+        assert mask.n_lost == 0
 
     def test_mtu_too_small(self):
         rng = np.random.default_rng(8)
@@ -253,6 +286,20 @@ class TestPacketize:
         with pytest.raises(ValueError):
             Packet(0, 1 << 16, 0, b"")
 
+    @pytest.mark.parametrize(
+        "field,bits",
+        [("frame_id", 32), ("seq", 16), ("byte_offset", 64)],
+    )
+    def test_fields_fit_the_trace(self, field, bits, tmp_path):
+        # the widths a packet trace stores: u32 frame id, u16 seq, u64 offset
+        for value in (-1, 1 << bits):
+            with pytest.raises(ValueError, match=f"{field} must fit in {bits} bits"):
+                Packet(**{"frame_id": 0, "seq": 0, "byte_offset": 0, field: value}, payload=b"")
+        top = Packet(**{"frame_id": 0, "seq": 0, "byte_offset": 0, field: (1 << bits) - 1},
+                     payload=b"x")
+        write_packet_trace(tmp_path / "t.pkts", [top])
+        assert read_packet_trace(tmp_path / "t.pkts") == [top]
+
 
 class TestLossMapping:
     def test_all_payload_packets_lost(self):
@@ -263,13 +310,8 @@ class TestLossMapping:
         # keep only packets that cover the header
         kept = [p for p in packets if p.byte_offset < HEADER_LEN]
         assert all(p.byte_offset + len(p.payload) <= HEADER_LEN + 128 for p in kept)
-        again, missing = reassemble(kept)
-        _, mask = deserialize(again, missing)
+        _, mask = receive_indices(kept, im)
         assert mask.n_lost == mask.lost.size  # every cell touches a lost byte?
-
-    def test_no_packets_raises(self):
-        with pytest.raises(IncompleteFrameError):
-            reassemble([])
 
     def test_missing_mask_checked(self):
         frame = serialize(random_index_map(np.random.default_rng(16)), Pose())
@@ -279,16 +321,6 @@ class TestLossMapping:
         missing[HEADER_LEN - 1] = True
         with pytest.raises(IncompleteFrameError):
             deserialize(frame, missing)
-
-    def test_header_loss_raises(self):
-        rng = np.random.default_rng(10)
-        im = random_index_map(rng, h=3, w=3, k_occ=64, k_int=64)
-        frame = serialize(im, Pose())
-        packets = packetize(frame, 64)
-        again_ok, _ = reassemble(packets)
-        assert again_ok.to_bytes() == frame.to_bytes()
-        with pytest.raises(IncompleteFrameError):
-            reassemble(packets[1:])
 
     def test_lost_cells_match_byte_overlap_oracle(self):
         rng = np.random.default_rng(11)
@@ -303,8 +335,8 @@ class TestLossMapping:
             if HEADER_LEN > mtu:
                 keep[: math.ceil(HEADER_LEN / mtu)] = True
             delivered = [p for p, k in zip(packets, keep) if k]
-            again, missing = reassemble(delivered)
-            back, mask = deserialize(again, missing)
+            missing = missing_bytes(delivered, frame.total_nbytes)
+            back, mask = receive_indices(delivered, im)
             np.testing.assert_array_equal(mask.lost.ravel(), byte_overlap_lost(im, missing))
             # present cells keep their original indices
             ok = ~mask.lost
@@ -333,8 +365,9 @@ mtus = st.sampled_from([64, 80, 128, 200])
 
 
 class TestReassemblyContracts:
-    """Any delivery of a frame's packets yields the exact frame, the
-    byte-overlap loss mask, or a typed error -- never a silent wrong frame."""
+    """Any delivery of a frame's packets to ``receive`` yields the exact
+    index map, the byte-overlap loss mask, or a typed error -- never a
+    silent wrong frame."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), seed=seeds, mtu=mtus, mtu2=mtus)
@@ -342,44 +375,36 @@ class TestReassemblyContracts:
         rng = np.random.default_rng(seed)
         im = random_index_map(rng, h=int(rng.integers(1, 10)), w=int(rng.integers(1, 10)))
         frame = serialize(im, Pose(), frame_id=int(rng.integers(2**32)))
-        blob = np.frombuffer(frame.to_bytes(), dtype=np.uint8)
         # two packetizations: duplicates may cover overlapping, shifted ranges
         pool = packetize(frame, mtu) + packetize(frame, mtu2)
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=3 * len(pool)))
         delivered = [pool[i] for i in picks]
-        covered = np.zeros(blob.size, dtype=bool)
-        for p in delivered:
-            covered[p.byte_offset : p.byte_offset + len(p.payload)] = True
-
-        if not covered[:HEADER_LEN].all():
-            with pytest.raises(IncompleteFrameError):
-                reassemble(delivered)
-            return
-        again, missing = reassemble(delivered)
-        np.testing.assert_array_equal(missing, ~covered)
-        got = np.frombuffer(again.to_bytes(), dtype=np.uint8)
-        np.testing.assert_array_equal(got[covered], blob[covered])
-        assert not got[~covered].any()
-        back, mask = deserialize(again, missing)
-        np.testing.assert_array_equal(mask.lost.ravel(), byte_overlap_lost(im, missing))
+        covered = ~missing_bytes(delivered, frame.total_nbytes)
+        back, mask = receive_indices(delivered, im)
+        if covered[:HEADER_LEN].all():
+            np.testing.assert_array_equal(mask.lost.ravel(), byte_overlap_lost(im, ~covered))
+        else:
+            assert mask.lost.all()  # the header is lost: so is every cell
         ok = ~mask.lost
         np.testing.assert_array_equal(back.occ_indices[ok], im.occ_indices[ok])
         np.testing.assert_array_equal(back.int_indices[ok], im.int_indices[ok])
+        assert not back.occ_indices[~ok].any() and not back.int_indices[~ok].any()
         if covered.all():
-            assert back == im and again.frame_id == frame.frame_id
+            assert back == im
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), seed=seeds, mtu=mtus, ids=st.tuples(seeds, seeds))
     def test_mixed_frames_rejected(self, data, seed, mtu, ids):
         assume(ids[0] != ids[1])
         rng = np.random.default_rng(seed)
-        a = packetize(serialize(random_index_map(rng), Pose(), frame_id=ids[0]), mtu)
+        im = random_index_map(rng)
+        a = packetize(serialize(im, Pose(), frame_id=ids[0]), mtu)
         b = packetize(serialize(random_index_map(rng), Pose(x=1.0), frame_id=ids[1]), mtu)
         mixed = data.draw(st.lists(st.sampled_from(a), min_size=1)) + data.draw(
             st.lists(st.sampled_from(b), min_size=1)
         )
         with pytest.raises(FormatError) as excinfo:
-            reassemble(data.draw(st.permutations(mixed)))
+            receive_indices(data.draw(st.permutations(mixed)), im)
         assert excinfo.type is FormatError
 
     def test_header_of_one_frame_with_payload_of_another_rejected(self):
@@ -388,48 +413,80 @@ class TestReassemblyContracts:
         first = packetize(serialize(ims[0], Pose(), frame_id=1), 64)
         second = packetize(serialize(ims[1], Pose(x=5.0), frame_id=2), 64)
         with pytest.raises(FormatError):
-            reassemble(first[:1] + second[1:])
+            receive_indices(first[:1] + second[1:], ims[0])
 
     def test_packet_frame_id_must_match_header(self):
         rng = np.random.default_rng(17)
-        frame = serialize(random_index_map(rng), Pose(), frame_id=5)
+        im = random_index_map(rng)
+        frame = serialize(im, Pose(), frame_id=5)
         relabeled = [Packet(6, p.seq, p.byte_offset, p.payload) for p in packetize(frame, 64)]
-        with pytest.raises(FormatError):
-            reassemble(relabeled)
+        with pytest.raises(FormatError, match="frame id differs"):
+            receive_indices(relabeled, im)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), seed=seeds, mtu=mtus)
     def test_conflicting_duplicate_rejected(self, data, seed, mtu):
         rng = np.random.default_rng(seed)
-        packets = packetize(serialize(random_index_map(rng), Pose()), mtu)
+        im = random_index_map(rng)
+        packets = packetize(serialize(im, Pose()), mtu)
         p = data.draw(st.sampled_from(packets))
         payload = bytearray(p.payload)
         payload[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(st.integers(1, 255))
         forged = Packet(p.frame_id, p.seq, p.byte_offset, bytes(payload))
         with pytest.raises(FormatError) as excinfo:
-            reassemble(data.draw(st.permutations(packets + [forged])))
+            receive_indices(data.draw(st.permutations(packets + [forged])), im)
         assert excinfo.type is FormatError
 
     @pytest.mark.parametrize("offset", [2**63, 2**64 - 1])
     def test_huge_offset_rejected_without_allocating(self, offset, tmp_path):
         rng = np.random.default_rng(18)
-        frame = serialize(random_index_map(rng), Pose())
+        im = random_index_map(rng)
+        frame = serialize(im, Pose())
         packets = packetize(frame, 64)
         rogue = Packet(frame.frame_id, len(packets), offset, b"\x01")
-        with pytest.raises(FormatError):
-            reassemble(packets + [rogue])
+        for delivered in (packets + [rogue], packets[1:] + [rogue]):  # with and without header
+            with pytest.raises(FormatError, match="past the receiver's frame"):
+                receive_indices(delivered, im)
         path = tmp_path / "t.pkts"
         write_packet_trace(path, [rogue] + packets)
-        with pytest.raises(FormatError):
-            reassemble(read_packet_trace(path))
+        with pytest.raises(FormatError, match="past the receiver's frame"):
+            receive_indices(read_packet_trace(path), im)
 
     def test_packet_past_declared_length_rejected(self):
         rng = np.random.default_rng(19)
-        frame = serialize(random_index_map(rng), Pose())
+        im = random_index_map(rng)
+        frame = serialize(im, Pose())
         packets = packetize(frame, 64)
         extra = Packet(frame.frame_id, len(packets), frame.total_nbytes, b"\x00")
-        with pytest.raises(FormatError):
-            reassemble(packets + [extra])
+        with pytest.raises(FormatError, match="past the receiver's frame"):
+            receive_indices(packets + [extra], im)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), seed=seeds, mtu=mtus)
+    def test_place_sees_only_the_receivers_frame_length(self, data, seed, mtu):
+        # the sender's grid may differ from the receiver's, and rogue packets
+        # may claim any offset a trace can store
+        rng = np.random.default_rng(seed)
+        receiver = random_index_map(rng)
+        sender = receiver if data.draw(st.booleans()) else random_index_map(rng)
+        frame = serialize(sender, Pose(), frame_id=7)
+        honest = data.draw(st.lists(st.sampled_from(packetize(frame, mtu)), max_size=12))
+        rogues = data.draw(
+            st.lists(
+                st.builds(
+                    lambda off, payload: Packet(7, 0, off, payload),
+                    st.one_of(st.integers(0, 2 * frame.total_nbytes), st.integers(0, 2**64 - 1)),
+                    st.binary(max_size=8),
+                ),
+                max_size=3,
+            )
+        )
+        delivered = data.draw(st.permutations(honest + rogues))
+        with mock.patch.object(wire, "_place", wraps=wire._place) as place:
+            with contextlib.suppress(FormatError):
+                _, mask = receive_indices(delivered, receiver)
+                assert mask.lost.shape == (receiver.h, receiver.w)
+        assert [c.args[1] for c in place.call_args_list] == [receiver_nbytes(receiver)]
 
 
 class TestReceive:
@@ -499,7 +556,7 @@ class TestReceive:
         with pytest.raises(FormatError, match="disagrees"):
             receive(packetize(header, 64), im.spec, im.patch, cb_occ, cb_int,
                     FillPolicy.empty())
-        assert sizes and max(sizes) <= HEADER_LEN
+        assert sizes == [receiver_nbytes(im)]  # never the header's 0.9 MB
 
     def test_one_header_parse_per_receive(self, setup, monkeypatch):
         im, cb_occ, cb_int, fill_occ, fill_int = setup
@@ -518,13 +575,44 @@ class TestReceive:
         monkeypatch.setattr(Frame, "_parse_header", staticmethod(parse_spy))
         monkeypatch.setattr(wire, "_place", place_spy)
         for delivered, want in [
-            (packets, ["place", "parse", "place"]),
-            (packets[:-1], ["place", "parse", "place"]),
+            (packets, ["place", "parse"]),
+            (packets[:-1], ["place", "parse"]),
             (packets[1:], ["place"]),  # the header is lost: nothing to parse
         ]:
             calls.clear()
             receive(delivered, im.spec, im.patch, cb_occ, cb_int, FillPolicy.empty())
             assert calls == want
+
+    def test_negative_offset_cannot_fill_the_frame_end(self):
+        # 4x4 cells at K = 16: a 137-byte frame in packets at 0, 64 and 128.
+        # A packet at offset -6 would carry header bytes 115-118 and, sliced
+        # from the end, mark frame bytes 131-134 present: 8 cells instead of
+        # 16 would count as lost, and decode wrong intensities
+        im = random_index_map(np.random.default_rng(26), h=4, w=4, k_occ=16, k_int=16)
+        frame = serialize(im, Pose())
+        assert frame.total_nbytes == 137
+        packets = packetize(frame, 64)
+        with pytest.raises(ValueError, match="byte_offset"):
+            Packet(frame.frame_id, len(packets), -6, frame.to_bytes()[115:119])
+        _, mask = receive_indices(packets[:-1], im)
+        assert mask.n_lost == 16
+
+    def test_stray_bytes_rejected_with_the_header_lost(self, setup):
+        # without a header the receiver still knows its frame: bytes past it
+        # and conflicting duplicates are errors, not ignored
+        im, cb_occ, cb_int, fill_occ, fill_int = setup
+        frame = serialize(im, Pose())
+        packets = packetize(frame, 64)
+        last = packets[-1]
+        # the frame's last byte, as sent, and one byte past it
+        stray = Packet(frame.frame_id, len(packets), frame.total_nbytes - 1,
+                       frame.to_bytes()[-1:] + b"\x00")
+        flipped = bytes(b ^ 1 for b in last.payload)
+        forged = Packet(last.frame_id, last.seq, last.byte_offset, flipped)
+        for rogue, message in ((stray, "past the receiver's frame"), (forged, "conflicting")):
+            with pytest.raises(FormatError, match=message):
+                receive(packets[1:] + [rogue], im.spec, im.patch, cb_occ, cb_int,
+                        FillPolicy.empty())
 
 
 class TestStraddleFixture:
@@ -547,16 +635,14 @@ class TestStraddleFixture:
         last = len(packets) - 1
 
         # drop the final packet: exactly the straddling cell is lost
-        again, missing = reassemble(packets[:-1])
-        _, mask = deserialize(again, missing)
+        _, mask = receive_indices(packets[:-1], im)
         assert mask.n_lost == 1
         assert mask.lost[0, w - 1]
 
         # drop the second-to-last packet instead: the straddling cell is
         # lost again (its field begins in that packet)
         delivered = packets[: last - 1] + [packets[last]]
-        again, missing = reassemble(delivered)
-        _, mask = deserialize(again, missing)
+        _, mask = receive_indices(delivered, im)
         assert mask.lost[0, w - 1]
         assert mask.n_lost >= 1
 

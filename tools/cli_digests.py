@@ -18,8 +18,10 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
   cuts the 768 rows into three blocks by width;
 - ``simulate`` at drop rates 0, 0.3 and 0.9, each with every ``--fill``,
   each writing ``--report`` and ``--trace-out``;
-- a ``--trace-in`` replay of the 0.3 trace, and a replay whose trace lacks
-  the header packet;
+- a ``--trace-in`` replay of the 0.3 trace; ``replay-dup``, the same replay
+  with every packet of that trace delivered twice and in reverse order, whose
+  ``.qpcd`` and report must equal the replay's; and a replay whose trace
+  lacks the header packet;
 - a scene generated outside the desk grid (``--extent 20,30,20,30,0,1.2``),
   encoded with every point dropped, then ``simulate --drop-rate 1 --fill
   empty`` on it: every cell lost and no point decoded;
@@ -27,7 +29,8 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
   ``volume``;
 - the ``evaluate_roundtrip`` JSON for every fill at drop rates 0, 0.3, 0.9.
 
-It exits 1 if any run exits non-zero.
+It exits 1 if any run exits non-zero or ``replay-dup`` differs from
+``replay``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,12 @@ from qpcomm.codec import DecodeConfig  # noqa: E402
 from qpcomm.pcio import read_qpcd  # noqa: E402
 from qpcomm.quantizer import read_codebook  # noqa: E402
 from qpcomm.tolerance import POLICIES, FillPolicy  # noqa: E402
-from qpcomm.wire import packetize, read_frame, write_packet_trace  # noqa: E402
+from qpcomm.wire import (  # noqa: E402
+    packetize,
+    read_frame,
+    read_packet_trace,
+    write_packet_trace,
+)
 
 DROP_RATES = (0.0, 0.3, 0.9)
 CODEBOOKS = ("--codebooks", "occ.qpcb", "int.qpcb")
@@ -90,6 +98,11 @@ def _run_all(stdouts: dict) -> None:
     qpc("replay", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--seed", 9,
         "--fill", "neighbor_copy", "--trace-in", "sim-0.3-neighbor_copy.pkts",
         "--out", "replay.qpcd", "--report", "replay.json")
+    recorded = read_packet_trace("sim-0.3-neighbor_copy.pkts")
+    write_packet_trace("replay-dup.pkts", recorded[::-1] * 2)
+    qpc("replay-dup", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--seed", 9,
+        "--fill", "neighbor_copy", "--trace-in", "replay-dup.pkts",
+        "--out", "replay-dup.qpcd", "--report", "replay-dup.json")
     frame = read_frame("f.qpfr")
     # the header travels in packet 0
     write_packet_trace("headless.pkts", packetize(frame, 128)[1:])
@@ -138,6 +151,9 @@ def main() -> int:
             os.chdir(home)
     for name, text in stdouts.items():
         digests[f"{name}.stdout"] = _sha256(text.encode())
+    for ext in ("qpcd", "json"):
+        if digests[f"replay-dup.{ext}"] != digests[f"replay.{ext}"]:
+            sys.exit(f"replay-dup.{ext} differs from replay.{ext}")
     for name in sorted(digests):
         print(f"{digests[name]}  {name}")
     return 0
