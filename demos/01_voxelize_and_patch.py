@@ -28,7 +28,11 @@ print(f"patchify: {h}x{w} latent cells, vector dimension {dim}")
 distinct = np.unique(occ_vec.reshape(-1, dim), axis=0).shape[0]
 print(f"distinct occupancy patterns in this scene: {distinct} of {h * w} cells")
 
-occ_back, int_back = q.unpatchify(occ_vec, int_vec, patch, spec)
+# the receiver's inverse: reassemble each stream's grid, then threshold occupancy
+# at 0.5 and zero the intensity of unoccupied voxels
+occ_back, int_back = q.threshold_grids(
+    q.assemble_grid(occ_vec, patch, spec), q.assemble_grid(int_vec, patch, spec), spec
+)
 print("roundtrip exact:",
       np.array_equal(occ_back.data, occupancy.data)
       and np.array_equal(int_back.data, intensity.data))

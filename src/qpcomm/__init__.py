@@ -13,7 +13,6 @@ from .channel import ChannelConfig, ChannelReport, latency_for_volume, transmit
 from .codec import (
     DecodeConfig,
     IndexMap,
-    decode,
     decode_grids,
     encode,
     encode_grids,
@@ -29,8 +28,8 @@ from .geometry import (
     VoxelGridSpec,
     assemble_grid,
     patchify,
+    threshold_grids,
     training_vectors,
-    unpatchify,
     voxelize,
 )
 from .metrics import EvalReport, SweepResult, chamfer, evaluate_roundtrip, sweep

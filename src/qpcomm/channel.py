@@ -72,7 +72,9 @@ def transmit(packets, cfg: ChannelConfig, seed: int = 0) -> tuple[list[Packet], 
 
 
 def latency_for_volume(n_bytes: float, bandwidth_bytes_per_s: float) -> float:
-    """Transfer time in seconds for ``n_bytes`` at the given bandwidth."""
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
+    """Transfer time in seconds for ``n_bytes`` >= 0 at a finite bandwidth > 0."""
+    if not 0 < bandwidth_bytes_per_s < np.inf:  # NaN fails too
+        raise ValueError("bandwidth must be positive and finite")
+    if not n_bytes >= 0:
+        raise ValueError("n_bytes must be >= 0")
     return n_bytes / bandwidth_bytes_per_s

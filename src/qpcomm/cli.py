@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import metrics, pcio, scenegen, wire
 from .channel import ChannelConfig
-from .codec import DecodeConfig, decode, encode
+from .codec import DecodeConfig, encode
 from .geometry import PatchSpec, VoxelGridSpec, training_vectors
 from .metrics import sweep as run_sweep
 from .quantizer import (
@@ -263,8 +263,11 @@ def cmd_decode(args) -> int:
         decode_cfg = DecodeConfig(args.sigma, args.points_per_voxel, not args.no_clip)
     frame = read_frame(args.infile)
     (cb_occ, _), (cb_int, _) = _read_codebooks(args.codebooks)
-    im, _mask = wire.deserialize(frame)
-    cloud = decode(im, cb_occ, cb_int, decode_cfg, seed)
+    # every packet arrives, so no cell is lost and the fill policy is never read
+    _, _, _, cloud = metrics.reconstruct(
+        wire.packetize(frame, frame.total_nbytes), frame.spec, frame.patch, cb_occ, cb_int,
+        FillPolicy.empty(), decode_cfg, seed,
+    )
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     print(f"decoded {len(cloud)} points to {args.out}")
     return 0
@@ -290,7 +293,8 @@ def cmd_simulate(args) -> int:
         _atomic(args.trace_out, lambda p: wire.write_packet_trace(p, delivered))
 
     mask, _, _, cloud = metrics.reconstruct(
-        delivered, frame.spec, frame.patch, cb_occ, cb_int, policy, decode_cfg, seed
+        delivered, frame.spec, frame.patch, cb_occ, cb_int, policy, decode_cfg,
+        derive_seed(seed, 2),
     )
     _atomic(args.out, lambda p: pcio.write_qpcd(p, cloud))
     if args.report:

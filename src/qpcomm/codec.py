@@ -2,11 +2,12 @@
 
 Encoding voxelizes the cloud, flattens it into patch vectors, and replaces
 each vector by its nearest codebook index, separately for the occupancy and
-intensity streams.  Decoding looks the vectors back up, rebuilds the grids
-(occupancy thresholded at 0.5), and emits points sampled from an isotropic
-Gaussian around each occupied voxel centroid; all points of a voxel carry
-that voxel's single intensity value, and the intensity channel itself is
-never sampled.
+intensity streams.  The receiver (``metrics.reconstruct``) looks the
+vectors back up and rebuilds the grids (occupancy thresholded at 0.5).
+Decoding (``decode_grids``) emits points sampled from an isotropic Gaussian
+around each occupied voxel centroid; all points of a voxel carry that
+voxel's single intensity value, and the intensity channel itself is never
+sampled.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .geometry import (
     _to_patch_vectors,
     assemble_grid,
     patchify,
-    unpatchify,
     voxelize,
 )
 from .quantizer import KIND_OCC, Codebook, quantize
@@ -46,7 +46,6 @@ class IndexMap:
     k_int: int
     spec: VoxelGridSpec
     patch: PatchSpec
-    codebook_ids: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.occ_indices = np.asarray(self.occ_indices, dtype=np.int64)
@@ -135,15 +134,7 @@ def encode_grids(
     occ_vec, int_vec = patchify(occ, inten, patch)
     occ_idx, _ = quantize(cb_occ, occ_vec)
     int_idx, _ = quantize(cb_int, int_vec)
-    return IndexMap(
-        occ_idx,
-        int_idx,
-        cb_occ.k,
-        cb_int.k,
-        spec,
-        patch,
-        codebook_ids=(cb_occ.codebook_id, cb_int.codebook_id),
-    )
+    return IndexMap(occ_idx, int_idx, cb_occ.k, cb_int.k, spec, patch)
 
 
 def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig,
@@ -183,19 +174,6 @@ def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig,
             pos[out] = centers[out]
     points = np.column_stack([pos, np.repeat(values, ppv)])
     return PointCloud(points)
-
-
-def decode(im: IndexMap, cb_occ: Codebook, cb_int: Codebook, cfg: DecodeConfig,
-           seed: int = 0) -> PointCloud:
-    """Look the indices up in their codebooks and ``decode_grids`` with ``seed``."""
-    if cb_occ.k != im.k_occ or cb_int.k != im.k_int:
-        raise ValueError("codebook sizes do not match the index map")
-    if im.codebook_ids is not None:
-        ids = (cb_occ.codebook_id, cb_int.codebook_id)
-        if ids != tuple(im.codebook_ids):
-            raise ValueError("codebook content does not match the index map ids")
-    occ_vec, int_vec = cb_occ.entries[im.occ_indices], cb_int.entries[im.int_indices]
-    return decode_grids(*unpatchify(occ_vec, int_vec, im.patch, im.spec), cfg, seed)
 
 
 def occupancy_bce(truth: OccupancyGrid, predicted_probs: np.ndarray) -> float:

@@ -8,6 +8,7 @@ vector-quantized and transmitted.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,8 @@ class PointCloud:
 class VoxelGridSpec:
     """Regular 3D grid.  Voxel (i, j, k) covers the half-open box
     ``[origin + (i*dx, j*dy, k*dz), origin + ((i+1)*dx, (j+1)*dy, (k+1)*dz))``.
+    ``dims`` are integers and the grid holds at most ``MAX_POINTS`` voxels,
+    the most points a decoded cloud may hold.
     """
 
     origin: tuple[float, float, float]
@@ -66,6 +69,8 @@ class VoxelGridSpec:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "cell", tuple(float(v) for v in self.cell))
+        if not all(isinstance(v, numbers.Integral) or float(v).is_integer() for v in self.dims):
+            raise ValueError("grid dims must be integers")
         object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
         if len(self.origin) != 3 or len(self.cell) != 3 or len(self.dims) != 3:
             raise ValueError("origin, cell and dims must have three components")
@@ -75,6 +80,8 @@ class VoxelGridSpec:
             raise ValueError("cell sizes must be positive and finite")
         if any(d <= 0 for d in self.dims):
             raise ValueError("grid dims must be strictly positive")
+        if self.n_voxels > MAX_POINTS:
+            raise ValueError(f"grid holds more than {MAX_POINTS} voxels")
         # Python floats, so an overflow is inf rather than a numpy warning
         if not all(abs(o) + d * c < np.inf for o, c, d in zip(self.origin, self.cell, self.dims)):
             raise ValueError("grid extent must be finite")
@@ -259,28 +266,17 @@ def training_vectors(
     return np.vstack(occ_vecs), np.vstack(int_vecs)
 
 
-def unpatchify(
-    occ_vectors: np.ndarray,
-    int_vectors: np.ndarray,
-    patch: PatchSpec,
-    spec: VoxelGridSpec,
-) -> tuple[OccupancyGrid, IntensityGrid]:
-    """Rebuild grids from patch vectors.
-
-    Real-valued occupancy entries are thresholded at 0.5 (>= 0.5 means
-    occupied); intensity is clamped to [0, 1] and zeroed wherever the
-    thresholded occupancy is 0.  Exact inverse of :func:`patchify` for binary
-    occupancy and properly masked intensity.
-    """
-    occ_raw = assemble_grid(occ_vectors, patch, spec)
-    return threshold_grids(occ_raw, assemble_grid(int_vectors, patch, spec), spec)
-
-
 def threshold_grids(
     occ_raw: np.ndarray, int_raw: np.ndarray, spec: VoxelGridSpec
 ) -> tuple[OccupancyGrid, IntensityGrid]:
-    """The grids :func:`unpatchify` returns, from the two assembled real-valued
-    (H, W, L) tensors; neither input is modified."""
+    """The grids of the two assembled real-valued (H, W, L) tensors; neither
+    input is modified.
+
+    Occupancy entries are thresholded at 0.5 (>= 0.5 means occupied);
+    intensity is clamped to [0, 1] and zeroed wherever the thresholded
+    occupancy is 0.  After :func:`assemble_grid`, the exact inverse of
+    :func:`patchify` for binary occupancy and properly masked intensity.
+    """
     occ_data = (occ_raw >= 0.5).astype(np.uint8)
     int_data = np.clip(int_raw, 0.0, 1.0)
     int_data *= occ_data

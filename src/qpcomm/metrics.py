@@ -8,11 +8,14 @@ sender stage (``_send``) that depends on the scene alone, and a trial.
 ``_send`` voxelizes the scene once and quantizes the frame from those truth
 grids.  A trial is ``deliver`` (packetize -> channel), then ``reconstruct``
 (receive -> fill -> decode), then the measurements; ``qpc simulate`` runs
-the same two functions.  Each passes one sub-seed of the trial seed to the
-stage that draws from it: index 1 to ``transmit``, index 2 to
-``decode_grids``; no config carries a seed.  ``sweep`` runs the sender
-stage once per scene and a trial for every ``(scene, drop rate, trial)``
-index triple, with deterministically derived seeds.
+the same two functions, and ``qpc decode`` runs ``reconstruct`` on all of
+its frame's packets.  Each stage that draws takes its seed as an argument;
+no config carries one.  ``deliver`` takes the trial seed and passes its
+sub-seed 1 to ``transmit``; ``reconstruct`` takes the decoder's seed, which
+a trial derives as sub-seed 2 of its seed, and passes it to
+``decode_grids`` unchanged.  ``sweep`` runs the sender stage once per scene
+and a trial for every ``(scene, drop rate, trial)`` index triple, with
+deterministically derived seeds.
 
 Chamfer threads: ``evaluate_roundtrip`` and ``sweep`` run their ``n``
 trials through one loop, ``_roundtrips``, with ``lanes = min(_cpus(), n)``
@@ -129,14 +132,14 @@ def reconstruct(
     delivered, spec: VoxelGridSpec, patch: PatchSpec, cb_occ: Codebook, cb_int: Codebook,
     policy: FillPolicy, decode_cfg: DecodeConfig, seed: int,
 ):
-    """The trial's receiver side: ``receive`` the delivered packets, assemble
-    the occupancy grid once, threshold both grids and decode with sub-seed 2
-    of ``seed``.  Returns the ``LossMask``, the raw occupancy tensor, the
+    """The receiver: ``receive`` the delivered packets, assemble the
+    occupancy grid once, threshold both grids and ``decode_grids`` with
+    ``seed``.  Returns the ``LossMask``, the raw occupancy tensor, the
     intensity grid and the decoded cloud."""
     occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, policy)
     occ_raw = assemble_grid(occ_vec, patch, spec)
     occ, inten = threshold_grids(occ_raw, assemble_grid(int_vec, patch, spec), spec)
-    cloud = decode_grids(occ, inten, decode_cfg, derive_seed(seed, 2))
+    cloud = decode_grids(occ, inten, decode_cfg, seed)
     return mask, occ_raw, inten, cloud
 
 
@@ -159,7 +162,8 @@ def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_po
             tree, leaf_xyz = indexes[si]
             delivered, _ = deliver(frame, channel_cfg, mtu, seed)
             mask, occ_raw, inten, recon = reconstruct(
-                delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg, seed
+                delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg,
+                derive_seed(seed, 2),
             )
             measured = len(leaf_xyz) > 0 and len(recon) > 0
             if measured:

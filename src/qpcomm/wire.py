@@ -58,7 +58,9 @@ _F32_MAX = float(np.finfo(np.float32).max)  # the largest |value| a pose field h
 
 
 class IncompleteFrameError(FormatError):
-    """Raised when lost packets leave the frame header unrecoverable."""
+    """Raised by :func:`deserialize` when its missing-byte mask covers a
+    header byte.  ``receive`` never raises it: there a lost header means
+    every cell is lost and filled."""
 
 
 @dataclass(frozen=True)
@@ -318,14 +320,19 @@ def receive(
     frame length before any packet is read, and no buffer is longer than
     that frame.  A lost header still leaves the stream configuration known:
     every cell of ``patch.latent_shape(spec)`` counts as lost and is filled.
-    Packets of more than one frame, duplicates with conflicting bytes, a
-    header that disagrees with the receiver, a packet frame id that differs
-    from the header's and bytes past the frame raise :class:`FormatError`.
+    Codebooks whose dimension is not the patch vector's, packets of more
+    than one frame, duplicates with conflicting bytes, a header that
+    disagrees with the receiver, a packet frame id that differs from the
+    header's and bytes past the frame raise :class:`FormatError`, the first
+    before any packet is read.
     """
     packets = list(packets)
     if len({p.frame_id for p in packets}) > 1:
         raise FormatError("packets from more than one frame")
     h, w = patch.latent_shape(spec)
+    dim = patch.vector_dim(spec)
+    if (cb_occ.dim, cb_int.dim) != (dim, dim):
+        raise FormatError(f"codebook dims ({cb_occ.dim}, {cb_int.dim}) != patch vector dim {dim}")
     expected = (spec, patch, cb_occ.k, cb_int.k)
     nbytes = Frame(0, 0, cb_occ.k, cb_int.k, h, w, spec, patch, Pose(), b"").total_nbytes
     buf, present = _place(packets, nbytes)

@@ -4,7 +4,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from qpcomm.geometry import PointCloud, VoxelGridSpec, assemble_grid
+from qpcomm.metrics import reconstruct
 from qpcomm.quantizer import QuantizerConfig, train_codebook
+from qpcomm.tolerance import FillPolicy
+from qpcomm.wire import Pose, packetize, serialize
 
 
 def desk_spec(dims=(8, 8, 2)):
@@ -37,6 +40,16 @@ def representable_scene(spec, patch, n_patterns=6, seed=0, intensity=0.5):
     idx = np.argwhere(occ_data > 0.5)
     pts = np.column_stack([spec.centroids(idx), np.full(idx.shape[0], intensity)])
     return PointCloud(pts), occ_vec, int_vec
+
+
+def received(im, cb_occ, cb_int, cfg, seed=0):
+    """The cloud the receiver decodes from the index map ``im`` when every
+    packet arrives: ``serialize`` -> ``packetize`` -> ``reconstruct`` with
+    the decoder seed ``seed``, as ``qpc decode`` runs it."""
+    frame = serialize(im, Pose())
+    packets = packetize(frame, frame.total_nbytes)
+    return reconstruct(packets, im.spec, im.patch, cb_occ, cb_int, FillPolicy.empty(), cfg,
+                       seed)[3]
 
 
 def reference_chamfer(a, b):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import received
 
 import qpcomm as q
 from qpcomm.quantizer import QuantizerConfig, train_codebook
@@ -90,7 +91,7 @@ def test_c03_lossless_roundtrip():
         kind="int",
     )
     im = q.encode(scene, DESK_SPEC, DESK_PATCH, cb_occ, cb_int)
-    out = q.decode(im, cb_occ, cb_int, q.DecodeConfig(sigma=0.0, points_per_voxel=1))
+    out = received(im, cb_occ, cb_int, q.DecodeConfig(sigma=0.0, points_per_voxel=1))
 
     occ_truth, _, _ = q.voxelize(scene, DESK_SPEC)
     occ_rec, _, _ = q.voxelize(out, DESK_SPEC)

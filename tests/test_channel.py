@@ -120,3 +120,17 @@ class TestLatency:
     def test_bandwidth_positive(self):
         with pytest.raises(ValueError):
             latency_for_volume(10, 0.0)
+
+    @pytest.mark.parametrize(
+        "n_bytes,bandwidth,match",
+        [
+            (10, float("nan"), "bandwidth"),
+            (10, float("inf"), "bandwidth"),
+            (-5, 10.0, "n_bytes"),
+            (float("nan"), 10.0, "n_bytes"),
+        ],
+        ids=["nan-bandwidth", "inf-bandwidth", "negative-bytes", "nan-bytes"],
+    )
+    def test_bad_input_rejected(self, n_bytes, bandwidth, match):
+        with pytest.raises(ValueError, match=match):
+            latency_for_volume(n_bytes, bandwidth)

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,12 +11,21 @@ from qpcomm import metrics, pcio
 from qpcomm.channel import ChannelConfig
 from qpcomm.cli import PRESETS, build_parser, main
 from qpcomm.codec import DecodeConfig, decode_grids
-from qpcomm.geometry import PatchSpec, VoxelGridSpec, unpatchify
+from qpcomm.geometry import PatchSpec, VoxelGridSpec, assemble_grid, threshold_grids
 from qpcomm.pcio import read_qpcd, write_qpcd
-from qpcomm.quantizer import read_codebook
+from qpcomm.quantizer import Codebook, read_codebook, write_codebook
 from qpcomm.seeds import derive_seed
 from qpcomm.tolerance import POLICIES, FillPolicy
-from qpcomm.wire import packetize, read_frame, read_packet_trace, receive, write_packet_trace
+from qpcomm.wire import (
+    _HEADER_FMT,
+    FRAME_MAGIC,
+    FRAME_VERSION,
+    packetize,
+    read_frame,
+    read_packet_trace,
+    receive,
+    write_packet_trace,
+)
 
 
 @pytest.fixture()
@@ -278,6 +288,18 @@ class TestErrorHandling:
             assert "fill_int must be finite" in capsys.readouterr().err
             assert not (workspace / "x.qpcd").exists()
 
+    def test_decode_codebook_size_differs_from_header_exits_3(self, workspace, capsys):
+        occ, inten = encoded_frame(workspace)
+        cb, fill = read_codebook(inten)
+        write_codebook(workspace / "small.qpcb",
+                       Codebook.from_entries(cb.entries[:-1], kind=cb.kind), fill=fill)
+        capsys.readouterr()
+        assert run("decode", "--in", "f.qpfr", "--codebooks", occ, "small.qpcb",
+                   "--out", "x.qpcd") == 3
+        err = capsys.readouterr().err
+        assert "frame header disagrees with the receiver" in err and "Traceback" not in err
+        assert not (workspace / "x.qpcd").exists()
+
     def test_no_partial_output_on_failure(self, workspace, capsys):
         scenes = make_scenes(workspace, n=1)
         occ, inten = train_codebooks(workspace, scenes)
@@ -370,6 +392,7 @@ class TestFlagsPhase:
             "encode --pose 0,0,0,0,0,-1e39",
             "encode --pose 1,2",
             "encode --dim-patch 3,3",
+            "encode --grid 0.15625,0.15625,0.15,1000000,1000000,8",
             "train --dim-patch 3,3",
             "train --dim-patch inf,2",
             "train --grid 0.1,0.1,0.1,nan,64,8",
@@ -478,7 +501,7 @@ class TestSimulateIsTheLibraryTrial:
                        "--out", "sim.qpcd", "--report", "rep.json") == 0
             mask, _, _, cloud = metrics.reconstruct(
                 delivered, frame.spec, frame.patch, cb_occ, cb_int,
-                FillPolicy(fill, fill_occ, fill_int), DecodeConfig(), 5,
+                FillPolicy(fill, fill_occ, fill_int), DecodeConfig(), derive_seed(5, 2),
             )
             write_qpcd(workspace / "want.qpcd", cloud)
             assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()
@@ -626,11 +649,10 @@ class TestTraceReplay:
             report = json.loads((workspace / "rep.json").read_text())
             assert report["cells_lost"] == report["cells_total"] == frame.h * frame.w
             consts = (0.0, 0.0) if fill == "empty" else (fill_occ, fill_int)
-            want = decode_grids(
-                *unpatchify(np.broadcast_to(consts[0], shape), np.broadcast_to(consts[1], shape),
-                            frame.patch, frame.spec),
-                DecodeConfig(), derive_seed(3, 2),
-            )
+            occ_raw, int_raw = (assemble_grid(np.broadcast_to(c, shape), frame.patch, frame.spec)
+                                for c in consts)
+            want = decode_grids(*threshold_grids(occ_raw, int_raw, frame.spec), DecodeConfig(),
+                                derive_seed(3, 2))
             write_qpcd(workspace / "want.qpcd", want)
             assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()
             assert report["decoded_points"] == len(want)
@@ -721,3 +743,20 @@ class TestCorruptInputs:
             code = run(*argvs[command])
             assert code in (0, 3), (command, code)
             assert out.exists() == (code == 0), command
+
+    @pytest.mark.parametrize("command", ["decode", "simulate"])
+    def test_header_grid_over_the_voxel_cap_exits_3(self, corpus, capsys, command):
+        # a 121-byte frame declaring a 2**20 x 2**20 x 1 grid of 1x1 patches and
+        # K = 1, so its payload is empty; the grid alone is over the voxel cap
+        header = struct.pack(_HEADER_FMT, FRAME_MAGIC, FRAME_VERSION, 0, 0, 1, 1, 2**20, 2**20,
+                             0, 0, 0, 1, 1, 1, 2**20, 2**20, 1, 1, 1, 0, 0, 0, 0, 0, 0)
+        frame = corpus / "corrupt" / "huge.qpfr"
+        frame.write_bytes(header)
+        out = corpus / "corrupt" / "out"
+        out.unlink(missing_ok=True)
+        paths = {r: corpus / n for r, n in VALID.items()} | {"frame": frame}
+        capsys.readouterr()
+        assert run(*_commands(paths, out)[command]) == 3
+        err = capsys.readouterr().err
+        assert "bad frame header" in err and "Traceback" not in err
+        assert not out.exists()

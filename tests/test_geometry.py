@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qpcomm.geometry import (
+    MAX_POINTS,
     IntensityGrid,
     OccupancyGrid,
     PatchSpec,
@@ -10,7 +11,6 @@ from qpcomm.geometry import (
     assemble_grid,
     patchify,
     threshold_grids,
-    unpatchify,
     voxelize,
 )
 
@@ -53,6 +53,24 @@ class TestTypes:
         with pytest.raises(ValueError, match="grid extent must be finite"):
             VoxelGridSpec((-1.7e308, 0, 0), (1e307, 0.1, 0.1), (2, 4, 4))
         VoxelGridSpec((0, 0, 0), (1e307, 0.1, 0.1), (4, 4, 4))
+
+    @pytest.mark.parametrize("dims", [(2.7, 3, 4), (4, np.inf, 4), (4, 4, np.nan)],
+                             ids=["fraction", "inf", "nan"])
+    def test_spec_dims_must_be_integers(self, dims):
+        with pytest.raises(ValueError, match="grid dims must be integers"):
+            VoxelGridSpec((0, 0, 0), (0.1, 0.1, 0.1), dims)
+
+    def test_spec_integral_dims_of_any_type_accepted(self):
+        spec = VoxelGridSpec((0, 0, 0), (0.1, 0.1, 0.1), (2.0, np.int64(3), np.uint32(4)))
+        assert spec.dims == (2, 3, 4) and all(type(d) is int for d in spec.dims)
+
+    def test_spec_holds_at_most_max_points_voxels(self):
+        # the reference preset, 11,796,480 voxels, fits; nothing is allocated either way
+        VoxelGridSpec((0, 0, 0), (0.15625, 0.15625, 0.15), (640, 1152, 16))
+        VoxelGridSpec((0, 0, 0), (0.1, 0.1, 0.1), (MAX_POINTS, 1, 1))
+        for dims in ((MAX_POINTS + 1, 1, 1), (2**20, 2**20, 1), (10**6, 10**6, 8)):
+            with pytest.raises(ValueError, match=f"more than {MAX_POINTS} voxels"):
+                VoxelGridSpec((0, 0, 0), (0.1, 0.1, 0.1), dims)
 
     def test_occupancy_entries_binary(self):
         spec = small_spec()
@@ -227,6 +245,8 @@ class TestPatchify:
 
 
 class TestUnpatchify:
+    """The inverse of ``patchify``: ``assemble_grid``, then ``threshold_grids``."""
+
     def test_roundtrip_identity(self):
         spec = small_spec(dims=(6, 4, 3), cell=(0.2, 0.2, 0.2))
         patch = PatchSpec(3, 2)
@@ -234,29 +254,27 @@ class TestUnpatchify:
         for _ in range(20):
             occ, inten = random_grids(spec, rng)
             ov, iv = patchify(occ, inten, patch)
-            occ2, int2 = unpatchify(ov, iv, patch, spec)
+            occ2, int2 = threshold_grids(
+                assemble_grid(ov, patch, spec), assemble_grid(iv, patch, spec), spec
+            )
             assert np.array_equal(occ.data, occ2.data)
             np.testing.assert_array_equal(inten.data, int2.data)
 
     def test_threshold_boundary(self):
         spec = VoxelGridSpec((0, 0, 0), (1, 1, 1), (1, 1, 1))
-        patch = PatchSpec(1, 1)
-        occ, _ = unpatchify(np.full((1, 1, 1), 0.5), np.zeros((1, 1, 1)), patch, spec)
+        occ, _ = threshold_grids(np.full((1, 1, 1), 0.5), np.zeros((1, 1, 1)), spec)
         assert occ.data[0, 0, 0] == 1
-        occ, inten = unpatchify(np.full((1, 1, 1), 0.49), np.full((1, 1, 1), 0.9), patch, spec)
+        occ, inten = threshold_grids(np.full((1, 1, 1), 0.49), np.full((1, 1, 1), 0.9), spec)
         assert occ.data[0, 0, 0] == 0
         assert inten.data[0, 0, 0] == 0.0  # masked despite the intensity vector
 
     def test_intensity_clamped(self):
         spec = VoxelGridSpec((0, 0, 0), (1, 1, 1), (1, 1, 2))
-        patch = PatchSpec(1, 1)
-        _, inten = unpatchify(
-            np.ones((1, 1, 2)), np.array([[[1.7, -0.4]]]), patch, spec
-        )
+        _, inten = threshold_grids(np.ones((1, 1, 2)), np.array([[[1.7, -0.4]]]), spec)
         np.testing.assert_array_equal(inten.data[0, 0], [1.0, 0.0])
 
     @pytest.mark.parametrize("patch", [PatchSpec(1, 1), PatchSpec(2, 2)])
-    def test_threshold_grids_is_unpatchify_and_keeps_inputs(self, patch):
+    def test_threshold_grids_keeps_inputs(self, patch):
         # with 1x1 patches assemble_grid returns a view of the vectors
         spec = small_spec()
         rng = np.random.default_rng(5)
@@ -264,16 +282,16 @@ class TestUnpatchify:
         ov = rng.uniform(-0.5, 1.5, (h, w, patch.vector_dim(spec)))
         iv = rng.uniform(-0.5, 1.5, ov.shape)
         ov_copy, iv_copy = ov.copy(), iv.copy()
-        occ, inten = threshold_grids(
-            assemble_grid(ov, patch, spec), assemble_grid(iv, patch, spec), spec
+        occ_raw, int_raw = assemble_grid(ov, patch, spec), assemble_grid(iv, patch, spec)
+        occ, inten = threshold_grids(occ_raw, int_raw, spec)
+        np.testing.assert_array_equal(occ.data, occ_raw >= 0.5)
+        np.testing.assert_array_equal(
+            inten.data, np.where(occ_raw >= 0.5, np.clip(int_raw, 0, 1), 0)
         )
-        occ2, int2 = unpatchify(ov, iv, patch, spec)
-        np.testing.assert_array_equal(occ.data, occ2.data)
-        np.testing.assert_array_equal(inten.data, int2.data)
         np.testing.assert_array_equal(ov, ov_copy)
         np.testing.assert_array_equal(iv, iv_copy)
 
     def test_shape_mismatch_errors(self):
         spec = small_spec()
-        with pytest.raises(ValueError):
-            unpatchify(np.zeros((2, 2, 7)), np.zeros((2, 2, 7)), PatchSpec(2, 2), spec)
+        with pytest.raises(ValueError, match="inconsistent"):
+            assemble_grid(np.zeros((2, 2, 7)), PatchSpec(2, 2), spec)

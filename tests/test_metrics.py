@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from qpcomm import metrics
 from qpcomm.channel import ChannelConfig, transmit
 from qpcomm.codec import DecodeConfig, decode_grids, encode, encode_grids, occupancy_bce
-from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, unpatchify, voxelize
+from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, threshold_grids, voxelize
 from qpcomm.metrics import (
     STATUS_EMPTY,
     STATUS_OK,
@@ -55,7 +55,6 @@ LAYER_FUNCTIONS = [
     ("qpcomm.metrics", "evaluate_roundtrip"),
     ("qpcomm.geometry", "voxelize"),
     ("qpcomm.geometry", "patchify"),
-    ("qpcomm.geometry", "unpatchify"),
     ("qpcomm.geometry", "assemble_grid"),
     ("qpcomm.geometry", "threshold_grids"),
     ("qpcomm.codec", "encode"),
@@ -329,9 +328,10 @@ class TestEvaluateRoundtrip:
         int_vec = np.broadcast_to(np.zeros(dim) if empty else learned.fill_int, shape)
         truth = voxelize(cloud, spec).occupancy
         assert rep.occupancy_bce == occupancy_bce(truth, assemble_grid(occ_vec, patch, spec))
-        recon = decode_grids(
-            *unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig(), derive_seed(seed, 2)
+        grids = threshold_grids(
+            assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
         )
+        recon = decode_grids(*grids, DecodeConfig(), derive_seed(seed, 2))
         assert rep.chamfer_m == (chamfer(cloud, recon) if len(recon) else None)
         assert (rep.chamfer_m is None) == empty
 

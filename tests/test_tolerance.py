@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_nearest_present, desk_spec, representable_scene, trained_codebooks_for
+from helpers import (
+    brute_nearest_present,
+    desk_spec,
+    received,
+    representable_scene,
+    trained_codebooks_for,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpcomm.codec import DecodeConfig, decode, decode_grids, encode
-from qpcomm.geometry import PatchSpec, unpatchify
+from qpcomm.codec import DecodeConfig, decode_grids, encode
+from qpcomm.geometry import PatchSpec, assemble_grid, threshold_grids
 from qpcomm.tolerance import (
     POLICIES,
     FillPolicy,
@@ -144,16 +150,21 @@ class TestFill:
         mask = LossMask.none(im.h, im.w)
         occ_vec, int_vec = fill(im, mask, FillPolicy.learned_constant(f_occ, f_int), cb_occ, cb_int)
         cfg = DecodeConfig()
-        a = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), cfg, 8)
-        b = decode(im, cb_occ, cb_int, cfg, 8)
+        grids = threshold_grids(
+            assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
+        )
+        a = decode_grids(*grids, cfg, 8)
+        b = received(im, cb_occ, cb_int, cfg, 8)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_all_lost_empty_policy_gives_empty_cloud(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
         mask = LossMask.all_lost(im.h, im.w)
         occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-        out = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig())
-        assert len(out) == 0
+        occ, _ = threshold_grids(
+            assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
+        )
+        assert occ.n_occupied == 0
 
     def test_neighbor_copy_two_cell_fixture(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
@@ -206,12 +217,14 @@ class TestFill:
 
     def test_empty_fill_never_adds_occupancy(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
-        base = decode(im, cb_occ, cb_int, DecodeConfig(sigma=0.0))
+        base = received(im, cb_occ, cb_int, DecodeConfig(sigma=0.0))
         for seed in range(5):
             mask = mask_random(im.h, im.w, 0.4, seed=seed)
             occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-            out = decode_grids(*unpatchify(occ_vec, int_vec, patch, spec), DecodeConfig(sigma=0.0))
-            assert len(out) <= len(base)
+            occ, _ = threshold_grids(
+                assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
+            )
+            assert occ.n_occupied <= len(base)
 
     @pytest.mark.parametrize("ratio", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("kind", POLICIES)

@@ -558,6 +558,15 @@ class TestReceive:
                     FillPolicy.empty())
         assert sizes == [receiver_nbytes(im)]  # never the header's 0.9 MB
 
+    def test_codebook_dim_checked_before_any_packet_is_read(self, setup, monkeypatch):
+        # a codebook of another D would otherwise be looked up h * w times first
+        im, cb_occ, cb_int, fill_occ, fill_int = setup
+        wide = Codebook.from_entries(np.zeros((cb_int.k, cb_int.dim + 1)), kind=KIND_INT)
+        monkeypatch.setattr(wire, "_place", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(FormatError, match="codebook dims"):
+            receive(packetize(serialize(im, Pose()), 64), im.spec, im.patch, cb_occ, wide,
+                    FillPolicy.empty())
+
     def test_one_header_parse_per_receive(self, setup, monkeypatch):
         im, cb_occ, cb_int, fill_occ, fill_int = setup
         packets = packetize(serialize(im, Pose()), 64)

@@ -11,7 +11,9 @@ The runs execute in-process, in a fresh temporary directory, with the
 ``QPC_SEED`` unset.  Each printed line is ``sha256  name``: one per file the
 runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
 
-- ``gen-scene`` seeds 0-2, ``train --k 32``, ``encode``, ``decode --seed 4``;
+- ``gen-scene`` seeds 0-2, ``train --k 32``, ``encode``, ``decode --seed 4``,
+  and ``decode-ppv``, a decode at ``--seed 4 --points-per-voxel 3 --sigma
+  0.05 --no-clip``;
 - ``train --k 512``, more entries than the scenes have distinct occupancy
   vectors (347), so duplicate entries tie exactly;
 - ``train --dim-patch 4,4 --k 32``: D = 128, where the nearest-entry search
@@ -24,7 +26,8 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
   lacks the header packet;
 - a scene generated outside the desk grid (``--extent 20,30,20,30,0,1.2``),
   encoded with every point dropped, then ``simulate --drop-rate 1 --fill
-  empty`` on it: every cell lost and no point decoded;
+  empty`` on it: every cell lost and no point decoded; and ``decode-far``,
+  the decode of that frame, whose grid holds no occupied voxel;
 - ``sweep --codebooks``, a sweep that trains its own codebooks, and
   ``volume``;
 - the ``evaluate_roundtrip`` JSON for every fill at drop rates 0, 0.3, 0.9.
@@ -88,6 +91,8 @@ def _run_all(stdouts: dict) -> None:
         "--out-occ", "wide-occ.qpcb", "--out-int", "wide-int.qpcb")
     qpc("encode", "encode", "--in", "scenes/s0.qpcd", *CODEBOOKS, "--out", "f.qpfr")
     qpc("decode", "decode", "--in", "f.qpfr", *CODEBOOKS, "--seed", 4, "--out", "dec.qpcd")
+    qpc("decode-ppv", "decode", "--in", "f.qpfr", *CODEBOOKS, "--seed", 4,
+        "--points-per-voxel", 3, "--sigma", 0.05, "--no-clip", "--out", "dec-ppv.qpcd")
 
     for p in DROP_RATES:
         for fill in POLICIES:
@@ -114,6 +119,7 @@ def _run_all(stdouts: dict) -> None:
     qpc("encode-far", "encode", "--in", "far.qpcd", *CODEBOOKS, "--out", "far.qpfr")
     qpc("sim-far", "simulate", "--in", "far.qpfr", *CODEBOOKS, "--seed", 6, "--drop-rate", 1,
         "--fill", "empty", "--out", "sim-far.qpcd", "--report", "sim-far.json")
+    qpc("decode-far", "decode", "--in", "far.qpfr", *CODEBOOKS, "--out", "dec-far.qpcd")
 
     qpc("sweep", "sweep", "--scenes", "scenes", *CODEBOOKS, "--p-list", "0,0.3,0.3,0.9",
         "--trials", 2, "--mtu", 128, "--seed", 2, "--fill", "neighbor_copy",
