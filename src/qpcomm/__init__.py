@@ -57,7 +57,6 @@ from .tolerance import (
 )
 from .wire import (
     Frame,
-    IncompleteFrameError,
     Packet,
     Pose,
     comm_volume_log2_bytes,

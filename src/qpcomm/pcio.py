@@ -29,8 +29,13 @@ class FormatError(ValueError):
 
 
 def write_qpcd(path, cloud: PointCloud) -> None:
+    """Raises ``ValueError`` for a value float32 cannot hold, which
+    :func:`read_qpcd` would read back as inf."""
     path = Path(path)
-    pts = cloud.points.astype("<f4")
+    with np.errstate(over="ignore"):
+        pts = cloud.points.astype("<f4")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{path}: a coordinate lies beyond the float32 range of QPCD")
     with open(path, "wb") as fh:
         fh.write(QPCD_MAGIC)
         fh.write(struct.pack("<B", QPCD_VERSION))

@@ -35,6 +35,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .pcio import FormatError
+
 KIND_OCC = "occ"
 KIND_INT = "int"
 _KIND_CODES = {KIND_OCC: 0, KIND_INT: 1}
@@ -91,6 +93,8 @@ class Codebook:
         self.entries = np.asarray(self.entries, dtype=np.float64)
         if self.entries.ndim != 2:
             raise ValueError("entries must be a (K, D) array")
+        if 0 in self.entries.shape:  # QPCB files hold K >= 1 and D >= 1
+            raise ValueError(f"codebook needs K >= 1 and D >= 1, got {self.entries.shape}")
         _squared_norms(self.entries, "codebook entries")
         k = self.entries.shape[0]
         self.usage = np.asarray(self.usage, dtype=np.int64).reshape(k)
@@ -508,8 +512,6 @@ def write_codebook(path, codebook: Codebook, fill: np.ndarray | None = None) -> 
 
 def read_codebook(path) -> tuple[Codebook, np.ndarray | None]:
     """Read a QPCB file; returns (codebook, fill vector or None)."""
-    from .pcio import FormatError
-
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 14 or data[:4] != QPCB_MAGIC:

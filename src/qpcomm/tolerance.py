@@ -43,10 +43,6 @@ class LossMask:
     def none(cls, h: int, w: int) -> "LossMask":
         return cls(np.zeros((h, w), dtype=bool))
 
-    @classmethod
-    def all_lost(cls, h: int, w: int) -> "LossMask":
-        return cls(np.ones((h, w), dtype=bool))
-
     @property
     def h(self) -> int:
         return self.lost.shape[0]

@@ -19,15 +19,19 @@ Frame byte stream ("QPFR", all little-endian):
 
 The payload packs the occupancy indices then the intensity indices, row-major
 over (i, j), each index in exactly ceil(log2 K) bits, MSB-first within the
-field, fields concatenated without padding, final byte zero-filled.  A frame
-file is exactly this byte stream on disk.
+field, fields concatenated without padding, final byte zero-filled.  h and w
+are the latent shape the grid dims and the patch give; a reader checks
+them against it, and a ``Frame`` in memory keeps only the grid and patch.
+A frame file is exactly this byte stream on disk.
 
 Packets carry successive ``mtu``-sized byte ranges of the stream (no header
-replication); a latent cell is lost when any byte its bit-field touches is
-missing, the latent-level version of the all-or-nothing cell rule.
+replication).  One loss rule, in ``deserialize``: a latent cell is lost when
+any byte its bit-field touches is missing, the latent-level version of the
+all-or-nothing cell rule, and every cell is lost when any header byte is.
 ``receive`` is the one receive path: it places the packets once, into the
 frame the receiver's grid, patch and codebooks give (no buffer is ever
-longer than that frame), then marks lost cells and fills them.
+longer than that frame), decodes that frame under the rule and fills the
+lost cells.
 """
 
 from __future__ import annotations
@@ -57,12 +61,6 @@ POSE_BITS = 6 * 32
 _F32_MAX = float(np.finfo(np.float32).max)  # the largest |value| a pose field holds
 
 
-class IncompleteFrameError(FormatError):
-    """Raised by :func:`deserialize` when its missing-byte mask covers a
-    header byte.  ``receive`` never raises it: there a lost header means
-    every cell is lost and filled."""
-
-
 @dataclass(frozen=True)
 class Pose:
     x: float = 0.0
@@ -86,8 +84,6 @@ class Frame:
     frame_id: int
     k_occ: int
     k_int: int
-    h: int
-    w: int
     spec: VoxelGridSpec
     patch: PatchSpec
     pose: Pose
@@ -102,8 +98,7 @@ class Frame:
             self.frame_id,
             self.k_occ,
             self.k_int,
-            self.h,
-            self.w,
+            *self.patch.latent_shape(self.spec),
             *self.spec.origin,
             *self.spec.cell,
             *self.spec.dims,
@@ -136,7 +131,7 @@ class Frame:
                 raise ValueError("codebook size must be >= 1")
         except ValueError as exc:
             raise FormatError(f"bad frame header: {exc}") from exc
-        return cls(agent_id, frame_id, k_occ, k_int, h, w, spec, patch, pose, b"")
+        return cls(agent_id, frame_id, k_occ, k_int, spec, patch, pose, b"")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Frame":
@@ -149,7 +144,8 @@ class Frame:
 
     @property
     def payload_nbits(self) -> int:
-        return self.h * self.w * (bits_for(self.k_occ) + bits_for(self.k_int))
+        h, w = self.patch.latent_shape(self.spec)
+        return h * w * (bits_for(self.k_occ) + bits_for(self.k_int))
 
     @property
     def payload_nbytes(self) -> int:
@@ -205,18 +201,7 @@ def serialize(im: IndexMap, pose: Pose, agent_id: int = 0, frame_id: int = 0) ->
         ]
     )
     payload = np.packbits(bits).tobytes()
-    return Frame(
-        agent_id,
-        frame_id,
-        im.k_occ,
-        im.k_int,
-        im.h,
-        im.w,
-        im.spec,
-        im.patch,
-        pose,
-        payload,
-    )
+    return Frame(agent_id, frame_id, im.k_occ, im.k_int, im.spec, im.patch, pose, payload)
 
 
 def _fields(bits: np.ndarray, n: int, b_occ: int, b_int: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,11 +216,12 @@ def deserialize(frame: Frame, missing: np.ndarray | None = None) -> tuple[IndexM
 
     ``missing`` is a boolean array over the full frame byte stream (True =
     byte never arrived); ``None`` means no byte is missing.  A cell is lost
-    when any bit of its occupancy or intensity field lies in a missing byte;
-    its index values are forced to 0.  Missing header bytes raise
-    :class:`IncompleteFrameError`.
+    when any bit of its occupancy or intensity field lies in a missing byte,
+    and every cell is lost when any header byte is missing; a lost cell's
+    index values are forced to 0.
     """
-    n = frame.h * frame.w
+    h, w = frame.patch.latent_shape(frame.spec)
+    n = h * w
     b_occ = bits_for(frame.k_occ)
     b_int = bits_for(frame.k_int)
     payload_bits = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8))
@@ -247,25 +233,17 @@ def deserialize(frame: Frame, missing: np.ndarray | None = None) -> tuple[IndexM
     missing = np.zeros(frame.total_nbytes, bool) if missing is None else np.asarray(missing, bool)
     if missing.shape[0] != frame.total_nbytes:
         raise ValueError("missing-byte mask length != frame length")
-    if missing[:HEADER_LEN].any():
-        raise IncompleteFrameError("frame header bytes were lost")
     lost_occ, lost_int = _fields(np.repeat(missing[HEADER_LEN:], 8), n, b_occ, b_int)
-    lost = lost_occ.any(axis=1) | lost_int.any(axis=1)
+    lost = lost_occ.any(axis=1) | lost_int.any(axis=1) | missing[:HEADER_LEN].any()
     occ_idx[lost] = 0
     int_idx[lost] = 0
 
     ok = ~lost
     if (occ_idx[ok] >= frame.k_occ).any() or (int_idx[ok] >= frame.k_int).any():
         raise FormatError("decoded index out of range (corrupt payload)")
-    im = IndexMap(
-        occ_idx.reshape(frame.h, frame.w),
-        int_idx.reshape(frame.h, frame.w),
-        frame.k_occ,
-        frame.k_int,
-        frame.spec,
-        frame.patch,
-    )
-    return im, LossMask(lost.reshape(frame.h, frame.w))
+    occ_idx, int_idx = occ_idx.reshape(h, w), int_idx.reshape(h, w)
+    im = IndexMap(occ_idx, int_idx, frame.k_occ, frame.k_int, frame.spec, frame.patch)
+    return im, LossMask(lost.reshape(h, w))
 
 
 def check_mtu(mtu: int) -> None:
@@ -318,8 +296,9 @@ def receive(
     Returns the (h, w, D) occupancy and intensity vector grids plus the loss
     mask.  The grid, patch and codebooks are pre-shared, so they fix the
     frame length before any packet is read, and no buffer is longer than
-    that frame.  A lost header still leaves the stream configuration known:
-    every cell of ``patch.latent_shape(spec)`` counts as lost and is filled.
+    that frame, which :func:`deserialize` decodes on every path: a lost
+    header byte loses every cell, and each lost cell is filled.  A header
+    that arrived is only checked against the receiver's frame.
     Codebooks whose dimension is not the patch vector's, packets of more
     than one frame, duplicates with conflicting bytes, a header that
     disagrees with the receiver, a packet frame id that differs from the
@@ -329,29 +308,24 @@ def receive(
     packets = list(packets)
     if len({p.frame_id for p in packets}) > 1:
         raise FormatError("packets from more than one frame")
-    h, w = patch.latent_shape(spec)
     dim = patch.vector_dim(spec)
     if (cb_occ.dim, cb_int.dim) != (dim, dim):
         raise FormatError(f"codebook dims ({cb_occ.dim}, {cb_int.dim}) != patch vector dim {dim}")
-    expected = (spec, patch, cb_occ.k, cb_int.k)
-    nbytes = Frame(0, 0, cb_occ.k, cb_int.k, h, w, spec, patch, Pose(), b"").total_nbytes
+    frame = Frame(0, 0, cb_occ.k, cb_int.k, spec, patch, Pose(), b"")
+    nbytes = frame.total_nbytes
     buf, present = _place(packets, nbytes)
-    header = None
     if present[:HEADER_LEN].all():
         header = Frame._parse_header(buf[:HEADER_LEN].tobytes())
-        if (header.spec, header.patch, header.k_occ, header.k_int) != expected:
+        if (header.spec, header.patch, header.k_occ, header.k_int) != (
+            frame.spec, frame.patch, frame.k_occ, frame.k_int
+        ):
             raise FormatError("frame header disagrees with the receiver's grid/patch/codebooks")
         if header.frame_id != packets[0].frame_id:
             raise FormatError("packet frame id differs from the header's")
     if any(p.byte_offset + len(p.payload) > nbytes for p in packets):
         raise FormatError("packets extend past the receiver's frame length")
-    if header is None:
-        zeros = np.zeros((h, w), dtype=np.int64)
-        im = IndexMap(zeros, zeros, cb_occ.k, cb_int.k, spec, patch)
-        mask = LossMask.all_lost(h, w)
-    else:
-        header.payload = buf[HEADER_LEN:].tobytes()
-        im, mask = deserialize(header, ~present)
+    frame.payload = buf[HEADER_LEN:].tobytes()
+    im, mask = deserialize(frame, ~present)
     occ_vec, int_vec = fill(im, mask, policy, cb_occ, cb_int)
     return occ_vec, int_vec, mask
 

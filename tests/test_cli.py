@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 
@@ -641,13 +642,14 @@ class TestTraceReplay:
         (cb_occ, fill_occ), (cb_int, fill_int) = read_codebook(occ), read_codebook(inten)
         # the header travels in packet 0; the payload packets still arrive
         write_packet_trace(workspace / "t.pkts", packetize(frame, 128)[1:])
-        shape = (frame.h, frame.w, cb_occ.dim)
+        h, w = frame.patch.latent_shape(frame.spec)
+        shape = (h, w, cb_occ.dim)
         for fill in ("empty", "learned_constant", "neighbor_copy"):
             assert run("simulate", "--in", "f.qpfr", "--codebooks", occ, inten,
                        "--seed", 3, "--fill", fill, "--trace-in", "t.pkts",
                        "--out", "sim.qpcd", "--report", "rep.json") == 0
             report = json.loads((workspace / "rep.json").read_text())
-            assert report["cells_lost"] == report["cells_total"] == frame.h * frame.w
+            assert report["cells_lost"] == report["cells_total"] == h * w
             consts = (0.0, 0.0) if fill == "empty" else (fill_occ, fill_int)
             occ_raw, int_raw = (assemble_grid(np.broadcast_to(c, shape), frame.patch, frame.spec)
                                 for c in consts)
@@ -727,6 +729,31 @@ def corruptions(draw, data: bytes) -> bytes:
     return bytes(out)
 
 
+_FIELD_CODES = [
+    ("magic", "4s"),
+    ("version", "B"),
+    *((name, "I") for name in ("agent_id", "frame_id", "k_occ", "k_int", "h", "w")),
+    *((f"{group}.{axis}", "d") for group in ("origin", "cell") for axis in "xyz"),
+    *((name, "I") for name in ("dims.x", "dims.y", "dims.z", "p_h", "p_w")),
+    *((f"pose.{axis}", "f") for axis in ("x", "y", "z", "roll", "pitch", "yaw")),
+]
+# every frame header field as (name, struct code, byte offset)
+HEADER_FIELDS = [
+    (name, code, struct.calcsize("<" + "".join(c for _, c in _FIELD_CODES[:i])))
+    for i, (name, code) in enumerate(_FIELD_CODES)
+]
+assert HEADER_FIELDS[-1][2] + 4 == struct.calcsize(_HEADER_FMT)
+_F32_MAX = float(np.finfo(np.float32).max)
+# an f32 field cannot hold +-1e308 or 5e-324, so it takes the f32 extremes instead
+HOSTILE_FIELD_VALUES = {
+    "4s": (b"\0\0\0\0", b"QPCB", b"\xff\xff\xff\xff"),
+    "B": (0, 2, 255),
+    "I": (0, 1, 2**31, 2**32 - 1),
+    "d": (0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324),
+    "f": (0.0, -0.0, math.nan, math.inf, -math.inf, _F32_MAX, -_F32_MAX, 1e-45),
+}
+
+
 class TestCorruptInputs:
     @pytest.mark.parametrize("files,commands", CORRUPTED)
     @settings(max_examples=30, deadline=None)
@@ -739,6 +766,24 @@ class TestCorruptInputs:
         out = corpus / "corrupt" / "out"
         argvs = _commands(paths, out)
         for command in commands:
+            out.unlink(missing_ok=True)
+            code = run(*argvs[command])
+            assert code in (0, 3), (command, code)
+            assert out.exists() == (code == 0), command
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(HEADER_FIELDS), data=st.data())
+    def test_hostile_header_field_exits_0_with_output_or_3_without(self, corpus, field, data):
+        name, fmt, offset = field
+        value = data.draw(st.sampled_from(HOSTILE_FIELD_VALUES[fmt]), label=name)
+        blob = bytearray((corpus / "f.qpfr").read_bytes())
+        struct.pack_into("<" + fmt, blob, offset, value)
+        frame = corpus / "corrupt" / "hostile.qpfr"
+        frame.write_bytes(bytes(blob))
+        out = corpus / "corrupt" / "out"
+        paths = {r: corpus / n for r, n in VALID.items()} | {"frame": frame}
+        argvs = _commands(paths, out)
+        for command in ("decode", "simulate"):
             out.unlink(missing_ok=True)
             code = run(*argvs[command])
             assert code in (0, 3), (command, code)

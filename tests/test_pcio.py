@@ -25,6 +25,18 @@ def test_qpcd_layout(tmp_path):
     assert np.frombuffer(raw[13:], dtype="<f4").tolist() == [1.0, 2.0, 3.0, 0.5]
 
 
+@pytest.mark.parametrize("x", [1e308, -1e39])
+def test_qpcd_rejects_coordinates_beyond_float32(tmp_path, x):
+    # they would be written as inf, which read_qpcd rejects
+    path = tmp_path / "far.qpcd"
+    with pytest.raises(ValueError, match="float32 range"):
+        write_qpcd(path, PointCloud(np.array([[x, 0.0, 0.0, 0.5]])))
+    assert not path.exists()
+    top = float(np.finfo(np.float32).max)
+    write_qpcd(path, PointCloud(np.array([[top, -top, 0.0, 0.5]])))
+    assert read_qpcd(path).points[0, :2].tolist() == [top, -top]
+
+
 def test_qpcd_empty(tmp_path):
     path = tmp_path / "empty.qpcd"
     write_qpcd(path, PointCloud.empty())

@@ -497,6 +497,13 @@ def test_config_k_fits_a_u32(k):
         QuantizerConfig(k=k, dim=1)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["k0", "d0"])
+def test_codebook_rejects_empty_entries(shape):
+    # read_codebook rejects such a file, and quantize has no entry to pick
+    with pytest.raises(ValueError, match="K >= 1 and D >= 1"):
+        Codebook.from_entries(np.zeros(shape))
+
+
 def test_codebook_rejects_negative_usage():
     # write_codebook stores usage as u64, where -5 would read back as >= 2**63
     with pytest.raises(ValueError, match="usage"):

@@ -159,7 +159,7 @@ class TestFill:
 
     def test_all_lost_empty_policy_gives_empty_cloud(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
-        mask = LossMask.all_lost(im.h, im.w)
+        mask = LossMask(np.ones((im.h, im.w), dtype=bool))
         occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
         occ, _ = threshold_grids(
             assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
@@ -186,7 +186,7 @@ class TestFill:
 
     def test_neighbor_copy_total_loss_falls_back(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, f_occ, f_int = fill_setup
-        mask = LossMask.all_lost(im.h, im.w)
+        mask = LossMask(np.ones((im.h, im.w), dtype=bool))
         occ_vec, int_vec = fill(
             im, mask, FillPolicy.neighbor_copy(f_occ, f_int), cb_occ, cb_int
         )
@@ -195,7 +195,7 @@ class TestFill:
 
     def test_learned_constant_without_vectors_errors(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
-        mask = LossMask.all_lost(im.h, im.w)
+        mask = LossMask(np.ones((im.h, im.w), dtype=bool))
         with pytest.raises(ValueError):
             fill(im, mask, FillPolicy(kind="learned_constant"), cb_occ, cb_int)
         with pytest.raises(ValueError):

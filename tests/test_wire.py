@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import struct
 from unittest import mock
@@ -14,12 +15,11 @@ from qpcomm.codec import IndexMap
 from qpcomm.geometry import PatchSpec, VoxelGridSpec
 from qpcomm.pcio import FormatError
 from qpcomm.quantizer import KIND_INT, Codebook
-from qpcomm.tolerance import FillPolicy
+from qpcomm.tolerance import POLICIES, FillPolicy, fill
 from qpcomm.wire import (
     HEADER_LEN,
     HEADER_OVERHEAD_BEYOND_POSE,
     Frame,
-    IncompleteFrameError,
     Packet,
     Pose,
     bits_for,
@@ -317,10 +317,12 @@ class TestLossMapping:
         frame = serialize(random_index_map(np.random.default_rng(16)), Pose())
         with pytest.raises(ValueError, match="mask length"):
             deserialize(frame, np.zeros(frame.total_nbytes - 1, dtype=bool))
+        # one missing header byte loses every cell, and every index reads 0
         missing = np.zeros(frame.total_nbytes, dtype=bool)
         missing[HEADER_LEN - 1] = True
-        with pytest.raises(IncompleteFrameError):
-            deserialize(frame, missing)
+        back, mask = deserialize(frame, missing)
+        assert mask.lost.all() and mask.lost.shape == (back.h, back.w)
+        assert not back.occ_indices.any() and not back.int_indices.any()
 
     def test_lost_cells_match_byte_overlap_oracle(self):
         rng = np.random.default_rng(11)
@@ -526,6 +528,29 @@ class TestReceive:
             np.testing.assert_array_equal(occ_vec, np.broadcast_to(want_occ, occ_vec.shape))
             np.testing.assert_array_equal(int_vec, np.broadcast_to(want_int, int_vec.shape))
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_receive_is_fill_of_deserialize_for_every_subset(self, policy):
+        # one loss rule: whatever subset arrives, header included or not,
+        # receive decodes exactly what deserialize gives under that subset's
+        # missing bytes, and fills it
+        rng = np.random.default_rng(28)
+        for k_occ, k_int in [(None, None)] * 6 + [(1, 40), (40, 1)]:
+            im = random_index_map(rng, k_occ=k_occ, k_int=k_int)
+            frame = serialize(im, Pose(), frame_id=int(rng.integers(2**32)))
+            packets = packetize(frame, int(rng.choice([64, 80])))
+            dim = im.patch.vector_dim(im.spec)
+            cb_occ = Codebook.from_entries(rng.random((im.k_occ, dim)))
+            cb_int = Codebook.from_entries(rng.random((im.k_int, dim)), kind=KIND_INT)
+            fp = FillPolicy(policy, rng.random(dim), rng.random(dim))
+            for keep in itertools.product((False, True), repeat=len(packets)):
+                delivered = list(itertools.compress(packets, keep))
+                missing = missing_bytes(delivered, frame.total_nbytes)
+                want_im, want_mask = deserialize(frame, missing)
+                want = (*fill(want_im, want_mask, fp, cb_occ, cb_int), want_mask.lost)
+                occ_vec, int_vec, mask = receive(delivered, im.spec, im.patch, cb_occ, cb_int, fp)
+                for a, b in zip((occ_vec, int_vec, mask.lost), want):
+                    np.testing.assert_array_equal(a, b)
+
     def test_header_disagreeing_with_receiver_rejected(self, setup):
         im, cb_occ, cb_int, fill_occ, fill_int = setup
         packets = packetize(serialize(im, Pose()), 64)
@@ -544,7 +569,7 @@ class TestReceive:
         # payload) sent to a receiver configured for 4x5 cells
         dims = (2000, 2000, im.spec.dims[2])
         big = VoxelGridSpec(im.spec.origin, im.spec.cell, dims)
-        header = Frame(0, 0, cb_occ.k, cb_int.k, 1000, 1000, big, im.patch, Pose(), b"")
+        header = Frame(0, 0, cb_occ.k, cb_int.k, big, im.patch, Pose(), b"")
         sizes = []
         place = wire._place
 

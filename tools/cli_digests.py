@@ -22,8 +22,8 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
   each writing ``--report`` and ``--trace-out``;
 - a ``--trace-in`` replay of the 0.3 trace; ``replay-dup``, the same replay
   with every packet of that trace delivered twice and in reverse order, whose
-  ``.qpcd`` and report must equal the replay's; and a replay whose trace
-  lacks the header packet;
+  ``.qpcd`` and report must equal the replay's; and ``headless``, a replay
+  whose trace lacks the header packet, which must report every cell lost;
 - a scene generated outside the desk grid (``--extent 20,30,20,30,0,1.2``),
   encoded with every point dropped, then ``simulate --drop-rate 1 --fill
   empty`` on it: every cell lost and no point decoded; and ``decode-far``,
@@ -32,8 +32,8 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
   ``volume``;
 - the ``evaluate_roundtrip`` JSON for every fill at drop rates 0, 0.3, 0.9.
 
-It exits 1 if any run exits non-zero or ``replay-dup`` differs from
-``replay``.
+It exits 1 if any run exits non-zero, ``replay-dup`` differs from
+``replay``, or ``headless`` reports ``cells_lost`` below ``cells_total``.
 """
 
 from __future__ import annotations
@@ -113,6 +113,9 @@ def _run_all(stdouts: dict) -> None:
     write_packet_trace("headless.pkts", packetize(frame, 128)[1:])
     qpc("headless", "simulate", "--in", "f.qpfr", *CODEBOOKS, "--seed", 3,
         "--trace-in", "headless.pkts", "--out", "headless.qpcd", "--report", "headless.json")
+    headless = json.loads(Path("headless.json").read_text())
+    if headless["cells_lost"] != headless["cells_total"]:
+        sys.exit(f"headless: {headless['cells_lost']} of {headless['cells_total']} cells lost")
     # outside the 10 m desk grid, so voxelize drops every point
     qpc("gen-scene-far", "gen-scene", "--out", "far.qpcd", "--seed", 3,
         "--extent", "20,30,20,30,0,1.2")
