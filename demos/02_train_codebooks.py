@@ -8,6 +8,8 @@ quantization loss terms, and shows the codebook file roundtrip.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import qpcomm as q
 from qpcomm.quantizer import QuantizerConfig, train_dual
 
@@ -43,7 +45,9 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "occ.qpcb"
     q.write_codebook(path, cb_occ, fill=fill)
     loaded, fill_back = q.read_codebook(path)
+    # QPCB stores entries as float32
+    same = np.array_equal(loaded.entries, cb_occ.entries.astype(np.float32))
     print(
-        f"file roundtrip: {path.stat().st_size} bytes, id match "
-        f"{loaded.codebook_id == cb_occ.codebook_id}, fill block {fill_back is not None}"
+        f"file roundtrip: {path.stat().st_size} bytes, entries equal as float32 "
+        f"{same}, fill block {fill_back is not None}"
     )

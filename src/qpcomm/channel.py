@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,7 @@ class ChannelReport:
         return self.packets_dropped / self.packets_sent if self.packets_sent else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "packets_sent": self.packets_sent,
-            "packets_dropped": self.packets_dropped,
-            "drop_fraction": self.drop_fraction,
-            "dropped_seqs": list(self.dropped_seqs),
-            "delivery_times_ms": [float(t) for t in self.delivery_times_ms],
-        }
+        return {**asdict(self), "drop_fraction": self.drop_fraction}
 
 
 def transmit(packets, cfg: ChannelConfig, seed: int = 0) -> tuple[list[Packet], "ChannelReport"]:

@@ -88,12 +88,6 @@ def _floats(text: str, n: int | None, what: str) -> tuple:
     return vals
 
 
-def _ints(vals, what: str) -> tuple:
-    if not all(v.is_integer() for v in vals):
-        raise ValueError(f"{what} must be integers")
-    return tuple(int(v) for v in vals)
-
-
 def _seed(args) -> int:
     """``QPC_SEED`` if it is set, else ``--seed``; either must lie in [0, 2**64)."""
     env = os.environ.get("QPC_SEED")
@@ -114,9 +108,9 @@ def _grid(args) -> tuple[VoxelGridSpec, PatchSpec]:
     cell, dims, patch = preset["cell"], preset["dims"], preset["patch"]
     if args.grid is not None:
         vals = _floats(args.grid, 6, "--grid")
-        cell, dims = vals[:3], _ints(vals[3:], "--grid dims")
+        cell, dims = vals[:3], vals[3:]
     if args.dim_patch is not None:
-        patch = _ints(_floats(args.dim_patch, 2, "--dim-patch"), "--dim-patch values")
+        patch = _floats(args.dim_patch, 2, "--dim-patch")
     spec = VoxelGridSpec(_floats(args.origin, 3, "--origin"), cell, dims)
     patch = PatchSpec(*patch)
     patch.latent_shape(spec)
@@ -321,10 +315,7 @@ def cmd_sweep(args) -> int:
         seed = _seed(args)
         spec, patch = _grid(args)
         p_values = _floats(args.p_list, None, "--p-list")
-        for p in p_values:
-            ChannelConfig(p)
-        if not 1 <= args.trials <= metrics.MAX_TRIALS:
-            raise ValueError(f"--trials must lie in [1, {metrics.MAX_TRIALS}]")
+        metrics.sweep_channels(p_values, args.trials)
         wire.check_mtu(args.mtu)
         if args.codebooks and args.k is not None:
             raise ValueError("--codebooks reads trained codebooks; it takes no --k")
@@ -445,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_decode_flags(p)
 
-    p = add_command("simulate", cmd_simulate, help="packetize, drop, reassemble, and decode")
+    p = add_command("simulate", cmd_simulate, help="packetize, drop, receive, and decode")
     _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--codebooks", nargs=2, required=True, metavar=("OCC", "INT"))

@@ -25,6 +25,7 @@ from .geometry import (
     PointCloud,
     VoxelGridSpec,
     _to_patch_vectors,
+    as_ints,
     assemble_grid,
     patchify,
     voxelize,
@@ -88,8 +89,8 @@ class IndexMap:
 class DecodeConfig:
     """``sigma`` is the Gaussian sampling std in meters (None means dx/4);
     with ``clip_to_voxel`` samples are kept inside the voxel box by rejection
-    (fallback to the centroid after 16 attempts).  ``points_per_voxel`` lies
-    in [1, ``MAX_POINTS``]."""
+    (fallback to the centroid after 16 attempts).  ``points_per_voxel`` is an
+    integer in [1, ``MAX_POINTS``] (an integral float is converted)."""
 
     sigma: float | None = None
     points_per_voxel: int = 1
@@ -98,6 +99,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.sigma is not None and not 0 <= self.sigma < np.inf:
             raise ValueError("sigma must be finite and >= 0")
+        (ppv,) = as_ints((self.points_per_voxel,), "points_per_voxel")
+        object.__setattr__(self, "points_per_voxel", ppv)
         if not 1 <= self.points_per_voxel <= MAX_POINTS:
             raise ValueError(f"points_per_voxel must lie in [1, {MAX_POINTS}]")
 
@@ -125,16 +128,10 @@ def encode_grids(
     cb_int: Codebook,
 ) -> IndexMap:
     """Patchify and quantize both streams of a voxelized cloud.  Deterministic."""
-    spec = occ.spec
-    dim = patch.vector_dim(spec)
-    if cb_occ.dim != dim or cb_int.dim != dim:
-        raise ValueError(
-            f"codebook dims ({cb_occ.dim}, {cb_int.dim}) != patch vector dim {dim}"
-        )
     occ_vec, int_vec = patchify(occ, inten, patch)
     occ_idx, _ = quantize(cb_occ, occ_vec)
     int_idx, _ = quantize(cb_int, int_vec)
-    return IndexMap(occ_idx, int_idx, cb_occ.k, cb_int.k, spec, patch)
+    return IndexMap(occ_idx, int_idx, cb_occ.k, cb_int.k, occ.spec, patch)
 
 
 def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig,

@@ -17,6 +17,14 @@ import numpy as np
 MAX_POINTS = 2**26  # the most points a generated scene or a decoded cloud may hold
 
 
+def as_ints(values, what: str) -> tuple:
+    """``values`` as Python ints; raises ``ValueError`` naming ``what``
+    unless each is integral, an integer type or a float equal to an integer."""
+    if not all(isinstance(v, numbers.Integral) or float(v).is_integer() for v in values):
+        raise ValueError(f"{what} must be {'an integer' if len(values) == 1 else 'integers'}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass
 class PointCloud:
     """A LiDAR-style scan: ``points`` is an (N, 4) float array, columns
@@ -69,9 +77,7 @@ class VoxelGridSpec:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "cell", tuple(float(v) for v in self.cell))
-        if not all(isinstance(v, numbers.Integral) or float(v).is_integer() for v in self.dims):
-            raise ValueError("grid dims must be integers")
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        object.__setattr__(self, "dims", as_ints(self.dims, "grid dims"))
         if len(self.origin) != 3 or len(self.cell) != 3 or len(self.dims) != 3:
             raise ValueError("origin, cell and dims must have three components")
         if not all(np.isfinite(self.origin)):
@@ -159,12 +165,16 @@ class IntensityGrid:
 class PatchSpec:
     """Patch tiling of the (H, W) footprint.  The full depth L is folded into
     each patch vector, so a latent cell covers a p_h x p_w column block and
-    its vector has dimension D = p_h * p_w * L."""
+    its vector has dimension D = p_h * p_w * L.  Both sizes are integers
+    (an integral float is converted)."""
 
     p_h: int
     p_w: int
 
     def __post_init__(self):
+        p_h, p_w = as_ints((self.p_h, self.p_w), "patch sizes")
+        object.__setattr__(self, "p_h", p_h)
+        object.__setattr__(self, "p_w", p_w)
         if self.p_h < 1 or self.p_w < 1:
             raise ValueError("patch sizes must be positive")
 

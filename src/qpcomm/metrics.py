@@ -61,7 +61,7 @@ from .wire import DEFAULT_MTU, Frame, Pose, log2_volume, packetize, receive, ser
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_reconstruction"
-MAX_TRIALS = 2**20  # per scene and drop rate; bounds the index triples a sweep holds
+MAX_TRIALS = 2**20  # the most (scene, drop rate, trial) index triples a sweep holds
 
 
 @dataclass
@@ -221,6 +221,20 @@ class SweepResult:
     aggregates: list  # one dict per entry of p_values
 
 
+def sweep_channels(p_values, trials: int, n_scenes: int = 1) -> list[ChannelConfig]:
+    """The ``ChannelConfig`` of each drop rate; raises ``ValueError`` unless
+    there is at least one, ``trials`` (per scene and drop rate) is at least 1
+    and ``n_scenes * len(p_values) * trials`` is at most ``MAX_TRIALS``."""
+    if len(p_values) == 0:
+        raise ValueError("need at least one drop rate")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
+    if n_scenes * len(p_values) * trials > MAX_TRIALS:
+        raise ValueError(f"{n_scenes} scenes x {len(p_values)} drop rates x {trials} trials "
+                         f"exceed {MAX_TRIALS} trials")
+    return [ChannelConfig(p) for p in p_values]
+
+
 def sweep(
     scenes,
     p_values,
@@ -239,18 +253,15 @@ def sweep(
     Each scene goes through the sender stage once (one voxelization, one
     encoding, one k-d tree); each trial then runs with seed
     ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so results are
-    reproducible.  ``trials`` lies in [1, ``MAX_TRIALS``] (2**20), and every
-    drop rate is validated before any scene is encoded.  There is one
-    aggregate per entry of ``p_values``, a repeated drop rate included.
+    reproducible.  ``trials`` is at least 1, and the sweep holds at most
+    ``MAX_TRIALS`` (2**20) trials in all; these bounds and every drop rate
+    are checked (``sweep_channels``) before any scene is voxelized.  There
+    is one aggregate per entry of ``p_values``, a repeated drop rate included.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
-    if len(p_values) == 0:
-        raise ValueError("need at least one drop rate")
-    channels = [ChannelConfig(p) for p in p_values]
     scenes = list(scenes)
     if not scenes:
         raise ValueError("need at least one scene")
+    channels = sweep_channels(p_values, trials, len(scenes))
     indices = list(product(range(len(scenes)), range(len(p_values)), range(trials)))
     reports = _roundtrips(
         scenes, [(si, channels[pi], derive_seed(master_seed, si, pi, t)) for si, pi, t in indices],
@@ -267,7 +278,6 @@ def sweep(
                 "n": len(group),
                 "n_failed": sum(1 for r in group if r.status != STATUS_OK),
                 "mean_chamfer": float(np.mean(chams)) if chams else None,
-                "std_chamfer": float(np.std(chams)) if chams else None,
                 "mean_cell_loss_rate": float(np.mean([r.cell_loss_rate for r in group])),
             }
         )

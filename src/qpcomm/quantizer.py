@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import MAX_POINTS, as_ints
 from .pcio import FormatError
 
 KIND_OCC = "occ"
@@ -49,6 +49,12 @@ FILL_TAG = b"FILL"
 
 @dataclass
 class QuantizerConfig:
+    """Training settings.  ``k``, ``dim``, ``refresh_period``,
+    ``reservoir_size``, ``max_iters`` and ``seed`` are integers (an integral
+    float is converted), and ``k * dim`` is at most ``MAX_POINTS`` (2**26),
+    so a codebook and each training pass's (K, D) arrays stay bounded; the
+    reference preset's K·D is 2**21."""
+
     k: int
     dim: int
     dead_limit: int = 256
@@ -60,10 +66,16 @@ class QuantizerConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if not 1 <= self.k < 2**32:  # K is a u32 in QPCB files and frames
-            raise ValueError("codebook size must lie in [1, 2**32)")
+        (self.k, self.dim, self.refresh_period, self.reservoir_size, self.max_iters,
+         self.seed) = as_ints(
+            (self.k, self.dim, self.refresh_period, self.reservoir_size, self.max_iters,
+             self.seed), "k, dim, refresh_period, reservoir_size, max_iters and seed")
         if self.dim < 1:
             raise ValueError("vector dimension must be >= 1")
+        # so K also fits the u32 of QPCB files and frames
+        if not 1 <= self.k <= MAX_POINTS // self.dim:
+            raise ValueError(f"codebook size must lie in [1, 2**26 / dim], got K={self.k} "
+                             f"at D={self.dim}")
         if self.dead_limit < 0:
             raise ValueError("dead_limit must be non-negative")
         if not 0.0 < self.ema_decay < 1.0:
@@ -115,12 +127,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def codebook_id(self) -> int:
-        """Content hash (CRC-32 of the float32 entry bytes); stable across a
-        save/load cycle because QPCB stores entries as float32."""
-        return zlib.crc32(self.entries.astype("<f4").tobytes())
 
 
 def nearest(codebook: Codebook, z: np.ndarray) -> int:
@@ -236,8 +242,6 @@ class _Search:
         width, norms = width[order], norms[order]
         step = max(1, _BLOCK // k)
         self.blocks = []
-        # rows of ones and of indices, grown in __call__ to the entries searched
-        self.tally = np.empty((2, 0), dtype=np.float32)
         start = 0
         while start < n:
             doubled = int(np.searchsorted(width, 2 * width[start], side="right"))
@@ -275,10 +279,8 @@ class _Search:
         # one product gives, per row, the candidate count and the sum of their
         # indices: the index itself where the count is 1 (exact: float32 holds
         # integers to 2**24)
-        if self.tally.shape[1] < k_all:
-            tally_dtype = np.float32 if k_all <= 1 << 24 else np.float64
-            self.tally = np.stack([np.ones(k_all), np.arange(k_all)]).astype(tally_dtype)
-        tally = self.tally[:, :k_all]
+        tally_dtype = np.float32 if k_all <= 1 << 24 else np.float64
+        tally = np.stack([np.ones(k_all), np.arange(k_all)]).astype(tally_dtype)
         idx = np.empty(self.coarse.shape[0], dtype=np.int64)
         for rows, caller_rows, m, g32, tiny32, norms in self.blocks:
             # W = A + B·‖x‖, rounded up to float32

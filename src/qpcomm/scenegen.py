@@ -5,34 +5,38 @@ pure function of the seed."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import MAX_POINTS, PointCloud
+from .geometry import MAX_POINTS, PointCloud, as_ints
+
+# (low, high) ranges of a vehicle's uniformly drawn dimensions, in meters
+VEHICLE_LENGTH = (2.2, 3.2)
+VEHICLE_WIDTH = (1.2, 1.8)
+VEHICLE_HEIGHT = (0.8, 1.1)
+GROUND_HEIGHT = 0.05  # z of the ground plane and of every vehicle's base
+GROUND_INTENSITY = (0.15, 0.35)
+VEHICLE_INTENSITY = (0.45, 0.9)
+MAX_PLACE_ATTEMPTS = 1000  # rejected vehicle placements before ``generate`` gives up
 
 
 @dataclass
 class SceneConfig:
-    """A scene's parameters.  A config whose point count could exceed
-    ``MAX_POINTS`` (2**26) is rejected before anything is allocated; the
-    bound is the ground points plus, per vehicle, the surface points at the
-    largest vehicle dimensions plus 5 (one per face for rounding)."""
+    """A scene's parameters.  ``seed`` and ``n_vehicles`` are integers >= 0
+    (an integral float is converted).  A config whose point count could
+    exceed ``MAX_POINTS`` (2**26) is rejected before anything is allocated;
+    the bound is the ground points plus, per vehicle, the surface points at
+    the largest vehicle dimensions plus 5 (one per face for rounding)."""
 
     seed: int = 0
     extent: tuple = ((0.0, 10.0), (0.0, 10.0), (0.0, 1.2))
     n_vehicles: int = 4
-    vehicle_length: tuple = (2.2, 3.2)
-    vehicle_width: tuple = (1.2, 1.8)
-    vehicle_height: tuple = (0.8, 1.1)
     ground_density: float = 120.0  # points / m^2
     surface_density: float = 160.0  # points / m^2
-    ground_height: float = 0.05
-    ground_intensity: tuple = (0.15, 0.35)
-    vehicle_intensity: tuple = (0.45, 0.9)
-    max_place_attempts: int = 1000
 
     def __post_init__(self):
+        self.seed, self.n_vehicles = as_ints((self.seed, self.n_vehicles), "seed and n_vehicles")
         if self.seed < 0 or self.n_vehicles < 0:
             raise ValueError("seed and n_vehicles must be >= 0")
         if not 0 < self.ground_density < math.inf or not 0 < self.surface_density < math.inf:
@@ -41,12 +45,12 @@ class SceneConfig:
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError("extent ranges must be finite and increasing")
         (z0, z1) = self.extent[2]
-        if not z0 <= self.ground_height < z1:
-            raise ValueError("ground_height must lie inside the z extent")
-        if self.n_vehicles and self.ground_height + self.vehicle_height[1] > z1:
+        if not z0 <= GROUND_HEIGHT < z1:
+            raise ValueError("the ground height must lie inside the z extent")
+        if self.n_vehicles and GROUND_HEIGHT + VEHICLE_HEIGHT[1] > z1:
             raise ValueError("vehicles would poke out of the z extent")
         (x0, x1), (y0, y1), _ = self.extent
-        l, w, h = self.vehicle_length[1], self.vehicle_width[1], self.vehicle_height[1]
+        l, w, h = VEHICLE_LENGTH[1], VEHICLE_WIDTH[1], VEHICLE_HEIGHT[1]
         # a vehicle has at least 5 points, so capping the count keeps the product a float
         vehicles = min(self.n_vehicles, MAX_POINTS)
         bound = (self.ground_density * (x1 - x0) * (y1 - y0) + 1
@@ -65,7 +69,7 @@ class Box:
     yaw: float
 
     def to_dict(self) -> dict:
-        return {"center": list(self.center), "size": list(self.size), "yaw": self.yaw}
+        return asdict(self)
 
 
 def _rot(yaw: float) -> np.ndarray:
@@ -108,7 +112,7 @@ def generate(cfg: SceneConfig) -> tuple[PointCloud, list[Box]]:
     """Build one scene; returns the cloud and the ground-truth box list.
 
     Vehicle footprints are kept disjoint via bounding-circle rejection, and
-    placement failure after ``max_place_attempts`` rejections raises.
+    placement failure after ``MAX_PLACE_ATTEMPTS`` rejections raises.
     """
     rng = np.random.default_rng(cfg.seed)
     (x0, x1), (y0, y1), _ = cfg.extent
@@ -116,9 +120,9 @@ def generate(cfg: SceneConfig) -> tuple[PointCloud, list[Box]]:
     boxes: list[Box] = []
     attempts = 0
     while len(boxes) < cfg.n_vehicles:
-        l = rng.uniform(*cfg.vehicle_length)
-        w = rng.uniform(*cfg.vehicle_width)
-        h = rng.uniform(*cfg.vehicle_height)
+        l = rng.uniform(*VEHICLE_LENGTH)
+        w = rng.uniform(*VEHICLE_WIDTH)
+        h = rng.uniform(*VEHICLE_HEIGHT)
         yaw = rng.uniform(0.0, 2 * math.pi)
         radius = 0.5 * math.hypot(l, w)
         cx = rng.uniform(x0 + radius, x1 - radius)
@@ -130,13 +134,13 @@ def generate(cfg: SceneConfig) -> tuple[PointCloud, list[Box]]:
         )
         if clash:
             attempts += 1
-            if attempts > cfg.max_place_attempts:
+            if attempts > MAX_PLACE_ATTEMPTS:
                 raise RuntimeError(
                     f"could not place vehicle {len(boxes) + 1} after "
-                    f"{cfg.max_place_attempts} rejections"
+                    f"{MAX_PLACE_ATTEMPTS} rejections"
                 )
             continue
-        boxes.append(Box((cx, cy, cfg.ground_height + h / 2), (l, w, h), yaw))
+        boxes.append(Box((cx, cy, GROUND_HEIGHT + h / 2), (l, w, h), yaw))
 
     n_ground = max(1, round(cfg.ground_density * (x1 - x0) * (y1 - y0)))
     ground_xy = np.column_stack(
@@ -145,15 +149,15 @@ def generate(cfg: SceneConfig) -> tuple[PointCloud, list[Box]]:
     ground = np.column_stack(
         [
             ground_xy,
-            np.full(n_ground, cfg.ground_height),
-            rng.uniform(*cfg.ground_intensity, n_ground),
+            np.full(n_ground, GROUND_HEIGHT),
+            rng.uniform(*GROUND_INTENSITY, n_ground),
         ]
     )
 
     chunks = [ground]
     for box in boxes:
         xyz = _sample_faces(box, cfg.surface_density, rng)
-        inten = rng.uniform(*cfg.vehicle_intensity, xyz.shape[0])
+        inten = rng.uniform(*VEHICLE_INTENSITY, xyz.shape[0])
         chunks.append(np.column_stack([xyz, inten]))
     points = np.vstack(chunks)
     return PointCloud(points), boxes

@@ -399,6 +399,8 @@ class TestFlagsPhase:
             "train --grid 0.1,0.1,0.1,nan,64,8",
             "train --k 0",
             f"train --k {10**30}",
+            "train --k 2097153",  # desk D = 32, so K·D just over 2**26
+            "train --k 2000000000",
             "train --ema-decay 2",
             "train --seed -1",
             "train --seed 18446744073709551616",
@@ -406,10 +408,12 @@ class TestFlagsPhase:
             "sweep --mtu 10 --codebooks a b",
             "sweep --k 0",
             f"sweep --k {10**30}",
+            "sweep --k 2000000000",
             "sweep --k 32 --codebooks a b",
             "sweep --p-list 0.1,2",
             "sweep --trials 0",
             f"sweep --trials {10**30}",
+            "sweep --p-list 0,0.1 --trials 1048576",  # 2**21 trials in all
             f"sweep --points-per-voxel {10**30}",
             "sweep --seed -1",
             "sweep --seed 18446744073709551616",

@@ -199,6 +199,17 @@ class TestDecode:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             DecodeConfig(**kwargs)
 
+    @pytest.mark.parametrize("ppv, expected", [(2.0, 2), (np.int64(3), 3), (2.5, None),
+                                               (math.inf, None)])
+    def test_points_per_voxel_is_an_integer(self, ppv, expected):
+        # an integral value becomes an int; a fraction would decode int(ppv) points
+        if expected is None:
+            with pytest.raises(ValueError, match="points_per_voxel must be an integer"):
+                DecodeConfig(points_per_voxel=ppv)
+        else:
+            got = DecodeConfig(points_per_voxel=ppv).points_per_voxel
+            assert got == expected and type(got) is int
+
     def test_config_is_a_frozen_value(self):
         cfg = DecodeConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -110,6 +110,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             IntensityGrid(spec, np.full(spec.dims, 1.01))
 
+    @pytest.mark.parametrize("sizes, expected", [((2.0, 2), (2, 2)), ((np.int32(1), 4.0), (1, 4)),
+                                                 ((2.5, 2), None), ((2, np.nan), None)])
+    def test_patch_sizes_are_integers(self, sizes, expected):
+        # an integral value becomes an int; a fraction would fail later, inside patchify
+        if expected is None:
+            with pytest.raises(ValueError, match="patch sizes must be integers"):
+                PatchSpec(*sizes)
+        else:
+            patch = PatchSpec(*sizes)
+            assert (patch.p_h, patch.p_w) == expected
+            assert type(patch.p_h) is int and type(patch.p_w) is int
+
     def test_patch_divisibility(self):
         spec = small_spec(dims=(4, 4, 2))
         with pytest.raises(ValueError):

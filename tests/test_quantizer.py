@@ -491,10 +491,30 @@ def test_codebook_rejects_non_finite_entries(bad):
 
 @pytest.mark.parametrize("k", [0, 2**32, 10**30])
 def test_config_k_fits_a_u32(k):
-    # K is a u32 in QPCB files and frame headers
-    QuantizerConfig(k=2**32 - 1, dim=1)
-    with pytest.raises(ValueError, match=r"codebook size must lie in \[1, 2\*\*32\)"):
+    # K is a u32 in QPCB files and frame headers; K·D <= 2**26 implies it
+    QuantizerConfig(k=2**26, dim=1)
+    with pytest.raises(ValueError, match=r"codebook size must lie in \[1, 2\*\*26 / dim\]"):
         QuantizerConfig(k=k, dim=1)
+
+
+@pytest.mark.parametrize("k, dim", [(2**21, 32), (2**16, 1024), (2**26, 1)])
+def test_config_k_times_dim_capped(k, dim):
+    # k-means++ allocates (K, D) float64 arrays, 512 MB at K·D = 2**26, before any pass
+    QuantizerConfig(k=k, dim=dim)
+    with pytest.raises(ValueError, match=r"codebook size must lie in \[1, 2\*\*26 / dim\]"):
+        QuantizerConfig(k=k + 1, dim=dim)
+
+
+@pytest.mark.parametrize(
+    "field", ["k", "dim", "refresh_period", "reservoir_size", "max_iters", "seed"]
+)
+def test_config_counts_are_integers(field):
+    base = {"k": 4, "dim": 3}
+    cfg = QuantizerConfig(**{**base, field: 2.0})
+    assert getattr(cfg, field) == 2 and type(getattr(cfg, field)) is int
+    for bad in (2.5, np.inf):
+        with pytest.raises(ValueError, match="must be integers"):
+            QuantizerConfig(**{**base, field: bad})
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["k0", "d0"])
@@ -522,7 +542,6 @@ class TestCodebookFile:
         np.testing.assert_array_equal(back.entries, cb.entries.astype("<f4").astype(np.float64))
         np.testing.assert_array_equal(back.usage, cb.usage)
         np.testing.assert_allclose(fill, samples.mean(axis=0), atol=1e-7)
-        assert back.codebook_id == cb.codebook_id
 
     def test_layout(self, tmp_path):
         cb = Codebook.from_entries([[1.0, 2.0]], kind="occ")

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qpcomm.geometry import MAX_POINTS
+from qpcomm import scenegen
 from qpcomm.scenegen import Box, SceneConfig, generate
 
 
@@ -30,10 +31,10 @@ def test_determinism():
 
 
 def test_ground_only():
-    cfg = SceneConfig(seed=1, n_vehicles=0, ground_height=0.07)
+    cfg = SceneConfig(seed=1, n_vehicles=0)
     cloud, boxes = generate(cfg)
     assert boxes == []
-    assert (cloud.xyz[:, 2] == 0.07).all()
+    assert (cloud.xyz[:, 2] == scenegen.GROUND_HEIGHT).all()
 
 
 def test_vehicle_points_on_box_surface():
@@ -71,8 +72,10 @@ def test_intensity_classes():
     n_ground = round(cfg.ground_density * 100.0)
     g = cloud.intensity[:n_ground]
     v = cloud.intensity[n_ground:]
-    assert g.min() >= cfg.ground_intensity[0] and g.max() <= cfg.ground_intensity[1]
-    assert v.min() >= cfg.vehicle_intensity[0] and v.max() <= cfg.vehicle_intensity[1]
+    lo, hi = scenegen.GROUND_INTENSITY
+    assert g.min() >= lo and g.max() <= hi
+    lo, hi = scenegen.VEHICLE_INTENSITY
+    assert v.min() >= lo and v.max() <= hi
 
 
 def test_vehicles_do_not_overlap():
@@ -91,7 +94,6 @@ def test_placement_failure_raises():
         seed=8,
         extent=((0.0, 5.0), (0.0, 5.0), (0.0, 1.2)),
         n_vehicles=12,
-        max_place_attempts=50,
     )
     with pytest.raises(RuntimeError):
         generate(cfg)
@@ -108,6 +110,16 @@ def test_config_validation():
 def test_negative_seed_and_vehicle_count_rejected(field):
     with pytest.raises(ValueError, match=field):
         SceneConfig(**{field: -1})
+
+
+@pytest.mark.parametrize("field", ["seed", "n_vehicles"])
+def test_seed_and_vehicle_count_are_integers(field):
+    # an integral value becomes an int; n_vehicles=2.5 would place 3 vehicles
+    cfg = SceneConfig(**{field: 2.0})
+    assert getattr(cfg, field) == 2 and type(getattr(cfg, field)) is int
+    for bad in (2.5, math.inf):
+        with pytest.raises(ValueError, match="seed and n_vehicles must be integers"):
+            SceneConfig(**{field: bad})
 
 
 @pytest.mark.parametrize(
