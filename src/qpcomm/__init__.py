@@ -16,6 +16,7 @@ from .codec import (
     decode_grids,
     encode,
     encode_grids,
+    encode_voxels,
     intensity_mse,
     occupancy_bce,
     vq_loss,
@@ -26,7 +27,9 @@ from .geometry import (
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
+    Voxels,
     assemble_grid,
+    occupied_voxels,
     patchify,
     threshold_grids,
     training_vectors,

@@ -1,8 +1,11 @@
 """Encode/decode path: point cloud -> index map -> reconstructed point cloud.
 
-Encoding voxelizes the cloud, flattens it into patch vectors, and replaces
-each vector by its nearest codebook index, separately for the occupancy and
-intensity streams.  The receiver (``metrics.reconstruct``) looks the
+Encoding finds the cloud's occupied voxels (``occupied_voxels``), places
+them in the patch vectors (``patch_positions``), and replaces each vector by
+its nearest codebook index, separately for the occupancy and intensity
+streams.  The nearest-entry search (``quantizer.assign``) reads only the
+vectors' nonzeros, so no dense grid or patch-vector array is built between
+the cloud and the index map.  The receiver (``metrics.reconstruct``) looks the
 vectors back up and rebuilds the grids (occupancy thresholded at 0.5).
 Decoding (``decode_grids``) emits points sampled from an isotropic Gaussian
 around each occupied voxel centroid; all points of a voxel carry that
@@ -24,13 +27,14 @@ from .geometry import (
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
+    Voxels,
     _to_patch_vectors,
     as_ints,
     assemble_grid,
-    patchify,
-    voxelize,
+    occupied_voxels,
+    patch_positions,
 )
-from .quantizer import KIND_OCC, Codebook, quantize
+from .quantizer import KIND_OCC, Codebook, assign, quantize
 
 BCE_EPS = 1e-7  # probability clamp, avoids log(0)
 _CLIP_ATTEMPTS = 16
@@ -115,9 +119,21 @@ def encode(
     cb_occ: Codebook,
     cb_int: Codebook,
 ) -> IndexMap:
-    """Voxelize, then :func:`encode_grids`.  Deterministic."""
-    occ, inten, _ = voxelize(cloud, spec)
-    return encode_grids(occ, inten, patch, cb_occ, cb_int)
+    """:func:`encode_voxels` of the cloud's ``occupied_voxels``.  Deterministic."""
+    return encode_voxels(occupied_voxels(cloud, spec), patch, cb_occ, cb_int)
+
+
+def encode_voxels(voxels: Voxels, patch: PatchSpec, cb_occ: Codebook, cb_int: Codebook) -> IndexMap:
+    """Quantize both streams of a cloud's occupied voxels from their places in
+    the patch vectors: each voxel is a 1 of the occupancy stream, and its mean
+    intensity, unless exactly 0, a nonzero of the intensity stream.  The
+    indices are those ``quantize`` gives the ``patchify`` of ``voxelize``'s
+    grids.  Deterministic."""
+    positions, order = patch_positions(voxels.ids, patch, voxels.spec)
+    means = voxels.means[order]
+    kept = means != 0
+    return _encode_nonzeros(voxels.spec, patch, (positions, np.ones(positions.size)),
+                            (positions[kept], means[kept]), cb_occ, cb_int)
 
 
 def encode_grids(
@@ -127,11 +143,29 @@ def encode_grids(
     cb_occ: Codebook,
     cb_int: Codebook,
 ) -> IndexMap:
-    """Patchify and quantize both streams of a voxelized cloud.  Deterministic."""
-    occ_vec, int_vec = patchify(occ, inten, patch)
-    occ_idx, _ = quantize(cb_occ, occ_vec)
-    int_idx, _ = quantize(cb_int, int_vec)
-    return IndexMap(occ_idx, int_idx, cb_occ.k, cb_int.k, occ.spec, patch)
+    """Quantize both streams of a voxelized cloud from each grid's nonzeros,
+    as :func:`encode_voxels` does.  Deterministic."""
+    if occ.spec != inten.spec:
+        raise ValueError("occupancy and intensity grids use different specs")
+    streams = []
+    for grid in (occ, inten):
+        ids = np.flatnonzero(grid.data != 0)
+        positions, order = patch_positions(ids, patch, grid.spec)
+        streams.append((positions, grid.data.reshape(-1)[ids[order]].astype(np.float64)))
+    return _encode_nonzeros(occ.spec, patch, *streams, cb_occ, cb_int)
+
+
+def _encode_nonzeros(spec, patch, occ_nonzeros, int_nonzeros, cb_occ, cb_int) -> IndexMap:
+    """The index map of the two streams' patch vectors, each given as
+    ``(positions, values)`` in the flattened (h·w, D) rows."""
+    h, w = patch.latent_shape(spec)
+    shape = (h * w, patch.vector_dim(spec))
+    # every value lies in [0, 1], so each row's squared norm is at most
+    # D <= MAX_POINTS = 2**26, far below quantizer._SQ_NORM_LIMIT (~2.2e307):
+    # no distance can overflow, and assign skips quantize's norm check
+    occ_idx = assign(cb_occ, shape, *occ_nonzeros).reshape(h, w)
+    int_idx = assign(cb_int, shape, *int_nonzeros).reshape(h, w)
+    return IndexMap(occ_idx, int_idx, cb_occ.k, cb_int.k, spec, patch)
 
 
 def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig,
@@ -188,15 +222,14 @@ def occupancy_bce(truth: OccupancyGrid, predicted_probs: np.ndarray) -> float:
     return float(-term.mean())
 
 
-def intensity_mse(truth: IntensityGrid, predicted: IntensityGrid, occ: OccupancyGrid) -> float:
-    """Mean squared intensity error over the truly occupied voxels only."""
-    if truth.data.shape != predicted.data.shape or truth.data.shape != occ.data.shape:
+def intensity_mse(truth: Voxels, predicted: IntensityGrid) -> float:
+    """Mean squared intensity error over the truly occupied voxels only, the
+    ``truth`` voxels, in their flat order."""
+    if truth.spec.dims != predicted.data.shape:
         raise ValueError("grid shapes differ")
-    mask = occ.data > 0
-    n_occ = int(mask.sum())
-    if n_occ == 0:
+    if truth.ids.size == 0:
         raise ValueError("no occupied voxels to average over")
-    diff = predicted.data[mask] - truth.data[mask]
+    diff = predicted.data.reshape(-1)[truth.ids] - truth.means
     return float((diff**2).mean())
 
 

@@ -1,13 +1,17 @@
 """Point-cloud and voxel-grid domain types, voxelization, and patch flattening.
 
-A scene enters as an (N, 4) array of (x, y, z, intensity) samples, becomes a
-pair of dense tensors (binary occupancy + per-voxel mean intensity), and is
-then cut into an h x w grid of flattened patch vectors -- the unit that gets
-vector-quantized and transmitted.
+A scene enters as an (N, 4) array of (x, y, z, intensity) samples and
+becomes its occupied voxels (``occupied_voxels``): their flat ids and mean
+intensities.  ``patch_positions`` places those voxels in an h x w grid of
+flattened patch vectors -- the unit that gets vector-quantized and
+transmitted -- so the sender never builds a dense grid.  ``voxelize`` (the
+dense occupancy + intensity tensors), ``patchify`` (their (h, w, D) patch
+vectors) and ``training_vectors`` are the dense views.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -190,6 +194,44 @@ class PatchSpec:
         return self.p_h * self.p_w * spec.dims[2]
 
 
+class Voxels(NamedTuple):
+    """The occupied voxels of a cloud on ``spec``: ``ids``, their flat
+    (row-major) ids, ascending; ``means``, each one's mean intensity; and
+    ``dropped``, the points outside the grid extent.  The sparse form of
+    ``voxelize``'s grids."""
+
+    spec: VoxelGridSpec
+    ids: np.ndarray
+    means: np.ndarray
+    dropped: int
+
+    def _scatter(self, values, dtype) -> np.ndarray:
+        data = np.zeros(self.spec.n_voxels, dtype=dtype)
+        data[self.ids] = values
+        return data.reshape(self.spec.dims)
+
+    def occupancy(self) -> OccupancyGrid:
+        return OccupancyGrid(self.spec, self._scatter(1, np.uint8))
+
+    def intensity(self) -> IntensityGrid:
+        return IntensityGrid(self.spec, self._scatter(self.means, np.float64))
+
+
+def occupied_voxels(cloud: PointCloud, spec: VoxelGridSpec) -> Voxels:
+    """The voxels at least one in-range point of ``cloud`` falls in, each
+    with the arithmetic mean of those points' intensities (clamped to
+    [0, 1], which only rounding can leave).  Out-of-range points are
+    dropped and counted."""
+    idx, inside = spec.voxel_indices(cloud.xyz)
+    flat = np.ravel_multi_index(tuple(idx[inside].T), spec.dims)
+    ids, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    # bincount adds each voxel's intensities in point order, so every sum is
+    # the one a bincount over the whole grid gives, bit for bit
+    means = np.bincount(inverse, weights=cloud.intensity[inside], minlength=ids.size) / counts
+    np.clip(means, 0.0, 1.0, out=means)
+    return Voxels(spec, ids, means, int((~inside).sum()))
+
+
 class VoxelizeResult(NamedTuple):
     occupancy: OccupancyGrid
     intensity: IntensityGrid
@@ -197,28 +239,35 @@ class VoxelizeResult(NamedTuple):
 
 
 def voxelize(cloud: PointCloud, spec: VoxelGridSpec) -> VoxelizeResult:
-    """Discretize a cloud onto the grid.
+    """Discretize a cloud onto the grid: ``occupied_voxels`` as dense grids.
 
     A voxel is occupied iff at least one in-range point falls in it; its
     intensity is the arithmetic mean of the intensities of those points.
     Unoccupied voxels have intensity exactly 0.  Out-of-range points are
     dropped and counted in the result.
     """
-    n_vox = spec.n_voxels
-    idx, inside = spec.voxel_indices(cloud.xyz)
-    flat = np.ravel_multi_index(tuple(idx[inside].T), spec.dims)
-    occ = np.bincount(flat, minlength=n_vox)
-    inten_sum = np.bincount(flat, weights=cloud.intensity[inside], minlength=n_vox)
-    occupied = occ > 0
-    inten = np.zeros(n_vox, dtype=np.float64)
-    inten[occupied] = inten_sum[occupied] / occ[occupied]
-    # mean of values in [0,1] can exceed the bounds by rounding only
-    np.clip(inten, 0.0, 1.0, out=inten)
-    return VoxelizeResult(
-        OccupancyGrid(spec, occupied.reshape(spec.dims).astype(np.uint8)),
-        IntensityGrid(spec, inten.reshape(spec.dims)),
-        int((~inside).sum()),
-    )
+    voxels = occupied_voxels(cloud, spec)
+    return VoxelizeResult(voxels.occupancy(), voxels.intensity(), voxels.dropped)
+
+
+def patch_positions(
+    ids: np.ndarray, patch: PatchSpec, spec: VoxelGridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where the voxels of flat ids ``ids`` sit in the (h·w, D) rows of patch
+    vectors that ``patchify`` cuts, flattened: ``(positions, order)``, with
+    ``positions`` ascending (``np.flatnonzero``'s order) and voxel
+    ``ids[order[n]]`` at ``positions[n]``.  Voxel (i, j, l) is in cell
+    (i // p_h, j // p_w), at offset ((i % p_h)·p_w + j % p_w)·L + l of its
+    vector.  Raises ``ValueError`` unless the patch tiles the grid."""
+    _, w = patch.latent_shape(spec)
+    _, gw, gl = spec.dims
+    ij, l = np.divmod(ids, gl)
+    i, j = np.divmod(ij, gw)
+    ci, ri = np.divmod(i, patch.p_h)
+    cj, rj = np.divmod(j, patch.p_w)
+    positions = (((ci * w + cj) * patch.p_h + ri) * patch.p_w + rj) * gl + l
+    order = np.argsort(positions)  # no two voxels share a position
+    return positions[order], order
 
 
 def _to_patch_vectors(data: np.ndarray, patch: PatchSpec, spec: VoxelGridSpec) -> np.ndarray:
@@ -265,15 +314,21 @@ def training_vectors(
     clouds, spec: VoxelGridSpec, patch: PatchSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (N, D) occupancy and intensity patch vectors of ``clouds``,
-    the samples codebooks and fill constants are fitted to."""
-    dim = patch.vector_dim(spec)
-    occ_vecs, int_vecs = [], []
+    the samples codebooks and fill constants are fitted to: each cloud's
+    ``occupied_voxels`` scattered straight into its rows."""
+    n_cells = math.prod(patch.latent_shape(spec))
+    placed = []
     for cloud in clouds:
-        occ, inten, _ = voxelize(cloud, spec)
-        ov, iv = patchify(occ, inten, patch)
-        occ_vecs.append(ov.reshape(-1, dim))
-        int_vecs.append(iv.reshape(-1, dim))
-    return np.vstack(occ_vecs), np.vstack(int_vecs)
+        voxels = occupied_voxels(cloud, spec)
+        positions, order = patch_positions(voxels.ids, patch, spec)
+        placed.append((positions, voxels.means[order]))
+    shape = (len(placed) * n_cells, patch.vector_dim(spec))
+    occ, inten = np.zeros(shape), np.zeros(shape)
+    for c, (positions, means) in enumerate(placed):
+        at = c * n_cells * shape[1] + positions
+        occ.reshape(-1)[at] = 1.0
+        inten.reshape(-1)[at] = means
+    return occ, inten
 
 
 def threshold_grids(

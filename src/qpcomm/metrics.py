@@ -5,15 +5,18 @@ Euclidean, halved, in meters).  ``evaluate_roundtrip`` runs one scene through
 encode -> serialize -> packetize -> lossy channel -> receive -> fill ->
 decode and reports fidelity plus communication volume.  It is two stages: a
 sender stage (``_send``) that depends on the scene alone, and a trial.
-``_send`` voxelizes the scene once and quantizes the frame from those truth
-grids.  A trial is ``deliver`` (packetize -> channel), then ``reconstruct``
-(receive -> fill -> decode), then the measurements; ``qpc simulate`` runs
-the same two functions, and ``qpc decode`` runs ``reconstruct`` on all of
-its frame's packets.  Each stage that draws takes its seed as an argument;
-no config carries one.  ``deliver`` takes the trial seed and passes its
-sub-seed 1 to ``transmit``; ``reconstruct`` takes the decoder's seed, which
-a trial derives as sub-seed 2 of its seed, and passes it to
-``decode_grids`` unchanged.  ``sweep`` runs the sender stage once per scene
+``_send`` finds the scene's occupied voxels once, the sparse truth every
+trial measures against, and quantizes the frame from their patch-vector
+nonzeros; no dense grid is built before the channel.  Each scene's one
+dense grid is the occupancy mask BCE reads.  A trial is ``deliver``
+(packetize -> channel), then ``reconstruct`` (receive -> fill -> decode),
+then the measurements; ``qpc simulate`` runs the same two functions, and
+``qpc decode`` runs ``reconstruct`` on all of its frame's packets.  Each
+stage that draws takes its seed as an argument; no config carries one.
+``deliver`` takes the trial seed and passes its sub-seed 1 to
+``transmit``; ``reconstruct`` takes the decoder's seed, which a trial
+derives as sub-seed 2 of its seed, and passes it to ``decode_grids``
+unchanged.  ``sweep`` runs the sender stage once per scene
 and a trial for every ``(scene, drop rate, trial)`` index triple, with
 deterministically derived seeds.
 
@@ -45,14 +48,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .channel import ChannelConfig, transmit
-from .codec import DecodeConfig, decode_grids, encode_grids, intensity_mse, occupancy_bce
+from .codec import DecodeConfig, decode_grids, encode_voxels, intensity_mse, occupancy_bce
 from .geometry import (
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
     assemble_grid,
+    occupied_voxels,
     threshold_grids,
-    voxelize,
 )
 from .quantizer import Codebook
 from .seeds import derive_seed
@@ -116,9 +119,9 @@ def chamfer(a: PointCloud, b: PointCloud) -> float:
 
 
 def _send(scene, cb_occ, cb_int, spec, patch):
-    """Sender stage: the scene's truth grids and the frame quantized from them."""
-    occ, inten, _ = voxelize(scene, spec)
-    return occ, inten, serialize(encode_grids(occ, inten, patch, cb_occ, cb_int), Pose())
+    """Sender stage: the scene's ``Voxels`` and the frame quantized from them."""
+    truth = occupied_voxels(scene, spec)
+    return truth, serialize(encode_voxels(truth, patch, cb_occ, cb_int), Pose())
 
 
 def deliver(frame: Frame, channel_cfg: ChannelConfig, mtu: int, seed: int):
@@ -156,9 +159,10 @@ def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_po
         # reach, so the point arrays the scene trees keep are copied here
         indexes = [helpers.submit(_index, np.ascontiguousarray(s.xyz)) for s in scenes]
         sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
+        occupancies = [truth.occupancy() for truth, _ in sent]
         indexes = [future.result() for future in indexes]
         for si, channel_cfg, seed in trials:
-            occ_truth, int_truth, frame = sent[si]
+            truth, frame = sent[si]
             tree, leaf_xyz = indexes[si]
             delivered, _ = deliver(frame, channel_cfg, mtu, seed)
             mask, occ_raw, inten, recon = reconstruct(
@@ -175,9 +179,8 @@ def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_po
                     _chamfer, tree, leaf_xyz, recon_tree, cpus // lanes)))
             reports.append(EvalReport(
                 chamfer_m=None,
-                occupancy_bce=occupancy_bce(occ_truth, occ_raw),
-                intensity_mse=(intensity_mse(int_truth, inten, occ_truth)
-                               if occ_truth.n_occupied else None),
+                occupancy_bce=occupancy_bce(occupancies[si], occ_raw),
+                intensity_mse=intensity_mse(truth, inten) if truth.ids.size else None,
                 comm_log2_bytes=log2_volume(frame.payload_nbits),
                 cell_loss_rate=mask.cell_loss_rate,
                 seed=seed,
@@ -250,8 +253,8 @@ def sweep(
 ) -> SweepResult:
     """Evaluate every (scene, drop rate, trial) combination.
 
-    Each scene goes through the sender stage once (one voxelization, one
-    encoding, one k-d tree); each trial then runs with seed
+    Each scene goes through the sender stage once (one ``occupied_voxels``,
+    one encoding, one k-d tree); each trial then runs with seed
     ``derive_seed(master_seed, scene_idx, p_idx, trial)``, so results are
     reproducible.  ``trials`` is at least 1, and the sweep holds at most
     ``MAX_TRIALS`` (2**20) trials in all; these bounds and every drop rate

@@ -9,16 +9,18 @@ non-increasing between refresh events.  Entries whose (bias-corrected) EMA
 usage falls below ``dead_limit`` at a refresh point are re-seeded from a
 reservoir sample of the data.
 
-Nearest-entry assignment, for ``quantize`` and every training pass, is one
-exact kernel (``_Search``): rows sorted by how far into the most-used columns
-they reach, a float32 product per block of rows over only that block's
-columns, a per-row band of candidates proven to contain ``nearest``'s index,
-and a rerank of the rows with more than one candidate in ``nearest``'s own
-direct form.  Indices therefore equal row-by-row ``nearest``, ties to the
-lowest index, in the caller's row order.  Training keeps one CSR copy of the
-samples, built from the nonzeros the search found in its one pass over them,
-and their squared norms, so each k-means++ pick, each centroid update and each
-pass's error costs O(nnz) instead of O(N·D).  Distances from the expanded form
+Nearest-entry assignment, for ``assign``, ``quantize`` and every training
+pass, is one exact kernel (``_Search``) over the rows' nonzeros: rows sorted
+by how far into the most-used columns they reach, a float32 product per block
+of rows over only that block's columns, a per-row band of candidates proven
+to contain ``nearest``'s index, and a rerank of the rows with more than one
+candidate in ``nearest``'s own direct form, from those rows' nonzeros.
+Indices therefore equal row-by-row ``nearest``, ties to the lowest index, in
+the caller's row order.  ``assign`` takes the nonzeros as the sparse sender
+places them; ``quantize`` and training find them in dense rows.  Training
+keeps one CSR copy of the samples, built from those nonzeros, and their
+squared norms, so each k-means++ pick, each centroid update and each pass's
+error costs O(nnz) instead of O(N·D).  Distances from the expanded form
 ``‖x‖² + ‖c‖² − 2·x·c`` are recomputed directly where they cancel to near zero,
 and the stop rule falls back to direct errors when a decision is within
 rounding.
@@ -53,7 +55,9 @@ class QuantizerConfig:
     ``reservoir_size``, ``max_iters`` and ``seed`` are integers (an integral
     float is converted), and ``k * dim`` is at most ``MAX_POINTS`` (2**26),
     so a codebook and each training pass's (K, D) arrays stay bounded; the
-    reference preset's K·D is 2**21."""
+    reference preset's K·D is 2**21.  ``seed`` is >= 0, as
+    ``np.random.default_rng`` needs, and ``dead_limit`` and ``tol`` are
+    finite and >= 0."""
 
     k: int
     dim: int
@@ -76,8 +80,11 @@ class QuantizerConfig:
         if not 1 <= self.k <= MAX_POINTS // self.dim:
             raise ValueError(f"codebook size must lie in [1, 2**26 / dim], got K={self.k} "
                              f"at D={self.dim}")
-        if self.dead_limit < 0:
-            raise ValueError("dead_limit must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("dead_limit", "tol"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in (0, 1)")
         if self.refresh_period < 1 or self.reservoir_size < 1 or self.max_iters < 1:
@@ -160,11 +167,19 @@ def _squared_norms(rows: np.ndarray, what: str) -> np.ndarray:
     return sq
 
 
+def _nonzeros(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions of the nonzeros of ``rows``, ascending (row-major),
+    and their values; ``-0.0`` is no nonzero."""
+    nz = np.flatnonzero(rows != 0)  # a bool mask takes numpy's fast path: ~3x on floats
+    return nz, rows.reshape(-1)[nz]
+
+
 class _Search:
-    """Exact nearest-entry search for the fixed rows of ``vectors`` (n, D):
-    ``search(entries)`` gives each row ``nearest``'s index, the lowest index
-    minimizing ``((entries − v)**2).sum(axis=1)``.  ``k`` (at least the
-    number of entries searched) sizes the row blocks.
+    """Exact nearest-entry search for the fixed rows of an (n, D) array of
+    ``shape``, given by its nonzeros: ``nz``, their flat positions ascending,
+    and ``vals``.  ``search(entries)`` gives each row ``nearest``'s index, the
+    lowest index minimizing ``((entries − v)**2).sum(axis=1)``.  ``k`` (at
+    least the number of entries searched) sizes the row blocks.
 
     Values are scaled by the power of two ``c`` that puts the largest |value|
     of the rows (or ``bound``, if larger) in [0.5, 1); training entries are
@@ -173,15 +188,14 @@ class _Search:
     score ``S = ½‖y‖² − x·y``.  Equal entries have equal distances, so only
     the first of each is searched.
 
-    *Rows.*  One row-major pass finds the nonzeros of ``vectors``
-    (``nz_rows``, ``nz_cols``, ``nz_vals``), which training also reuses as
-    its CSR copy (``csr()``).  The used columns ``J`` are ranked by how many
-    rows use them, most used first, ties to the lower column, and a row's
-    width is the rank of its last used column.  The coarse rows ``[1, x_J]`` (columns in
-    rank order) are stored stably sorted by width and cut into blocks of at
-    most ``_BLOCK // k`` rows, also wherever the width more than doubles.  A
-    block's rows use only its first ``m = 1 +`` (largest width) coarse
-    columns; the rest add exactly nothing.  The blocks and their constants
+    *Rows.*  The nonzeros (``nz_rows``, ``nz_cols``, ``nz_vals``) are also
+    training's CSR copy (``csr()``).  The used columns ``J`` are ranked by
+    how many rows use them, most used first, ties to the lower column, and a
+    row's width is the rank of its last used column.  The coarse rows
+    ``[1, x_J]`` (columns in rank order) are stored stably sorted by width
+    and cut into blocks of at most ``_BLOCK // k`` rows, also wherever the
+    width more than doubles.  A block's rows use only its first ``m = 1 +``
+    (largest width) coarse columns; the rest add exactly nothing.  The blocks and their constants
     are fixed here, once for every search.
 
     *Coarse pass.*  Per block, a float32 product of the rows' ``[1, x]`` and
@@ -209,15 +223,17 @@ class _Search:
 
     *Rerank.*  A row with one entry in its band takes it.  Other rows take
     the least ``((e − v)**2).sum(axis=1)`` over their band, ties to the
-    lowest index, evaluated in batches of ``_BLOCK // (4·D)`` pairs.  Indices
-    go back to the caller's row order.
+    lowest index, evaluated in batches of ``_BLOCK // (4·D)`` pairs, each
+    pair's entry minus its row's nonzeros.  Indices go back to the caller's
+    row order.
     """
 
-    def __init__(self, vectors: np.ndarray, k: int, bound: float = 0.0):
-        self.vectors = vectors
-        n, dim = vectors.shape
-        self.nz_rows, self.nz_cols = np.divmod(np.flatnonzero(vectors != 0), dim)
-        self.nz_vals = vectors[self.nz_rows, self.nz_cols]
+    def __init__(self, shape, nz: np.ndarray, vals: np.ndarray, k: int, bound: float = 0.0):
+        self.shape = n, dim = shape
+        self.nz_rows, self.nz_cols = np.divmod(nz, dim)
+        self.nz_vals = vals
+        self.indptr = np.zeros(n + 1, dtype=np.int64)  # row r's nonzeros: indptr[r]:indptr[r + 1]
+        np.cumsum(np.bincount(self.nz_rows, minlength=n), out=self.indptr[1:])
         uses = np.bincount(self.nz_cols, minlength=dim)
         self.cols = np.argsort(-uses, kind="stable")[: np.count_nonzero(uses)]
         rank = np.empty(dim, dtype=np.int64)
@@ -302,11 +318,20 @@ class _Search:
         return first[idx]
 
     def csr(self) -> sp.csr_array:
-        """The rows as a CSR array, from the nonzeros ``__init__`` found."""
-        n = self.vectors.shape[0]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.nz_rows, minlength=n), out=indptr[1:])
-        return sp.csr_array((self.nz_vals, self.nz_cols, indptr), shape=self.vectors.shape)
+        """The rows as a CSR array, from their nonzeros."""
+        return sp.csr_array((self.nz_vals, self.nz_cols, self.indptr), shape=self.shape)
+
+    def _subtract(self, out: np.ndarray, rows: np.ndarray) -> None:
+        """``out -= `` the rows ``rows`` (at least one), in place, at their
+        nonzeros only: ``x − 0.0`` is ``x`` exactly, so ``out`` ends as the
+        dense difference, bit for bit."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        # each row's nonzeros, row after row: position t of the run for row r
+        # is nonzero starts[r] + (t - (ends[r] - counts[r]))
+        at = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+        out[np.repeat(np.arange(rows.size), counts), self.nz_cols[at]] -= self.nz_vals[at]
 
     def _rerank(self, rows: np.ndarray, k: np.ndarray, entries: np.ndarray) -> np.ndarray:
         """For candidate pairs ``(rows, k)``, grouped by row and ascending in
@@ -316,7 +341,9 @@ class _Search:
         step = max(1, _BLOCK // (4 * entries.shape[1]))
         for start in range(0, rows.size, step):
             sl = slice(start, start + step)
-            d[sl] = ((entries[k[sl]] - self.vectors[rows[sl]]) ** 2).sum(axis=1)
+            diff = entries[k[sl]]
+            self._subtract(diff, rows[sl])
+            d[sl] = np.square(diff, out=diff).sum(axis=1)
         starts = np.diff(rows, prepend=-1) != 0
         row = np.cumsum(starts) - 1  # each pair's row number
         hit = np.flatnonzero(d == np.minimum.reduceat(d, np.flatnonzero(starts))[row])
@@ -334,9 +361,25 @@ def _direct_error(samples, entries, idx) -> float:
     return float(err.mean())
 
 
+def assign(codebook: Codebook, shape, nz: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``nearest``'s index for each row of an (n, D) float64 array of
+    ``shape``, given by its nonzeros: ``nz``, their flat positions, ascending,
+    and ``vals``.  The caller vouches that every row's squared norm is at most
+    ``_SQ_NORM_LIMIT`` (``quantize`` checks it).  Raises ``ValueError`` unless
+    D is the codebook's."""
+    n, dim = shape
+    if dim != codebook.dim:
+        raise ValueError(f"vector dim {dim} != codebook dim {codebook.dim}")
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    entries = codebook.entries
+    bound = max(float(entries.max()), -float(entries.min()))
+    return _Search(shape, nz, vals, entries.shape[0], bound)(entries)
+
+
 def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float]:
     """Element-wise nearest-entry assignment for an (h, w, D) vector grid (or
-    a flat (n, D) batch).
+    a flat (n, D) batch): ``assign`` on its nonzeros.
 
     Returns ``(indices, commitment_error)`` where the commitment error is the
     mean over cells of the squared distance to the assigned entry.  Indices
@@ -350,10 +393,8 @@ def quantize(codebook: Codebook, vectors: np.ndarray) -> tuple[np.ndarray, float
     flat = vectors.reshape(-1, codebook.dim)
     if flat.shape[0] == 0:
         return np.empty(lead_shape, dtype=np.int64), 0.0
-    entries = codebook.entries
-    bound = max(float(entries.max()), -float(entries.min()))
     _squared_norms(flat, "vectors")
-    idx = _Search(flat, entries.shape[0], bound)(entries)
+    idx = assign(codebook, flat.shape, *_nonzeros(flat))
     return idx.reshape(lead_shape), _direct_error(flat, codebook.entries, idx)
 
 
@@ -418,7 +459,7 @@ def train_codebook(samples, cfg: QuantizerConfig, kind: str = KIND_OCC) -> Codeb
         reservoir = samples[rng.choice(n, size=cfg.reservoir_size, replace=False)]
 
     sq_norms = _squared_norms(samples, "samples")
-    search = _Search(samples, cfg.k)
+    search = _Search(samples.shape, *_nonzeros(samples), cfg.k)
     sparse = search.csr()
     nnz_rows = search.nz_rows
     entries = _kmeanspp_init(samples, sparse, sq_norms, cfg.k, rng)

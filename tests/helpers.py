@@ -159,6 +159,25 @@ def trained_codebooks_for(occ_vec, int_vec, k=16, seed=0, dead_limit=0):
     return cb_occ, cb_int
 
 
+def dense_voxelize(cloud, spec):
+    """``geometry.voxelize`` as first implemented: two bincounts over the
+    whole grid.  Returns the (H, W, L) uint8 occupancy, the float64 mean
+    intensities and the count of points outside the grid.  The sparse
+    ``occupied_voxels`` must give the same voxels and means bit for bit,
+    because it adds each voxel's intensities in the same point order."""
+    n_vox = spec.n_voxels
+    idx, inside = spec.voxel_indices(cloud.xyz)
+    flat = np.ravel_multi_index(tuple(idx[inside].T), spec.dims)
+    occ = np.bincount(flat, minlength=n_vox)
+    inten_sum = np.bincount(flat, weights=cloud.intensity[inside], minlength=n_vox)
+    occupied = occ > 0
+    inten = np.zeros(n_vox, dtype=np.float64)
+    inten[occupied] = inten_sum[occupied] / occ[occupied]
+    np.clip(inten, 0.0, 1.0, out=inten)
+    return (occupied.reshape(spec.dims).astype(np.uint8), inten.reshape(spec.dims),
+            int((~inside).sum()))
+
+
 def _dense_assign(vectors, entries):
     """``nearest``'s definition, row by row: the lowest index minimizing the
     direct-form ``((entries - v) ** 2).sum(axis=1)``."""

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    _dense_assign,
+    dense_voxelize,
     desk_spec,
     received,
     reference_bce,
@@ -11,12 +13,16 @@ from helpers import (
     representable_scene,
     trained_codebooks_for,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpcomm import metrics
 from qpcomm.codec import (
     DecodeConfig,
     IndexMap,
     decode_grids,
     encode,
+    encode_grids,
     intensity_mse,
     occupancy_bce,
     vq_loss,
@@ -27,9 +33,13 @@ from qpcomm.geometry import (
     OccupancyGrid,
     PatchSpec,
     PointCloud,
+    Voxels,
+    patchify,
+    training_vectors,
     voxelize,
 )
-from qpcomm.quantizer import Codebook, quantize
+from qpcomm.quantizer import KIND_INT, Codebook, quantize
+from qpcomm.wire import Pose, serialize
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +95,104 @@ class TestEncode:
             IndexMap(np.full((h, w), 9), np.zeros((h, w)), 4, 4, spec, patch)
         with pytest.raises(ValueError):
             IndexMap(np.zeros((h + 1, w)), np.zeros((h, w)), 4, 4, spec, patch)
+
+
+def edge_cloud(rng, spec, n_inside, n_dup, n_outside, n_upper, zero):
+    """A cloud with the sender's edge cases: several points per voxel, exact
+    duplicates (with their own intensities), points outside the grid and on
+    its upper faces (outside, as voxels are half-open), and intensities of
+    exactly 0 and 1.  Rows come in random order."""
+    cell, upper = np.asarray(spec.cell), spec.upper
+    inside = (rng.integers(0, spec.dims, size=(n_inside, 3)) + rng.random((n_inside, 3))) * cell
+    xyz = np.vstack([inside, inside[rng.integers(n_inside, size=n_dup if n_inside else 0)]])
+    outside = rng.uniform(-upper, 2 * upper, size=(n_outside, 3))
+    outside[np.arange(n_outside), rng.integers(3, size=n_outside)] = rng.choice(
+        [-1.0, 1.0], n_outside) * (upper.max() + 1.0)
+    on_face = rng.random((n_upper, 3)) * upper
+    axes = rng.integers(3, size=n_upper)
+    on_face[np.arange(n_upper), axes] = upper[axes]
+    xyz = np.vstack([xyz, outside, on_face])
+    inten = rng.choice([0.0, 1.0, 0.5], size=len(xyz)) if zero > 0.5 else rng.random(len(xyz))
+    inten[rng.random(len(xyz)) < zero] = 0.0
+    return PointCloud(np.column_stack([xyz, inten])[rng.permutation(len(xyz))])
+
+
+def dividing(n):
+    return st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
+
+
+class TestSparseSender:
+    """The sender works from the occupied voxels alone.  Its frame equals
+    ``serialize`` of per-row ``_dense_assign`` on the ``patchify`` of the
+    dense grids (``dense_voxelize``, the first implementation), its truth
+    equals those grids' nonzeros bit for bit, and every dense front-end of
+    the sparse core gives the same grids, vectors and indices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)),
+        data=st.data(),
+        k=st.sampled_from([1, 2, 3, 5, 8]),
+        n_inside=st.integers(0, 40),
+        n_dup=st.integers(0, 10),
+        n_outside=st.integers(0, 6),
+        n_upper=st.integers(0, 6),
+        zero=st.floats(0.0, 1.0),
+        from_rows=st.floats(0.0, 1.0),
+        levels=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_frame_and_truth_equal_the_dense_oracle(
+        self, dims, data, k, n_inside, n_dup, n_outside, n_upper, zero, from_rows, levels, seed
+    ):
+        spec = desk_spec(dims)
+        patch = PatchSpec(data.draw(dividing(dims[0])), data.draw(dividing(dims[1])))
+        rng = np.random.default_rng(seed)
+        cloud = edge_cloud(rng, spec, n_inside, n_dup, n_outside, n_upper, zero)
+        occ, inten, dropped = dense_voxelize(cloud, spec)
+        grids = OccupancyGrid(spec, occ), IntensityGrid(spec, inten)
+        h, w = patch.latent_shape(spec)
+        dim = patch.vector_dim(spec)
+        ov, iv = (v.reshape(-1, dim) for v in patchify(*grids, patch))
+
+        def codebook(rows, kind):
+            # entries of few levels tie exactly with each other, and entries
+            # copied from the rows match them exactly
+            values = rng.choice([0.0, 0.5, 1.0], (k, dim)) if levels else rng.random((k, dim))
+            made = np.where(rng.random((k, dim)) < 0.5, values, 0.0)
+            copied = rng.random(k) < from_rows
+            made[copied] = rows[rng.integers(len(rows), size=int(copied.sum()))]
+            return Codebook.from_entries(made, kind)
+
+        cb_occ, cb_int = codebook(ov, "occ"), codebook(iv, KIND_INT)
+        expected = serialize(IndexMap(
+            _dense_assign(ov, cb_occ.entries).reshape(h, w),
+            _dense_assign(iv, cb_int.entries).reshape(h, w), k, k, spec, patch), Pose())
+
+        truth, frame = metrics._send(cloud, cb_occ, cb_int, spec, patch)
+        ids = np.flatnonzero(occ)
+        assert truth.ids.tobytes() == ids.tobytes()
+        assert truth.means.tobytes() == inten.reshape(-1)[ids].tobytes()
+        assert truth.dropped == dropped
+        assert frame.to_bytes() == expected.to_bytes()
+
+        # the dense front-ends of the same core
+        for im in (encode(cloud, spec, patch, cb_occ, cb_int),
+                   encode_grids(*grids, patch, cb_occ, cb_int)):
+            assert serialize(im, Pose()).to_bytes() == expected.to_bytes()
+        got_occ, got_inten, got_dropped = voxelize(cloud, spec)
+        assert got_occ.data.tobytes() == occ.tobytes()
+        assert got_inten.data.tobytes() == inten.tobytes()
+        assert got_dropped == dropped
+        got_ov, got_iv = training_vectors([cloud, cloud], spec, patch)
+        assert got_ov.tobytes() == np.vstack([ov, ov]).tobytes()
+        assert got_iv.tobytes() == np.vstack([iv, iv]).tobytes()
+        if ids.size:
+            # the dense definition: the error over the occupancy mask, in flat order
+            predicted = IntensityGrid(spec, rng.random(dims))
+            mask = occ > 0
+            dense = float(((predicted.data[mask] - inten[mask]) ** 2).mean())
+            assert intensity_mse(truth, predicted) == dense
 
 
 class TestDecode:
@@ -289,26 +397,23 @@ class TestLosses:
 
     def test_mse_zero_and_hand_value(self):
         spec = desk_spec((1, 1, 1))
-        occ = OccupancyGrid(spec, np.ones(spec.dims))
-        truth = IntensityGrid(spec, np.full(spec.dims, 0.4))
-        assert intensity_mse(truth, truth, occ) == 0.0
+        truth = Voxels(spec, np.array([0]), np.array([0.4]), 0)
+        assert intensity_mse(truth, truth.intensity()) == 0.0
         pred = IntensityGrid(spec, np.full(spec.dims, 0.9))
-        assert intensity_mse(truth, pred, occ) == pytest.approx(0.25, rel=1e-12)
+        assert intensity_mse(truth, pred) == pytest.approx(0.25, rel=1e-12)
 
     def test_mse_ignores_unoccupied(self):
         spec = desk_spec((2, 1, 1))
-        occ = OccupancyGrid(spec, np.array([1, 0]).reshape(2, 1, 1))
-        truth = IntensityGrid(spec, np.array([0.5, 0.0]).reshape(2, 1, 1))
+        truth = Voxels(spec, np.array([0]), np.array([0.5]), 0)
         pred_a = IntensityGrid(spec, np.array([0.5, 0.0]).reshape(2, 1, 1))
         pred_b = IntensityGrid(spec, np.array([0.5, 0.9]).reshape(2, 1, 1))
-        assert intensity_mse(truth, pred_a, occ) == intensity_mse(truth, pred_b, occ)
+        assert intensity_mse(truth, pred_a) == intensity_mse(truth, pred_b)
 
     def test_mse_requires_occupancy(self):
         spec = desk_spec((1, 1, 1))
-        occ = OccupancyGrid(spec, np.zeros(spec.dims))
-        grid = IntensityGrid(spec, np.zeros(spec.dims))
+        truth = Voxels(spec, np.empty(0, dtype=np.int64), np.empty(0), 0)
         with pytest.raises(ValueError):
-            intensity_mse(grid, grid, occ)
+            intensity_mse(truth, truth.intensity())
 
 
 class TestVqLoss:

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,8 +12,16 @@ from scipy.spatial import cKDTree
 
 from qpcomm import metrics
 from qpcomm.channel import ChannelConfig, transmit
-from qpcomm.codec import DecodeConfig, decode_grids, encode, encode_grids, occupancy_bce
-from qpcomm.geometry import PatchSpec, PointCloud, assemble_grid, threshold_grids, voxelize
+from qpcomm.codec import DecodeConfig, decode_grids, encode, encode_voxels, occupancy_bce
+from qpcomm.geometry import (
+    PatchSpec,
+    PointCloud,
+    VoxelGridSpec,
+    assemble_grid,
+    occupied_voxels,
+    threshold_grids,
+    voxelize,
+)
 from qpcomm.metrics import (
     STATUS_EMPTY,
     STATUS_OK,
@@ -22,7 +31,7 @@ from qpcomm.metrics import (
     write_reports_jsonl,
     write_summary_csv,
 )
-from qpcomm.quantizer import Codebook
+from qpcomm.quantizer import KIND_INT, Codebook
 from qpcomm.seeds import derive_seed
 from qpcomm.tolerance import FillPolicy, fit_fill_vector
 from qpcomm.wire import HEADER_LEN, Pose, comm_volume_log2_bytes, packetize, serialize
@@ -48,16 +57,21 @@ def recording_tree(workers):
     return RecordingTree
 
 
-# the layer functions a trial calls, each as (defining module, name)
+# the layer functions a trial calls, and those the benchmark's tracer wraps,
+# each as (defining module, name)
 LAYER_FUNCTIONS = [
     ("qpcomm.quantizer", "quantize"),
+    ("qpcomm.quantizer", "assign"),
     ("qpcomm.metrics", "chamfer"),
     ("qpcomm.metrics", "evaluate_roundtrip"),
+    ("qpcomm.geometry", "occupied_voxels"),
+    ("qpcomm.geometry", "patch_positions"),
     ("qpcomm.geometry", "voxelize"),
     ("qpcomm.geometry", "patchify"),
     ("qpcomm.geometry", "assemble_grid"),
     ("qpcomm.geometry", "threshold_grids"),
     ("qpcomm.codec", "encode"),
+    ("qpcomm.codec", "encode_voxels"),
     ("qpcomm.codec", "encode_grids"),
     ("qpcomm.codec", "decode_grids"),
     ("qpcomm.codec", "occupancy_bce"),
@@ -176,6 +190,31 @@ def pipeline():
     return spec, patch, cloud, cb_occ, cb_int, policy
 
 
+def test_sender_builds_no_dense_grid():
+    # a 512 x 512 x 32 grid, where one float64 (H, W, L) array takes 64 MB,
+    # and 4,000 points in a 0.2 m ground slab: the sender's peak stays below
+    # that one array.  The search's score blocks and rerank batches are sized
+    # by _BLOCK, not by the grid, so a much smaller grid could not show the bound.
+    spec = VoxelGridSpec((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), (512, 512, 32))
+    patch = PatchSpec(4, 4)
+    rng = np.random.default_rng(31)
+    n = 4000
+    cloud = PointCloud(np.column_stack([rng.uniform(0.0, 51.2, (n, 2)), rng.uniform(0.0, 0.2, n),
+                                        rng.random(n)]))
+    dim = patch.vector_dim(spec)
+    entries = np.where(rng.random((64, dim)) < 0.02, 1.0, 0.0)
+    entries[0] = 0.0
+    cb_occ, cb_int = Codebook.from_entries(entries), Codebook.from_entries(entries / 2, KIND_INT)
+    tracemalloc.start()
+    try:
+        truth, frame = metrics._send(cloud, cb_occ, cb_int, spec, patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert truth.ids.size > 3000 and frame.payload_nbits == 2 * 128 * 128 * 6
+    assert peak < 8 * spec.n_voxels, peak
+
+
 class TestEvaluateRoundtrip:
     def test_lossless_regime(self, pipeline):
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
@@ -231,12 +270,13 @@ class TestEvaluateRoundtrip:
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_k_d_tree_work_overlaps_the_traced_stages(self, pipeline, monkeypatch):
-        # voxelize waits until the helper builds the scene index, and BCE until
-        # the helper starts the Chamfer: without the overlap, both would time out
+        # the sender's occupied_voxels waits until the helper builds the scene
+        # index, and BCE until the helper starts the Chamfer: without the
+        # overlap, both would time out
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         indexed, chamfer_started, waits = threading.Event(), threading.Event(), []
         index, chamfer_ = metrics._index, metrics._chamfer
-        voxelize_, bce = metrics.voxelize, metrics.occupancy_bce
+        voxels_, bce = metrics.occupied_voxels, metrics.occupancy_bce
 
         def signal(event, fn):
             def run(*args):
@@ -254,7 +294,7 @@ class TestEvaluateRoundtrip:
 
         monkeypatch.setattr(metrics, "_index", signal(indexed, index))
         monkeypatch.setattr(metrics, "_chamfer", signal(chamfer_started, chamfer_))
-        monkeypatch.setattr(metrics, "voxelize", wait_for(indexed, voxelize_))
+        monkeypatch.setattr(metrics, "occupied_voxels", wait_for(indexed, voxels_))
         monkeypatch.setattr(metrics, "occupancy_bce", wait_for(chamfer_started, bce))
         rep = evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
                                  DecodeConfig(), policy, seed=1, mtu=64)
@@ -426,17 +466,19 @@ class TestSweep:
 
             return record
 
-        monkeypatch.setattr(metrics, "encode_grids", spy(encoded, encode_grids))
-        monkeypatch.setattr(metrics, "voxelize", spy(voxelized, voxelize))
+        monkeypatch.setattr(metrics, "encode_voxels", spy(encoded, encode_voxels))
+        monkeypatch.setattr(metrics, "occupied_voxels", spy(voxelized, occupied_voxels))
         monkeypatch.setattr(metrics, "cKDTree", spy(trees, cKDTree))
         scenes = [cloud, PointCloud(cloud.points[::2])]
         result = sweep(scenes, [0.0, 0.5], 2, cb_occ, cb_int, spec, patch, policy, mtu=64)
         assert len(result.reports) == 8
         assert len(voxelized) == len(scenes) and all(v is s for v, s in zip(voxelized, scenes))
-        # each scene is quantized from the grids of its one voxelization
+        # each scene is quantized from the voxels of its one voxelization
         assert len(encoded) == len(scenes)
-        for occ, scene in zip(encoded, scenes):
-            assert np.array_equal(occ.data, voxelize(scene, spec).occupancy.data)
+        for voxels, scene in zip(encoded, scenes):
+            occ, inten, _ = voxelize(scene, spec)
+            assert np.array_equal(voxels.occupancy().data, occ.data)
+            assert np.array_equal(voxels.intensity().data, inten.data)
         # one tree per scene, plus one per trial over its reconstruction
         assert [sum(np.array_equal(t, s.xyz) for t in trees) for s in scenes] == [1, 1]
         n_measured = sum(r.chamfer_m is not None for r in result.reports)
@@ -560,7 +602,8 @@ class TestSweep:
         else:
             reports = sweep(scenes, [0.0, 0.5], 3, cb_occ, cb_int, spec, patch, policy,
                             mtu=64, master_seed=2).reports
-        assert {name for name, _ in callers} >= {"voxelize", "transmit", "fill", "occupancy_bce"}
+        assert {name for name, _ in callers} >= {
+            "occupied_voxels", "encode_voxels", "assign", "transmit", "fill", "occupancy_bce"}
         assert {ident for _, ident in callers} == {here}
         n_measured = sum(r.chamfer_m is not None for r in reports)
         assert len(query_threads) == n_measured > 0 and here not in query_threads

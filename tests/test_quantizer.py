@@ -423,7 +423,7 @@ class TestBlockedSearch:
         with pytest.MonkeyPatch.context() as mp:
             # more rows of one width than a block takes: K·rows_per_block scores
             mp.setattr(quantizer, "_BLOCK", k * rows_per_block)
-            search = quantizer._Search(vectors, k, bound)
+            search = quantizer._Search(vectors.shape, *quantizer._nonzeros(vectors), k, bound)
             assert len(search.blocks) > 1
             np.testing.assert_array_equal(search(entries), expected)
         np.testing.assert_array_equal(quantize(cb, vectors)[0], expected)
@@ -515,6 +515,18 @@ def test_config_counts_are_integers(field):
     for bad in (2.5, np.inf):
         with pytest.raises(ValueError, match="must be integers"):
             QuantizerConfig(**{**base, field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("seed", -1), ("tol", np.nan), ("tol", -1.0), ("tol", np.inf),
+    ("dead_limit", np.nan), ("dead_limit", -1), ("dead_limit", np.inf),
+])
+def test_config_rejects_invalid_settings(field, bad):
+    # default_rng rejects a negative seed, and a NaN tol or dead_limit would
+    # make every stop or refresh test false
+    QuantizerConfig(k=2, dim=3, **{field: 0})
+    with pytest.raises(ValueError, match=field):
+        QuantizerConfig(k=2, dim=3, **{field: bad})
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["k0", "d0"])
@@ -651,7 +663,8 @@ class TestSparseTrainingOracle:
         rng = np.random.default_rng(29)
         samples, _ = core_and_wide_rows(rng, 600, 160, 16, 0.05, 0.05, 0.4, False, 1.0)
         cfg = QuantizerConfig(k=24, dim=160, dead_limit=8, seed=8)
-        widths = [block[2] for block in quantizer._Search(samples, cfg.k).blocks]
+        search = quantizer._Search(samples.shape, *quantizer._nonzeros(samples), cfg.k)
+        widths = [block[2] for block in search.blocks]
         assert len(widths) > 1 and widths[0] < widths[-1]
         assert_matches_dense_oracle(samples, cfg)
 

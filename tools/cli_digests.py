@@ -28,6 +28,10 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
   encoded with every point dropped, then ``simulate --drop-rate 1 --fill
   empty`` on it: every cell lost and no point decoded; and ``decode-far``,
   the decode of that frame, whose grid holds no occupied voxel;
+- ``encode-edge``: ``encode`` of a hand-made cloud with the sender's edge
+  cases: exact duplicate points with their own intensities, points outside
+  the grid and on its upper faces (outside, as voxels are half-open), and
+  intensities of exactly 0 and 1.  Only its frame and stdout are digested;
 - ``sweep --codebooks``, a sweep that trains its own codebooks, and
   ``volume``;
 - the ``evaluate_roundtrip`` JSON for every fill at drop rates 0, 0.3, 0.9.
@@ -49,10 +53,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from qpcomm import cli, metrics  # noqa: E402
 from qpcomm.channel import ChannelConfig  # noqa: E402
 from qpcomm.codec import DecodeConfig  # noqa: E402
-from qpcomm.pcio import read_qpcd  # noqa: E402
+from qpcomm.geometry import PointCloud  # noqa: E402
+from qpcomm.pcio import read_qpcd, write_qpcd  # noqa: E402
 from qpcomm.quantizer import read_codebook  # noqa: E402
 from qpcomm.tolerance import POLICIES, FillPolicy  # noqa: E402
 from qpcomm.wire import (  # noqa: E402
@@ -68,6 +75,24 @@ CODEBOOKS = ("--codebooks", "occ.qpcb", "int.qpcb")
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _edge_cloud() -> PointCloud:
+    """``encode-edge``'s cloud on the desk grid, which spans [0, 10) x [0, 10)
+    x [0, 1.2) m."""
+    rng = np.random.default_rng(27)
+    inside = rng.random((400, 3)) * [10.0, 10.0, 1.2]
+    xyz = np.vstack([
+        inside,
+        inside[:80],  # exact duplicates
+        [[-0.5, 5.0, 0.5], [5.0, 10.5, 0.5], [5.0, 5.0, 2.0]],  # outside
+        [[10.0, 5.0, 0.5], [5.0, 10.0, 0.5], [5.0, 5.0, 1.2]],  # on the upper faces
+        [[0.0, 0.0, 0.0]],  # on the lower faces, inside
+    ])
+    intensity = rng.random(len(xyz))
+    intensity[::4] = 0.0
+    intensity[1::7] = 1.0
+    return PointCloud(np.column_stack([xyz, intensity]))
 
 
 def _run_all(stdouts: dict) -> None:
@@ -123,6 +148,9 @@ def _run_all(stdouts: dict) -> None:
     qpc("sim-far", "simulate", "--in", "far.qpfr", *CODEBOOKS, "--seed", 6, "--drop-rate", 1,
         "--fill", "empty", "--out", "sim-far.qpcd", "--report", "sim-far.json")
     qpc("decode-far", "decode", "--in", "far.qpfr", *CODEBOOKS, "--out", "dec-far.qpcd")
+    write_qpcd("edge.qpcd", _edge_cloud())
+    qpc("encode-edge", "encode", "--in", "edge.qpcd", *CODEBOOKS, "--out", "edge.qpfr")
+    Path("edge.qpcd").unlink()  # made by this script, so only the encoding is digested
 
     qpc("sweep", "sweep", "--scenes", "scenes", *CODEBOOKS, "--p-list", "0,0.3,0.3,0.9",
         "--trials", 2, "--mtu", 128, "--seed", 2, "--fill", "neighbor_copy",
