@@ -28,11 +28,10 @@ print(f"patchify: {h}x{w} latent cells, vector dimension {dim}")
 distinct = np.unique(occ_vec.reshape(-1, dim), axis=0).shape[0]
 print(f"distinct occupancy patterns in this scene: {distinct} of {h * w} cells")
 
-# the receiver's inverse: reassemble each stream's grid, then threshold occupancy
-# at 0.5 and zero the intensity of unoccupied voxels
-occ_back, int_back = q.threshold_grids(
-    q.assemble_grid(occ_vec, patch, spec), q.assemble_grid(int_vec, patch, spec), spec
-)
+# the receiver's inverse: reassemble the occupancy grid and threshold it at 0.5;
+# each occupied voxel takes its entry of the intensity vectors.  The result is
+# the cloud's occupied voxels, the sparse form of the grids above
+back = q.threshold_voxels(q.assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+truth = q.occupied_voxels(cloud, spec)
 print("roundtrip exact:",
-      np.array_equal(occ_back.data, occupancy.data)
-      and np.array_equal(int_back.data, intensity.data))
+      np.array_equal(back.ids, truth.ids) and np.array_equal(back.means, truth.means))

@@ -1,8 +1,8 @@
 """qpcomm: a quantized point-cloud communication codec and lossy-channel
 simulator.
 
-Scans are voxelized into occupancy/intensity tensors, cut into patch vectors,
-and quantized through a pair of trained codebooks into compact index grids.
+Scans become their occupied voxels, placed in flattened patch vectors and
+quantized through a pair of trained codebooks into compact index grids.
 The indices travel as a bit-packed frame split into packets; a seeded channel
 drops packets, lost latent cells are substituted by a fill policy, and the
 receiver reconstructs a point cloud whose fidelity and communication volume
@@ -13,9 +13,8 @@ from .channel import ChannelConfig, ChannelReport, latency_for_volume, transmit
 from .codec import (
     DecodeConfig,
     IndexMap,
-    decode_grids,
+    decode_voxels,
     encode,
-    encode_grids,
     encode_voxels,
     intensity_mse,
     occupancy_bce,
@@ -31,7 +30,7 @@ from .geometry import (
     assemble_grid,
     occupied_voxels,
     patchify,
-    threshold_grids,
+    threshold_voxels,
     training_vectors,
     voxelize,
 )

@@ -6,11 +6,11 @@ its nearest codebook index, separately for the occupancy and intensity
 streams.  The nearest-entry search (``quantizer.assign``) reads only the
 vectors' nonzeros, so no dense grid or patch-vector array is built between
 the cloud and the index map.  The receiver (``metrics.reconstruct``) looks the
-vectors back up and rebuilds the grids (occupancy thresholded at 0.5).
-Decoding (``decode_grids``) emits points sampled from an isotropic Gaussian
-around each occupied voxel centroid; all points of a voxel carry that
-voxel's single intensity value, and the intensity channel itself is never
-sampled.
+vectors back up and thresholds them into ``Voxels`` (``threshold_voxels``),
+the same sparse type as the sender's truth.  Decoding (``decode_voxels``)
+emits points sampled from an isotropic Gaussian around each voxel centroid;
+all points of a voxel carry that voxel's single intensity value, and the
+intensity channel itself is never sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .geometry import (
     MAX_POINTS,
-    IntensityGrid,
     OccupancyGrid,
     PatchSpec,
     PointCloud,
@@ -129,61 +128,34 @@ def encode_voxels(voxels: Voxels, patch: PatchSpec, cb_occ: Codebook, cb_int: Co
     intensity, unless exactly 0, a nonzero of the intensity stream.  The
     indices are those ``quantize`` gives the ``patchify`` of ``voxelize``'s
     grids.  Deterministic."""
-    positions, order = patch_positions(voxels.ids, patch, voxels.spec)
+    spec = voxels.spec
+    positions, order = patch_positions(voxels.ids, patch, spec)
     means = voxels.means[order]
     kept = means != 0
-    return _encode_nonzeros(voxels.spec, patch, (positions, np.ones(positions.size)),
-                            (positions[kept], means[kept]), cb_occ, cb_int)
-
-
-def encode_grids(
-    occ: OccupancyGrid,
-    inten: IntensityGrid,
-    patch: PatchSpec,
-    cb_occ: Codebook,
-    cb_int: Codebook,
-) -> IndexMap:
-    """Quantize both streams of a voxelized cloud from each grid's nonzeros,
-    as :func:`encode_voxels` does.  Deterministic."""
-    if occ.spec != inten.spec:
-        raise ValueError("occupancy and intensity grids use different specs")
-    streams = []
-    for grid in (occ, inten):
-        ids = np.flatnonzero(grid.data != 0)
-        positions, order = patch_positions(ids, patch, grid.spec)
-        streams.append((positions, grid.data.reshape(-1)[ids[order]].astype(np.float64)))
-    return _encode_nonzeros(occ.spec, patch, *streams, cb_occ, cb_int)
-
-
-def _encode_nonzeros(spec, patch, occ_nonzeros, int_nonzeros, cb_occ, cb_int) -> IndexMap:
-    """The index map of the two streams' patch vectors, each given as
-    ``(positions, values)`` in the flattened (h·w, D) rows."""
     h, w = patch.latent_shape(spec)
     shape = (h * w, patch.vector_dim(spec))
     # every value lies in [0, 1], so each row's squared norm is at most
     # D <= MAX_POINTS = 2**26, far below quantizer._SQ_NORM_LIMIT (~2.2e307):
     # no distance can overflow, and assign skips quantize's norm check
-    occ_idx = assign(cb_occ, shape, *occ_nonzeros).reshape(h, w)
-    int_idx = assign(cb_int, shape, *int_nonzeros).reshape(h, w)
+    occ_idx = assign(cb_occ, shape, positions, np.ones(positions.size)).reshape(h, w)
+    int_idx = assign(cb_int, shape, positions[kept], means[kept]).reshape(h, w)
     return IndexMap(occ_idx, int_idx, cb_occ.k, cb_int.k, spec, patch)
 
 
-def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig,
-                 seed: int = 0) -> PointCloud:
-    """Reconstruct a cloud from thresholded grids.
+def decode_voxels(voxels: Voxels, cfg: DecodeConfig, seed: int = 0) -> PointCloud:
+    """Reconstruct a cloud from the receiver's ``Voxels``.
 
-    Each occupied voxel emits ``points_per_voxel`` Gaussian samples around
-    its centroid (exactly the centroid when sigma is 0), all carrying the
+    Each voxel emits ``points_per_voxel`` Gaussian samples around its
+    centroid (exactly the centroid when sigma is 0), all carrying the
     voxel's intensity value.  Draws come from ``seed``, >= 0 at every sigma.
     More than ``MAX_POINTS`` points raise before any is allocated.
     """
     rng = np.random.default_rng(seed)
-    spec = occ.spec
-    idx = np.argwhere(occ.data > 0)
+    spec = voxels.spec
     ppv = cfg.points_per_voxel
-    if len(idx) * ppv > MAX_POINTS:
-        raise ValueError(f"{len(idx)} voxels x {ppv} points exceed {MAX_POINTS} points")
-    values = inten.data[tuple(idx.T)]
+    if voxels.ids.size * ppv > MAX_POINTS:
+        raise ValueError(f"{voxels.ids.size} voxels x {ppv} points exceed {MAX_POINTS} points")
+    idx = np.column_stack(np.unravel_index(voxels.ids, spec.dims))
     centers = np.repeat(spec.centroids(idx), ppv, axis=0)
     sigma = cfg.resolved_sigma(spec)
     if sigma == 0.0:
@@ -203,7 +175,7 @@ def decode_grids(occ: OccupancyGrid, inten: IntensityGrid, cfg: DecodeConfig,
                 pos[out] = redrawn
                 out = out[~np.all((redrawn >= lo[out]) & (redrawn < hi[out]), axis=1)]
             pos[out] = centers[out]
-    points = np.column_stack([pos, np.repeat(values, ppv)])
+    points = np.column_stack([pos, np.repeat(voxels.means, ppv)])
     return PointCloud(points)
 
 
@@ -222,14 +194,20 @@ def occupancy_bce(truth: OccupancyGrid, predicted_probs: np.ndarray) -> float:
     return float(-term.mean())
 
 
-def intensity_mse(truth: Voxels, predicted: IntensityGrid) -> float:
+def intensity_mse(truth: Voxels, predicted: Voxels) -> float:
     """Mean squared intensity error over the truly occupied voxels only, the
-    ``truth`` voxels, in their flat order."""
-    if truth.spec.dims != predicted.data.shape:
+    ``truth`` voxels, in their flat order; a truth voxel ``predicted`` lacks
+    reads 0."""
+    if truth.spec.dims != predicted.spec.dims:
         raise ValueError("grid shapes differ")
     if truth.ids.size == 0:
         raise ValueError("no occupied voxels to average over")
-    diff = predicted.data.reshape(-1)[truth.ids] - truth.means
+    values = np.zeros(truth.ids.size)
+    if predicted.ids.size:
+        at = np.minimum(np.searchsorted(predicted.ids, truth.ids), predicted.ids.size - 1)
+        hit = predicted.ids[at] == truth.ids
+        values[hit] = predicted.means[at[hit]]
+    diff = values - truth.means
     return float((diff**2).mean())
 
 

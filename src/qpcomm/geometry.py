@@ -4,9 +4,10 @@ A scene enters as an (N, 4) array of (x, y, z, intensity) samples and
 becomes its occupied voxels (``occupied_voxels``): their flat ids and mean
 intensities.  ``patch_positions`` places those voxels in an h x w grid of
 flattened patch vectors -- the unit that gets vector-quantized and
-transmitted -- so the sender never builds a dense grid.  ``voxelize`` (the
-dense occupancy + intensity tensors), ``patchify`` (their (h, w, D) patch
-vectors) and ``training_vectors`` are the dense views.
+transmitted -- so the sender never builds a dense grid.  The receiver's
+reconstruction is a ``Voxels`` too (``threshold_voxels``).  ``voxelize``
+(the dense occupancy + intensity tensors), ``patchify`` (their (h, w, D)
+patch vectors) and ``training_vectors`` are the dense views.
 """
 
 from __future__ import annotations
@@ -198,7 +199,8 @@ class Voxels(NamedTuple):
     """The occupied voxels of a cloud on ``spec``: ``ids``, their flat
     (row-major) ids, ascending; ``means``, each one's mean intensity; and
     ``dropped``, the points outside the grid extent.  The sparse form of
-    ``voxelize``'s grids."""
+    ``voxelize``'s grids.  A receiver's reconstruction (``threshold_voxels``)
+    is one too, with each voxel's decoded intensity and ``dropped`` 0."""
 
     spec: VoxelGridSpec
     ids: np.ndarray
@@ -331,18 +333,25 @@ def training_vectors(
     return occ, inten
 
 
-def threshold_grids(
-    occ_raw: np.ndarray, int_raw: np.ndarray, spec: VoxelGridSpec
-) -> tuple[OccupancyGrid, IntensityGrid]:
-    """The grids of the two assembled real-valued (H, W, L) tensors; neither
-    input is modified.
+def threshold_voxels(
+    occ_raw: np.ndarray, int_vec: np.ndarray, patch: PatchSpec, spec: VoxelGridSpec
+) -> Voxels:
+    """The ``Voxels`` a receiver reconstructs from the assembled (H, W, L)
+    occupancy tensor and the (h, w, D) intensity vectors; neither input is
+    modified.
 
-    Occupancy entries are thresholded at 0.5 (>= 0.5 means occupied);
-    intensity is clamped to [0, 1] and zeroed wherever the thresholded
-    occupancy is 0.  After :func:`assemble_grid`, the exact inverse of
-    :func:`patchify` for binary occupancy and properly masked intensity.
+    A voxel is occupied where ``occ_raw >= 0.5``, and its value is its entry
+    of the intensity vectors clamped to [0, 1].  ``threshold_voxels(
+    assemble_grid(occ_vec), int_vec, ...)`` of ``patchify``'s vectors is the
+    grids' ``occupied_voxels``: the exact inverse of :func:`patchify`.
+    Raises ``ValueError`` unless both shapes are those of ``spec`` and ``patch``.
     """
-    occ_data = (occ_raw >= 0.5).astype(np.uint8)
-    int_data = np.clip(int_raw, 0.0, 1.0)
-    int_data *= occ_data
-    return OccupancyGrid(spec, occ_data), IntensityGrid(spec, int_data)
+    vectors_shape = (*patch.latent_shape(spec), patch.vector_dim(spec))
+    if occ_raw.shape != spec.dims or int_vec.shape != vectors_shape:
+        raise ValueError(f"shapes {occ_raw.shape} and {int_vec.shape} are not the grid's "
+                         f"{spec.dims} and the intensity vectors' {vectors_shape}")
+    ids = np.flatnonzero(occ_raw >= 0.5)
+    positions, order = patch_positions(ids, patch, spec)
+    means = np.empty(ids.size)
+    means[order] = np.clip(int_vec.reshape(-1)[positions], 0.0, 1.0)
+    return Voxels(spec, ids, means, 0)

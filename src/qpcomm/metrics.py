@@ -8,16 +8,18 @@ sender stage (``_send``) that depends on the scene alone, and a trial.
 ``_send`` finds the scene's occupied voxels once, the sparse truth every
 trial measures against, and quantizes the frame from their patch-vector
 nonzeros; no dense grid is built before the channel.  Each scene's one
-dense grid is the occupancy mask BCE reads.  A trial is ``deliver``
-(packetize -> channel), then ``reconstruct`` (receive -> fill -> decode),
-then the measurements; ``qpc simulate`` runs the same two functions, and
-``qpc decode`` runs ``reconstruct`` on all of its frame's packets.  Each
-stage that draws takes its seed as an argument; no config carries one.
-``deliver`` takes the trial seed and passes its sub-seed 1 to
-``transmit``; ``reconstruct`` takes the decoder's seed, which a trial
-derives as sub-seed 2 of its seed, and passes it to ``decode_grids``
-unchanged.  ``sweep`` runs the sender stage once per scene
-and a trial for every ``(scene, drop rate, trial)`` index triple, with
+dense grid is the occupancy mask BCE reads, and each trial's is the raw
+occupancy tensor it is measured against; the reconstruction that intensity
+MSE and the decoder read is a ``Voxels``, like the truth.  A trial is
+``deliver`` (packetize -> channel), then ``reconstruct`` (receive -> fill
+-> decode), then the measurements; ``qpc simulate`` runs the same two
+functions, and ``qpc decode`` runs ``reconstruct`` on all of its frame's
+packets.  Each stage that draws takes its seed as an argument; no config
+carries one.  ``deliver`` takes the trial seed and passes its sub-seed 1
+to ``transmit``; ``reconstruct`` takes the decoder's seed, which a trial
+derives as sub-seed 2 of its seed, and passes it to ``decode_voxels``
+unchanged.  ``sweep`` runs the sender stage once per scene and a trial
+for every ``(scene, drop rate, trial)`` index triple, with
 deterministically derived seeds.
 
 Chamfer threads: ``evaluate_roundtrip`` and ``sweep`` run their ``n``
@@ -48,14 +50,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .channel import ChannelConfig, transmit
-from .codec import DecodeConfig, decode_grids, encode_voxels, intensity_mse, occupancy_bce
+from .codec import DecodeConfig, decode_voxels, encode_voxels, intensity_mse, occupancy_bce
 from .geometry import (
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
     assemble_grid,
     occupied_voxels,
-    threshold_grids,
+    threshold_voxels,
 )
 from .quantizer import Codebook
 from .seeds import derive_seed
@@ -136,14 +138,14 @@ def reconstruct(
     policy: FillPolicy, decode_cfg: DecodeConfig, seed: int,
 ):
     """The receiver: ``receive`` the delivered packets, assemble the
-    occupancy grid once, threshold both grids and ``decode_grids`` with
-    ``seed``.  Returns the ``LossMask``, the raw occupancy tensor, the
-    intensity grid and the decoded cloud."""
+    occupancy tensor, the one (H, W, L) array it builds, threshold it into
+    ``Voxels`` valued from the intensity vectors (``threshold_voxels``) and
+    ``decode_voxels`` them with ``seed``.  Returns the ``LossMask``, the raw
+    occupancy tensor, the reconstructed ``Voxels`` and the decoded cloud."""
     occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, policy)
     occ_raw = assemble_grid(occ_vec, patch, spec)
-    occ, inten = threshold_grids(occ_raw, assemble_grid(int_vec, patch, spec), spec)
-    cloud = decode_grids(occ, inten, decode_cfg, seed)
-    return mask, occ_raw, inten, cloud
+    voxels = threshold_voxels(occ_raw, int_vec, patch, spec)
+    return mask, occ_raw, voxels, decode_voxels(voxels, decode_cfg, seed)
 
 
 def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_policy, mtu):
@@ -165,7 +167,7 @@ def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_po
             truth, frame = sent[si]
             tree, leaf_xyz = indexes[si]
             delivered, _ = deliver(frame, channel_cfg, mtu, seed)
-            mask, occ_raw, inten, recon = reconstruct(
+            mask, occ_raw, recon_voxels, recon = reconstruct(
                 delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg,
                 derive_seed(seed, 2),
             )
@@ -180,7 +182,7 @@ def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_po
             reports.append(EvalReport(
                 chamfer_m=None,
                 occupancy_bce=occupancy_bce(occupancies[si], occ_raw),
-                intensity_mse=intensity_mse(truth, inten) if truth.ids.size else None,
+                intensity_mse=intensity_mse(truth, recon_voxels) if truth.ids.size else None,
                 comm_log2_bytes=log2_volume(frame.payload_nbits),
                 cell_loss_rate=mask.cell_loss_rate,
                 seed=seed,

@@ -1,17 +1,31 @@
 """Shared fixture builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from qpcomm.geometry import PointCloud, VoxelGridSpec, assemble_grid
+from qpcomm.geometry import (
+    IntensityGrid,
+    OccupancyGrid,
+    PointCloud,
+    VoxelGridSpec,
+    Voxels,
+    assemble_grid,
+)
 from qpcomm.metrics import reconstruct
 from qpcomm.quantizer import QuantizerConfig, train_codebook
 from qpcomm.tolerance import FillPolicy
-from qpcomm.wire import Pose, packetize, serialize
+from qpcomm.wire import Pose, packetize, receive, serialize
 
 
 def desk_spec(dims=(8, 8, 2)):
     return VoxelGridSpec((0.0, 0.0, 0.0), (0.5, 0.5, 0.25), dims)
+
+
+def dividing(n):
+    """A ``hypothesis`` strategy for the divisors of ``n``: patch sizes that
+    tile a grid side of ``n`` voxels."""
+    return st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
 
 
 def representable_scene(spec, patch, n_patterns=6, seed=0, intensity=0.5):
@@ -61,11 +75,20 @@ def reference_chamfer(a, b):
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
+def grid_voxels(occ, inten):
+    """The ``Voxels`` of an occupancy and an intensity grid: the occupied
+    voxels' flat ids, ascending, each with its entry of ``inten``."""
+    ids = np.flatnonzero(occ.data)
+    return Voxels(occ.spec, ids, inten.data.reshape(-1)[ids], 0)
+
+
 def reference_decode_grids(occ, inten, cfg, seed=0, attempts=16):
-    """``codec.decode_grids`` as first implemented: every rejection round
-    re-tests all points against their voxel boxes.  The library's loop
-    re-tests only the redrawn rows and must return the same points bit for
-    bit, because it draws the same numbers in the same order."""
+    """The decoder as first implemented, from an occupancy and an intensity
+    grid: every rejection round re-tests all points against their voxel
+    boxes.  ``codec.decode_voxels`` of the grids' ``grid_voxels`` re-tests
+    only the redrawn rows and must return the same points bit for bit,
+    because it draws the same numbers in the same order, for the voxels in the
+    same (``argwhere``) order."""
     spec = occ.spec
     idx = np.argwhere(occ.data > 0)
     if idx.shape[0] == 0:
@@ -91,6 +114,30 @@ def reference_decode_grids(occ, inten, cfg, seed=0, attempts=16):
                 out = ~np.all((pos >= lo) & (pos < hi), axis=1)
             pos[out] = centers[out]
     return PointCloud(np.column_stack([pos, np.repeat(values, ppv)]))
+
+
+def reference_reconstruct(delivered, spec, patch, cb_occ, cb_int, policy, decode_cfg, seed):
+    """``metrics.reconstruct`` as first implemented, through dense grids:
+    ``receive``, both streams assembled into (H, W, L) tensors, occupancy
+    thresholded at 0.5, intensity clamped to [0, 1] and zeroed where
+    unoccupied, then ``reference_decode_grids``.  Returns the raw occupancy
+    tensor, the intensity grid and the decoded cloud.  The sparse receiver
+    must give the same tensor and cloud bit for bit, and
+    ``reference_intensity_mse`` of the grid must equal the trial's MSE."""
+    occ_vec, int_vec, _ = receive(delivered, spec, patch, cb_occ, cb_int, policy)
+    occ_raw = assemble_grid(occ_vec, patch, spec)
+    occ = (occ_raw >= 0.5).astype(np.uint8)
+    inten = np.clip(assemble_grid(int_vec, patch, spec), 0.0, 1.0)
+    inten *= occ
+    occ, inten = OccupancyGrid(spec, occ), IntensityGrid(spec, inten)
+    return occ_raw, inten, reference_decode_grids(occ, inten, decode_cfg, seed)
+
+
+def reference_intensity_mse(truth_occ, truth_inten, predicted):
+    """Intensity MSE as first implemented: the (H, W, L) ``predicted`` grid
+    against the truth grids over the truth's occupancy mask, in flat order."""
+    mask = truth_occ > 0
+    return float(((predicted.data[mask] - truth_inten[mask]) ** 2).mean())
 
 
 def reference_bce(truth, predicted_probs):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from qpcomm import metrics, pcio
 from qpcomm.channel import ChannelConfig
 from qpcomm.cli import PRESETS, build_parser, main
-from qpcomm.codec import DecodeConfig, decode_grids
-from qpcomm.geometry import PatchSpec, VoxelGridSpec, assemble_grid, threshold_grids
+from qpcomm.codec import DecodeConfig, decode_voxels
+from qpcomm.geometry import PatchSpec, VoxelGridSpec, assemble_grid, threshold_voxels
 from qpcomm.pcio import read_qpcd, write_qpcd
 from qpcomm.quantizer import Codebook, read_codebook, write_codebook
 from qpcomm.seeds import derive_seed
@@ -655,10 +655,10 @@ class TestTraceReplay:
             report = json.loads((workspace / "rep.json").read_text())
             assert report["cells_lost"] == report["cells_total"] == h * w
             consts = (0.0, 0.0) if fill == "empty" else (fill_occ, fill_int)
-            occ_raw, int_raw = (assemble_grid(np.broadcast_to(c, shape), frame.patch, frame.spec)
-                                for c in consts)
-            want = decode_grids(*threshold_grids(occ_raw, int_raw, frame.spec), DecodeConfig(),
-                                derive_seed(3, 2))
+            occ_vec, int_vec = (np.broadcast_to(c, shape) for c in consts)
+            voxels = threshold_voxels(assemble_grid(occ_vec, frame.patch, frame.spec), int_vec,
+                                      frame.patch, frame.spec)
+            want = decode_voxels(voxels, DecodeConfig(), derive_seed(3, 2))
             write_qpcd(workspace / "want.qpcd", want)
             assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()
             assert report["decoded_points"] == len(want)

@@ -15,5 +15,5 @@ def test_cli_digests_runs_every_command():
                           timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 95
+    assert len(lines) == 102
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)

@@ -7,6 +7,8 @@ from helpers import (
     _dense_assign,
     dense_voxelize,
     desk_spec,
+    dividing,
+    grid_voxels,
     received,
     reference_bce,
     reference_decode_grids,
@@ -20,9 +22,8 @@ from qpcomm import metrics
 from qpcomm.codec import (
     DecodeConfig,
     IndexMap,
-    decode_grids,
+    decode_voxels,
     encode,
-    encode_grids,
     intensity_mse,
     occupancy_bce,
     vq_loss,
@@ -117,16 +118,12 @@ def edge_cloud(rng, spec, n_inside, n_dup, n_outside, n_upper, zero):
     return PointCloud(np.column_stack([xyz, inten])[rng.permutation(len(xyz))])
 
 
-def dividing(n):
-    return st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
-
-
 class TestSparseSender:
     """The sender works from the occupied voxels alone.  Its frame equals
     ``serialize`` of per-row ``_dense_assign`` on the ``patchify`` of the
     dense grids (``dense_voxelize``, the first implementation), its truth
-    equals those grids' nonzeros bit for bit, and every dense front-end of
-    the sparse core gives the same grids, vectors and indices."""
+    equals those grids' nonzeros bit for bit, and ``encode`` and every dense
+    view of the sparse core give the same indices, grids and vectors."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -176,10 +173,9 @@ class TestSparseSender:
         assert truth.dropped == dropped
         assert frame.to_bytes() == expected.to_bytes()
 
-        # the dense front-ends of the same core
-        for im in (encode(cloud, spec, patch, cb_occ, cb_int),
-                   encode_grids(*grids, patch, cb_occ, cb_int)):
-            assert serialize(im, Pose()).to_bytes() == expected.to_bytes()
+        # encode, and the dense views of the same core
+        im = encode(cloud, spec, patch, cb_occ, cb_int)
+        assert serialize(im, Pose()).to_bytes() == expected.to_bytes()
         got_occ, got_inten, got_dropped = voxelize(cloud, spec)
         assert got_occ.data.tobytes() == occ.tobytes()
         assert got_inten.data.tobytes() == inten.tobytes()
@@ -188,10 +184,12 @@ class TestSparseSender:
         assert got_ov.tobytes() == np.vstack([ov, ov]).tobytes()
         assert got_iv.tobytes() == np.vstack([iv, iv]).tobytes()
         if ids.size:
-            # the dense definition: the error over the occupancy mask, in flat order
-            predicted = IntensityGrid(spec, rng.random(dims))
+            # the dense definition: the error over the occupancy mask, in flat
+            # order, where a voxel the prediction lacks reads 0
+            hit = rng.random(spec.n_voxels) < 0.5
+            predicted = Voxels(spec, np.flatnonzero(hit), rng.random(int(hit.sum())), 0)
             mask = occ > 0
-            dense = float(((predicted.data[mask] - inten[mask]) ** 2).mean())
+            dense = float(((predicted.intensity().data[mask] - inten[mask]) ** 2).mean())
             assert intensity_mse(truth, predicted) == dense
 
 
@@ -269,7 +267,7 @@ class TestDecode:
         occ = OccupancyGrid(spec, (rng.random(spec.dims) < 0.4).astype(np.uint8))
         inten = IntensityGrid(spec, rng.random(spec.dims))
         cfg = DecodeConfig(sigma=sigma, points_per_voxel=ppv, clip_to_voxel=clip)
-        got = decode_grids(occ, inten, cfg, 11)
+        got = decode_voxels(grid_voxels(occ, inten), cfg, 11)
         assert len(got) == occ.n_occupied * ppv
         np.testing.assert_array_equal(got.points,
                                       reference_decode_grids(occ, inten, cfg, 11).points)
@@ -279,7 +277,7 @@ class TestDecode:
             assert 0 < at_centroid.sum() < len(got)
         # an all-empty grid decodes to no points
         empty = OccupancyGrid(spec, np.zeros(spec.dims, dtype=np.uint8))
-        got = decode_grids(empty, inten, cfg, 11)
+        got = decode_voxels(grid_voxels(empty, inten), cfg, 11)
         assert got.points.shape == (0, 4)
         np.testing.assert_array_equal(got.points,
                                       reference_decode_grids(empty, inten, cfg, 11).points)
@@ -295,7 +293,7 @@ class TestDecode:
         for attempts in (0, 1, 2, 7):
             monkeypatch.setattr("qpcomm.codec._CLIP_ATTEMPTS", attempts)
             np.testing.assert_array_equal(
-                decode_grids(occ, inten, cfg, 3).points,
+                decode_voxels(grid_voxels(occ, inten), cfg, 3).points,
                 reference_decode_grids(occ, inten, cfg, 3, attempts).points,
             )
 
@@ -328,10 +326,9 @@ class TestDecode:
     def test_decode_grids_rejects_a_negative_seed(self, sigma):
         # at sigma 0 no number is drawn, and the seed is still checked
         spec = desk_spec((4, 4, 2))
-        occ = OccupancyGrid(spec, np.ones(spec.dims, dtype=np.uint8))
-        inten = IntensityGrid(spec, np.zeros(spec.dims))
+        voxels = Voxels(spec, np.arange(spec.n_voxels), np.zeros(spec.n_voxels), 0)
         with pytest.raises(ValueError, match="non-negative"):
-            decode_grids(occ, inten, DecodeConfig(sigma=sigma), -1)
+            decode_voxels(voxels, DecodeConfig(sigma=sigma), -1)
 
     def test_points_per_voxel_capped(self, monkeypatch):
         DecodeConfig(points_per_voxel=MAX_POINTS)
@@ -340,13 +337,11 @@ class TestDecode:
                 DecodeConfig(points_per_voxel=ppv)
         # occupied voxels x points_per_voxel is checked before anything is allocated
         spec = desk_spec((4, 4, 2))
-        occ = OccupancyGrid(spec, np.zeros(spec.dims, dtype=np.uint8))
-        occ.data[0, :3, 0] = 1
-        inten = IntensityGrid(spec, np.zeros(spec.dims))
+        voxels = Voxels(spec, np.array([0, 2, 4]), np.zeros(3), 0)
         monkeypatch.setattr("qpcomm.codec.MAX_POINTS", 10)
-        assert len(decode_grids(occ, inten, DecodeConfig(points_per_voxel=3))) == 9
+        assert len(decode_voxels(voxels, DecodeConfig(points_per_voxel=3))) == 9
         with pytest.raises(ValueError, match="3 voxels x 4 points exceed 10 points"):
-            decode_grids(occ, inten, DecodeConfig(points_per_voxel=4))
+            decode_voxels(voxels, DecodeConfig(points_per_voxel=4))
 
 
 class TestLosses:
@@ -398,22 +393,25 @@ class TestLosses:
     def test_mse_zero_and_hand_value(self):
         spec = desk_spec((1, 1, 1))
         truth = Voxels(spec, np.array([0]), np.array([0.4]), 0)
-        assert intensity_mse(truth, truth.intensity()) == 0.0
-        pred = IntensityGrid(spec, np.full(spec.dims, 0.9))
+        assert intensity_mse(truth, truth) == 0.0
+        pred = Voxels(spec, np.array([0]), np.array([0.9]), 0)
         assert intensity_mse(truth, pred) == pytest.approx(0.25, rel=1e-12)
+        # a truth voxel the prediction lacks reads 0
+        missing = Voxels(spec, np.empty(0, dtype=np.int64), np.empty(0), 0)
+        assert intensity_mse(truth, missing) == pytest.approx(0.16, rel=1e-12)
 
     def test_mse_ignores_unoccupied(self):
         spec = desk_spec((2, 1, 1))
         truth = Voxels(spec, np.array([0]), np.array([0.5]), 0)
-        pred_a = IntensityGrid(spec, np.array([0.5, 0.0]).reshape(2, 1, 1))
-        pred_b = IntensityGrid(spec, np.array([0.5, 0.9]).reshape(2, 1, 1))
+        pred_a = Voxels(spec, np.array([0]), np.array([0.5]), 0)
+        pred_b = Voxels(spec, np.array([0, 1]), np.array([0.5, 0.9]), 0)
         assert intensity_mse(truth, pred_a) == intensity_mse(truth, pred_b)
 
     def test_mse_requires_occupancy(self):
         spec = desk_spec((1, 1, 1))
         truth = Voxels(spec, np.empty(0, dtype=np.int64), np.empty(0), 0)
         with pytest.raises(ValueError):
-            intensity_mse(truth, truth.intensity())
+            intensity_mse(truth, truth)
 
 
 class TestVqLoss:

@@ -10,7 +10,7 @@ from qpcomm.geometry import (
     VoxelGridSpec,
     assemble_grid,
     patchify,
-    threshold_grids,
+    threshold_voxels,
     voxelize,
 )
 
@@ -257,7 +257,8 @@ class TestPatchify:
 
 
 class TestUnpatchify:
-    """The inverse of ``patchify``: ``assemble_grid``, then ``threshold_grids``."""
+    """The inverse of ``patchify``: ``assemble_grid`` of the occupancy
+    vectors, then ``threshold_voxels`` with the intensity vectors."""
 
     def test_roundtrip_identity(self):
         spec = small_spec(dims=(6, 4, 3), cell=(0.2, 0.2, 0.2))
@@ -266,24 +267,28 @@ class TestUnpatchify:
         for _ in range(20):
             occ, inten = random_grids(spec, rng)
             ov, iv = patchify(occ, inten, patch)
-            occ2, int2 = threshold_grids(
-                assemble_grid(ov, patch, spec), assemble_grid(iv, patch, spec), spec
-            )
-            assert np.array_equal(occ.data, occ2.data)
-            np.testing.assert_array_equal(inten.data, int2.data)
+            voxels = threshold_voxels(assemble_grid(ov, patch, spec), iv, patch, spec)
+            ids = np.flatnonzero(occ.data)
+            np.testing.assert_array_equal(voxels.ids, ids)
+            assert voxels.means.tobytes() == inten.data.reshape(-1)[ids].tobytes()
+            assert voxels.spec == spec and voxels.dropped == 0
+            np.testing.assert_array_equal(voxels.occupancy().data, occ.data)
+            np.testing.assert_array_equal(voxels.intensity().data, inten.data)
 
     def test_threshold_boundary(self):
         spec = VoxelGridSpec((0, 0, 0), (1, 1, 1), (1, 1, 1))
-        occ, _ = threshold_grids(np.full((1, 1, 1), 0.5), np.zeros((1, 1, 1)), spec)
-        assert occ.data[0, 0, 0] == 1
-        occ, inten = threshold_grids(np.full((1, 1, 1), 0.49), np.full((1, 1, 1), 0.9), spec)
-        assert occ.data[0, 0, 0] == 0
-        assert inten.data[0, 0, 0] == 0.0  # masked despite the intensity vector
+        patch = PatchSpec(1, 1)
+        voxels = threshold_voxels(np.full((1, 1, 1), 0.5), np.zeros((1, 1, 1)), patch, spec)
+        np.testing.assert_array_equal(voxels.ids, [0])
+        voxels = threshold_voxels(np.full((1, 1, 1), np.nextafter(0.5, 0)),
+                                  np.full((1, 1, 1), 0.9), patch, spec)
+        assert voxels.ids.size == voxels.means.size == 0  # unoccupied despite the intensity
 
     def test_intensity_clamped(self):
-        spec = VoxelGridSpec((0, 0, 0), (1, 1, 1), (1, 1, 2))
-        _, inten = threshold_grids(np.ones((1, 1, 2)), np.array([[[1.7, -0.4]]]), spec)
-        np.testing.assert_array_equal(inten.data[0, 0], [1.0, 0.0])
+        spec = VoxelGridSpec((0, 0, 0), (1, 1, 1), (1, 1, 3))
+        voxels = threshold_voxels(np.ones((1, 1, 3)), np.array([[[1.7, -0.4, 0.3]]]),
+                                  PatchSpec(1, 1), spec)
+        np.testing.assert_array_equal(voxels.means, [1.0, 0.0, 0.3])
 
     @pytest.mark.parametrize("patch", [PatchSpec(1, 1), PatchSpec(2, 2)])
     def test_threshold_grids_keeps_inputs(self, patch):
@@ -295,10 +300,10 @@ class TestUnpatchify:
         iv = rng.uniform(-0.5, 1.5, ov.shape)
         ov_copy, iv_copy = ov.copy(), iv.copy()
         occ_raw, int_raw = assemble_grid(ov, patch, spec), assemble_grid(iv, patch, spec)
-        occ, inten = threshold_grids(occ_raw, int_raw, spec)
-        np.testing.assert_array_equal(occ.data, occ_raw >= 0.5)
+        voxels = threshold_voxels(occ_raw, iv, patch, spec)
+        np.testing.assert_array_equal(voxels.occupancy().data, occ_raw >= 0.5)
         np.testing.assert_array_equal(
-            inten.data, np.where(occ_raw >= 0.5, np.clip(int_raw, 0, 1), 0)
+            voxels.intensity().data, np.where(occ_raw >= 0.5, np.clip(int_raw, 0, 1), 0)
         )
         np.testing.assert_array_equal(ov, ov_copy)
         np.testing.assert_array_equal(iv, iv_copy)
@@ -307,3 +312,9 @@ class TestUnpatchify:
         spec = small_spec()
         with pytest.raises(ValueError, match="inconsistent"):
             assemble_grid(np.zeros((2, 2, 7)), PatchSpec(2, 2), spec)
+        patch = PatchSpec(2, 2)
+        for occ_raw, int_vec in [(np.zeros((4, 4, 2)), np.zeros((2, 2, 7))),
+                                 (np.zeros((4, 2, 4)), np.zeros((2, 2, 8))),
+                                 (np.zeros((4, 4, 2)), np.zeros((4, 2, 4)))]:
+            with pytest.raises(ValueError, match="not the grid's"):
+                threshold_voxels(occ_raw, int_vec, patch, spec)

@@ -7,19 +7,31 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import desk_spec, reference_chamfer, representable_scene, trained_codebooks_for
+from helpers import (
+    dense_voxelize,
+    desk_spec,
+    dividing,
+    reference_chamfer,
+    reference_intensity_mse,
+    reference_reconstruct,
+    representable_scene,
+    trained_codebooks_for,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from qpcomm import metrics
 from qpcomm.channel import ChannelConfig, transmit
-from qpcomm.codec import DecodeConfig, decode_grids, encode, encode_voxels, occupancy_bce
+from qpcomm.codec import DecodeConfig, decode_voxels, encode, encode_voxels, occupancy_bce
 from qpcomm.geometry import (
+    OccupancyGrid,
     PatchSpec,
     PointCloud,
     VoxelGridSpec,
     assemble_grid,
     occupied_voxels,
-    threshold_grids,
+    threshold_voxels,
     voxelize,
 )
 from qpcomm.metrics import (
@@ -33,8 +45,8 @@ from qpcomm.metrics import (
 )
 from qpcomm.quantizer import KIND_INT, Codebook
 from qpcomm.seeds import derive_seed
-from qpcomm.tolerance import FillPolicy, fit_fill_vector
-from qpcomm.wire import HEADER_LEN, Pose, comm_volume_log2_bytes, packetize, serialize
+from qpcomm.tolerance import POLICIES, FillPolicy, fit_fill_vector
+from qpcomm.wire import MIN_MTU, HEADER_LEN, Pose, comm_volume_log2_bytes, packetize, serialize
 
 
 def brute_chamfer(a, b):
@@ -69,11 +81,10 @@ LAYER_FUNCTIONS = [
     ("qpcomm.geometry", "voxelize"),
     ("qpcomm.geometry", "patchify"),
     ("qpcomm.geometry", "assemble_grid"),
-    ("qpcomm.geometry", "threshold_grids"),
+    ("qpcomm.geometry", "threshold_voxels"),
     ("qpcomm.codec", "encode"),
     ("qpcomm.codec", "encode_voxels"),
-    ("qpcomm.codec", "encode_grids"),
-    ("qpcomm.codec", "decode_grids"),
+    ("qpcomm.codec", "decode_voxels"),
     ("qpcomm.codec", "occupancy_bce"),
     ("qpcomm.codec", "intensity_mse"),
     ("qpcomm.tolerance", "fill"),
@@ -213,6 +224,94 @@ def test_sender_builds_no_dense_grid():
         tracemalloc.stop()
     assert truth.ids.size > 3000 and frame.payload_nbits == 2 * 128 * 128 * 6
     assert peak < 8 * spec.n_voxels, peak
+
+
+def test_receiver_builds_one_dense_grid():
+    # the sender test's grid and scene, with codebooks whose every entry holds
+    # one occupied voxel, so each of the 128 x 128 cells decodes a point.
+    # receive's two (h, w, D) vector grids take two float64 (H, W, L) arrays'
+    # worth, the raw occupancy tensor BCE reads a third; the reconstruction
+    # itself is sparse, so the peak stays below 3.5 such arrays (the dense
+    # reconstruction, with both streams assembled, peaked at 5.25)
+    spec = VoxelGridSpec((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), (512, 512, 32))
+    patch = PatchSpec(4, 4)
+    rng = np.random.default_rng(31)
+    n = 4000
+    cloud = PointCloud(np.column_stack([rng.uniform(0.0, 51.2, (n, 2)), rng.uniform(0.0, 0.2, n),
+                                        rng.random(n)]))
+    dim = patch.vector_dim(spec)
+    entries = np.zeros((64, dim))
+    entries[np.arange(64), rng.integers(dim, size=64)] = 1.0
+    cb_occ, cb_int = Codebook.from_entries(entries), Codebook.from_entries(entries / 2, KIND_INT)
+    _, frame = metrics._send(cloud, cb_occ, cb_int, spec, patch)
+    packets = packetize(frame, frame.total_nbytes)
+    tracemalloc.start()
+    try:
+        _, occ_raw, voxels, recon = metrics.reconstruct(
+            packets, spec, patch, cb_occ, cb_int, FillPolicy.empty(), DecodeConfig(), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ_raw.shape == spec.dims and len(recon) == voxels.ids.size == 128 * 128
+    assert peak < 3.5 * 8 * spec.n_voxels, peak
+
+
+# values at the receiver's edges: the occupancy threshold and just below it,
+# the ends of the intensity clamp and beyond them, and -0.0
+EDGE_VALUES = np.array([0.5, np.nextafter(0.5, 0.0), 0.0, -0.0, 1.0, 1.5, -0.25])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)),
+    data=st.data(),
+    k=st.sampled_from([1, 2, 3, 5, 8]),
+    kind=st.sampled_from(POLICIES),
+    p=st.sampled_from([0.0, 0.3, 1.0]),
+    sigma=st.sampled_from([None, 0.0, 0.3]),
+    ppv=st.integers(1, 3),
+    clip=st.booleans(),
+    n_points=st.integers(0, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_reconstruct_equals_the_dense_oracle(dims, data, k, kind, p, sigma, ppv, clip, n_points,
+                                             seed):
+    # codebook entries and fill vectors mix EDGE_VALUES with values in
+    # [-0.5, 1.5]; a drop rate of 1 loses the header, so every cell is filled
+    spec = desk_spec(dims)
+    patch = PatchSpec(data.draw(dividing(dims[0])), data.draw(dividing(dims[1])))
+    rng = np.random.default_rng(seed)
+    dim = patch.vector_dim(spec)
+
+    def edged(shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(EDGE_VALUES, shape),
+                        rng.uniform(-0.5, 1.5, shape))
+
+    cb_occ = Codebook.from_entries(edged((k, dim)))
+    cb_int = Codebook.from_entries(edged((k, dim)), KIND_INT)
+    policy = FillPolicy(kind, edged(dim), edged(dim))
+    cfg = DecodeConfig(sigma, ppv, clip)
+    xyz = (rng.integers(0, dims, (n_points, 3)) + rng.random((n_points, 3))) * spec.cell
+    cloud = PointCloud(np.column_stack([xyz, rng.random(n_points)]))
+    channel = ChannelConfig(p)
+
+    _, frame = metrics._send(cloud, cb_occ, cb_int, spec, patch)
+    delivered, _ = metrics.deliver(frame, channel, MIN_MTU, seed)
+    args = (delivered, spec, patch, cb_occ, cb_int, policy, cfg, derive_seed(seed, 2))
+    _, occ_raw, _, recon = metrics.reconstruct(*args)
+    want_raw, want_inten, want = reference_reconstruct(*args)
+    assert occ_raw.tobytes() == want_raw.tobytes()
+    assert recon.points.tobytes() == want.points.tobytes()
+
+    report = evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, channel, cfg, policy,
+                                seed=seed, mtu=MIN_MTU)
+    occ, inten, _ = dense_voxelize(cloud, spec)
+    assert report.intensity_mse == (reference_intensity_mse(occ, inten, want_inten)
+                                    if occ.any() else None)
+    # against the oracle's tensor: assemble_grid may return a non-contiguous
+    # view, whose mean sums in memory order, so the two-term formula's C-order
+    # mean can differ in the last bit
+    assert report.occupancy_bce == occupancy_bce(OccupancyGrid(spec, occ), want_raw)
 
 
 class TestEvaluateRoundtrip:
@@ -368,10 +467,8 @@ class TestEvaluateRoundtrip:
         int_vec = np.broadcast_to(np.zeros(dim) if empty else learned.fill_int, shape)
         truth = voxelize(cloud, spec).occupancy
         assert rep.occupancy_bce == occupancy_bce(truth, assemble_grid(occ_vec, patch, spec))
-        grids = threshold_grids(
-            assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
-        )
-        recon = decode_grids(*grids, DecodeConfig(), derive_seed(seed, 2))
+        voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+        recon = decode_voxels(voxels, DecodeConfig(), derive_seed(seed, 2))
         assert rep.chamfer_m == (chamfer(cloud, recon) if len(recon) else None)
         assert (rep.chamfer_m is None) == empty
 

@@ -12,8 +12,8 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpcomm.codec import DecodeConfig, decode_grids, encode
-from qpcomm.geometry import PatchSpec, assemble_grid, threshold_grids
+from qpcomm.codec import DecodeConfig, decode_voxels, encode
+from qpcomm.geometry import PatchSpec, assemble_grid, threshold_voxels
 from qpcomm.tolerance import (
     POLICIES,
     FillPolicy,
@@ -150,10 +150,8 @@ class TestFill:
         mask = LossMask.none(im.h, im.w)
         occ_vec, int_vec = fill(im, mask, FillPolicy.learned_constant(f_occ, f_int), cb_occ, cb_int)
         cfg = DecodeConfig()
-        grids = threshold_grids(
-            assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
-        )
-        a = decode_grids(*grids, cfg, 8)
+        voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+        a = decode_voxels(voxels, cfg, 8)
         b = received(im, cb_occ, cb_int, cfg, 8)
         np.testing.assert_array_equal(a.points, b.points)
 
@@ -161,10 +159,8 @@ class TestFill:
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
         mask = LossMask(np.ones((im.h, im.w), dtype=bool))
         occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-        occ, _ = threshold_grids(
-            assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
-        )
-        assert occ.n_occupied == 0
+        voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+        assert voxels.ids.size == 0
 
     def test_neighbor_copy_two_cell_fixture(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
@@ -221,10 +217,8 @@ class TestFill:
         for seed in range(5):
             mask = mask_random(im.h, im.w, 0.4, seed=seed)
             occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-            occ, _ = threshold_grids(
-                assemble_grid(occ_vec, patch, spec), assemble_grid(int_vec, patch, spec), spec
-            )
-            assert occ.n_occupied <= len(base)
+            voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+            assert voxels.ids.size <= len(base)
 
     @pytest.mark.parametrize("ratio", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("kind", POLICIES)

@@ -14,6 +14,11 @@ runs write and one per run's captured stdout (``<run>.stdout``).  The runs:
 - ``gen-scene`` seeds 0-2, ``train --k 32``, ``encode``, ``decode --seed 4``,
   and ``decode-ppv``, a decode at ``--seed 4 --points-per-voxel 3 --sigma
   0.05 --no-clip``;
+- ``decode-edge`` and ``sim-edge``: a ``decode`` of the same frame, and a
+  ``simulate --drop-rate 0.3 --fill learned_constant`` of it, with
+  hand-made K = 32, D = 32 codebooks whose entries and FILL vectors hold
+  values at the receiver's edges: exactly 0.5 (occupied), just below 0.5
+  (not), above 1 and below 0 (clamped to [0, 1]) and -0.0;
 - ``train --k 512``, more entries than the scenes have distinct occupancy
   vectors (347), so duplicate entries tie exactly;
 - ``train --dim-patch 4,4 --k 32``: D = 128, where the nearest-entry search
@@ -60,7 +65,13 @@ from qpcomm.channel import ChannelConfig  # noqa: E402
 from qpcomm.codec import DecodeConfig  # noqa: E402
 from qpcomm.geometry import PointCloud  # noqa: E402
 from qpcomm.pcio import read_qpcd, write_qpcd  # noqa: E402
-from qpcomm.quantizer import read_codebook  # noqa: E402
+from qpcomm.quantizer import (  # noqa: E402
+    KIND_INT,
+    KIND_OCC,
+    Codebook,
+    read_codebook,
+    write_codebook,
+)
 from qpcomm.tolerance import POLICIES, FillPolicy  # noqa: E402
 from qpcomm.wire import (  # noqa: E402
     packetize,
@@ -95,6 +106,21 @@ def _edge_cloud() -> PointCloud:
     return PointCloud(np.column_stack([xyz, intensity]))
 
 
+def _write_edge_codebooks() -> None:
+    """``decode-edge``'s codebooks, ``edge-occ.qpcb`` and ``edge-int.qpcb``,
+    for the desk frame's K = 32 and D = 32: each entry value is one of
+    ``edges`` or uniform in [-0.5, 1.5), and each FILL vector repeats
+    ``edges``.  The values are float32, as QPCB files store them."""
+    rng = np.random.default_rng(28)
+    edges = np.array([0.5, np.nextafter(np.float32(0.5), np.float32(0.0)), 1.25, -0.25, -0.0],
+                     dtype=np.float32)
+    for kind in (KIND_OCC, KIND_INT):
+        entries = np.where(rng.random((32, 32)) < 0.5, rng.choice(edges, (32, 32)),
+                           rng.uniform(-0.5, 1.5, (32, 32)).astype(np.float32))
+        write_codebook(f"edge-{kind}.qpcb", Codebook.from_entries(entries, kind),
+                       np.resize(edges, 32))
+
+
 def _run_all(stdouts: dict) -> None:
     def qpc(name, *argv):
         argv = [str(a) for a in argv]
@@ -118,6 +144,13 @@ def _run_all(stdouts: dict) -> None:
     qpc("decode", "decode", "--in", "f.qpfr", *CODEBOOKS, "--seed", 4, "--out", "dec.qpcd")
     qpc("decode-ppv", "decode", "--in", "f.qpfr", *CODEBOOKS, "--seed", 4,
         "--points-per-voxel", 3, "--sigma", 0.05, "--no-clip", "--out", "dec-ppv.qpcd")
+    _write_edge_codebooks()
+    edge_codebooks = ("--codebooks", "edge-occ.qpcb", "edge-int.qpcb")
+    qpc("decode-edge", "decode", "--in", "f.qpfr", *edge_codebooks, "--seed", 4,
+        "--out", "dec-edge.qpcd")
+    qpc("sim-edge", "simulate", "--in", "f.qpfr", *edge_codebooks, "--mtu", 128, "--seed", 5,
+        "--drop-rate", 0.3, "--fill", "learned_constant", "--out", "sim-edge.qpcd",
+        "--report", "sim-edge.json")
 
     for p in DROP_RATES:
         for fill in POLICIES:
