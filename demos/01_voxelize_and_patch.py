@@ -28,10 +28,16 @@ print(f"patchify: {h}x{w} latent cells, vector dimension {dim}")
 distinct = np.unique(occ_vec.reshape(-1, dim), axis=0).shape[0]
 print(f"distinct occupancy patterns in this scene: {distinct} of {h * w} cells")
 
-# the receiver's inverse: reassemble the occupancy grid and threshold it at 0.5;
-# each occupied voxel takes its entry of the intensity vectors.  The result is
-# the cloud's occupied voxels, the sparse form of the grids above
-back = q.threshold_voxels(q.assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+# the dense inverse: the vectors reassemble into the occupancy grid
+print("assembled grid exact:", np.array_equal(q.assemble_grid(occ_vec, patch, spec), occupancy.data))
+
+# the receiver's inverse reads each cell's vector as a row of a table (here one
+# row per cell): a voxel is occupied where its entry is at least 0.5 and takes
+# its entry of the intensity vectors.  The result is the cloud's occupied
+# voxels, the sparse form of the grids above
+cells = np.arange(h * w).reshape(h, w)
+back = q.threshold_voxels(q.CellRows(cells, occ_vec.reshape(-1, dim)),
+                          q.CellRows(cells, int_vec.reshape(-1, dim)), patch, spec)
 truth = q.occupied_voxels(cloud, spec)
 print("roundtrip exact:",
       np.array_equal(back.ids, truth.ids) and np.array_equal(back.means, truth.means))

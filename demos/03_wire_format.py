@@ -47,9 +47,11 @@ dim = patch.vector_dim(spec)
 cb_occ = q.Codebook.from_entries(rng.random((2048, dim)))
 cb_int = q.Codebook.from_entries(rng.random((2048, dim)))
 receiver = (spec, patch, cb_occ, cb_int, q.FillPolicy.empty())
-occ_vec, int_vec, mask = q.receive(packets[::-1], *receiver)
-exact = (occ_vec == cb_occ.entries[im.occ_indices]).all() and (
-    int_vec == cb_int.entries[im.int_indices]
+# each stream arrives as CellRows: (h, w) row ids into the codebook's entries
+# plus one fill row, so cell (i, j)'s vector is table[ids[i, j]]
+occ, inten, mask = q.receive(packets[::-1], *receiver)
+exact = (occ.vectors() == cb_occ.entries[im.occ_indices]).all() and (
+    inten.vectors() == cb_int.entries[im.int_indices]
 ).all()
 print("received in reverse order: code vectors exact:", exact, "| lost cells:", mask.n_lost)
 _, _, mask = q.receive(packets[:-1], *receiver)

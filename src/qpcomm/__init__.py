@@ -18,9 +18,11 @@ from .codec import (
     encode_voxels,
     intensity_mse,
     occupancy_bce,
+    occupancy_bce_rows,
     vq_loss,
 )
 from .geometry import (
+    CellRows,
     IntensityGrid,
     OccupancyGrid,
     PatchSpec,
@@ -54,6 +56,7 @@ from .tolerance import (
     confidence_filter,
     expand_to_grid,
     fill,
+    fill_rows,
     fit_fill_vector,
     mask_random,
 )

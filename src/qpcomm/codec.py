@@ -5,9 +5,11 @@ them in the patch vectors (``patch_positions``), and replaces each vector by
 its nearest codebook index, separately for the occupancy and intensity
 streams.  The nearest-entry search (``quantizer.assign``) reads only the
 vectors' nonzeros, so no dense grid or patch-vector array is built between
-the cloud and the index map.  The receiver (``metrics.reconstruct``) looks the
-vectors back up and thresholds them into ``Voxels`` (``threshold_voxels``),
-the same sparse type as the sender's truth.  Decoding (``decode_voxels``)
+the cloud and the index map.  The receiver (``metrics.reconstruct``) keeps
+each stream as row ids into its codebook's entries plus one fill row
+(``CellRows``) and thresholds them into ``Voxels`` (``threshold_voxels``),
+the same sparse type as the sender's truth; ``occupancy_bce_rows`` reads
+the same rows.  Decoding (``decode_voxels``)
 emits points sampled from an isotropic Gaussian around each voxel centroid;
 all points of a voxel carry that voxel's single intensity value, and the
 intensity channel itself is never sampled.
@@ -22,6 +24,7 @@ import numpy as np
 
 from .geometry import (
     MAX_POINTS,
+    CellRows,
     OccupancyGrid,
     PatchSpec,
     PointCloud,
@@ -181,16 +184,40 @@ def decode_voxels(voxels: Voxels, cfg: DecodeConfig, seed: int = 0) -> PointClou
 
 def occupancy_bce(truth: OccupancyGrid, predicted_probs: np.ndarray) -> float:
     """Mean binary cross-entropy over all voxels; predictions are clamped to
-    [1e-7, 1 - 1e-7] before the logs."""
+    [1e-7, 1 - 1e-7] before the logs.  :func:`occupancy_bce_rows` of the
+    (H, W, L) tensor as one table row per column of voxels, so the terms sum
+    in C order whatever the tensor's memory layout."""
     probs = np.asarray(predicted_probs, dtype=np.float64)
     if probs.shape != truth.data.shape:
         raise ValueError(f"shape mismatch {probs.shape} vs {truth.data.shape}")
-    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
+    gh, gw, gl = probs.shape
+    columns = CellRows(np.arange(gh * gw).reshape(gh, gw), probs.reshape(gh * gw, gl))
+    return _bce(np.flatnonzero(truth.data), columns, PatchSpec(1, 1), truth.spec)
+
+
+def occupancy_bce_rows(truth: Voxels, occ: CellRows, patch: PatchSpec) -> float:
+    """:func:`occupancy_bce` of the truth's occupied voxels against the
+    occupancy vectors of ``occ``, read from its table rows, bit for bit."""
+    return _bce(truth.ids, occ, patch, truth.spec)
+
+
+def _bce(truth_ids: np.ndarray, occ: CellRows, patch: PatchSpec, spec: VoxelGridSpec) -> float:
     # y is 0 or 1, so y·log p + (1 − y)·log(1 − p) is exactly log p or
-    # log(1 − p): pick the argument per voxel and take one log
-    term = 1.0 - p
-    np.copyto(term, p, where=truth.data.view(bool))
-    np.log(term, out=term)
+    # log(1 − p): both logs of the clamped table once, then every voxel's term
+    # is gathered from its cell's row into one C-ordered (H, W, L) array
+    log_p = np.clip(occ.table, BCE_EPS, 1.0 - BCE_EPS)
+    log_q = 1.0 - log_p
+    np.log(log_q, out=log_q)
+    np.log(log_p, out=log_p)
+    gh, gw, gl = spec.dims
+    i, j = np.arange(gh)[:, None], np.arange(gw)
+    # voxel column (i, j) is one run of L entries: run ``runs[i, j]`` of the
+    # tables cut into runs, (row·p_h + i % p_h)·p_w + j % p_w
+    rows = occ.ids[i // patch.p_h, j // patch.p_w]
+    runs = (rows * patch.p_h + i % patch.p_h) * patch.p_w + j % patch.p_w
+    term = np.take(log_q.reshape(-1, gl), runs, axis=0)
+    column, l = np.divmod(truth_ids, gl)
+    term.reshape(-1)[truth_ids] = log_p.reshape(-1)[runs.reshape(-1)[column] * gl + l]
     return float(-term.mean())
 
 

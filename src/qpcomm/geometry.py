@@ -4,10 +4,12 @@ A scene enters as an (N, 4) array of (x, y, z, intensity) samples and
 becomes its occupied voxels (``occupied_voxels``): their flat ids and mean
 intensities.  ``patch_positions`` places those voxels in an h x w grid of
 flattened patch vectors -- the unit that gets vector-quantized and
-transmitted -- so the sender never builds a dense grid.  The receiver's
-reconstruction is a ``Voxels`` too (``threshold_voxels``).  ``voxelize``
+transmitted -- so the sender never builds a dense grid.  The receiver holds
+each stream as ``CellRows``, row ids into a small table of vectors, and
+its reconstruction is a ``Voxels`` too (``threshold_voxels``).  ``voxelize``
 (the dense occupancy + intensity tensors), ``patchify`` (their (h, w, D)
-patch vectors) and ``training_vectors`` are the dense views.
+patch vectors), ``assemble_grid`` (its inverse) and ``training_vectors``
+are the dense views.
 """
 
 from __future__ import annotations
@@ -219,6 +221,20 @@ class Voxels(NamedTuple):
         return IntensityGrid(self.spec, self._scatter(self.means, np.float64))
 
 
+class CellRows(NamedTuple):
+    """An (h, w) grid of patch vectors as rows of a table: cell (i, j)'s
+    vector is ``table[ids[i, j]]``.  The receiver's form of each stream: a
+    cell carries a codebook entry, a fill constant or zeros, so its table is
+    the codebook's (K, D) entries plus one row."""
+
+    ids: np.ndarray
+    table: np.ndarray
+
+    def vectors(self) -> np.ndarray:
+        """The (h, w, D) vector grid, a new array."""
+        return self.table[self.ids]
+
+
 def occupied_voxels(cloud: PointCloud, spec: VoxelGridSpec) -> Voxels:
     """The voxels at least one in-range point of ``cloud`` falls in, each
     with the arithmetic mean of those points' intensities (clamped to
@@ -334,24 +350,39 @@ def training_vectors(
 
 
 def threshold_voxels(
-    occ_raw: np.ndarray, int_vec: np.ndarray, patch: PatchSpec, spec: VoxelGridSpec
+    occ: CellRows, inten: CellRows, patch: PatchSpec, spec: VoxelGridSpec
 ) -> Voxels:
-    """The ``Voxels`` a receiver reconstructs from the assembled (H, W, L)
-    occupancy tensor and the (h, w, D) intensity vectors; neither input is
-    modified.
+    """The ``Voxels`` a receiver reconstructs from the occupancy and intensity
+    ``CellRows``, read without expanding either; neither is modified.
 
-    A voxel is occupied where ``occ_raw >= 0.5``, and its value is its entry
-    of the intensity vectors clamped to [0, 1].  ``threshold_voxels(
-    assemble_grid(occ_vec), int_vec, ...)`` of ``patchify``'s vectors is the
-    grids' ``occupied_voxels``: the exact inverse of :func:`patchify`.
-    Raises ``ValueError`` unless both shapes are those of ``spec`` and ``patch``.
+    A voxel is occupied where its entry of the occupancy vectors is at least
+    0.5, and its value is its entry of the intensity vectors, clamped to
+    [0, 1].  In one image row, a cell's voxels are a run of ``p_w·L`` flat
+    ids from its base id, at the occupied offsets of one ``p_h``-slice of its
+    table row; the runs, row by row and cell by cell, give the ids ascending.
+    Of ``patchify``'s vectors as rows it is the grids' ``occupied_voxels``.
+    Raises ``ValueError`` unless both row grids are the patch's latent shape
+    and both tables are D wide.
     """
-    vectors_shape = (*patch.latent_shape(spec), patch.vector_dim(spec))
-    if occ_raw.shape != spec.dims or int_vec.shape != vectors_shape:
-        raise ValueError(f"shapes {occ_raw.shape} and {int_vec.shape} are not the grid's "
-                         f"{spec.dims} and the intensity vectors' {vectors_shape}")
-    ids = np.flatnonzero(occ_raw >= 0.5)
-    positions, order = patch_positions(ids, patch, spec)
-    means = np.empty(ids.size)
-    means[order] = np.clip(int_vec.reshape(-1)[positions], 0.0, 1.0)
-    return Voxels(spec, ids, means, 0)
+    latent, dim = patch.latent_shape(spec), patch.vector_dim(spec)
+    if any(r.ids.shape != latent or r.table.shape[1:] != (dim,) for r in (occ, inten)):
+        raise ValueError(f"row grids {occ.ids.shape}, {inten.ids.shape} and tables "
+                         f"{occ.table.shape}, {inten.table.shape} are not the grid's "
+                         f"latent {latent} and D = {dim}")
+    gh, gw, gl = spec.dims
+    run = patch.p_w * gl  # a cell's voxels in one image row
+    # each (table row, p_h-slice)'s occupied offsets, one list after another
+    slices, offsets = np.divmod(np.flatnonzero(occ.table >= 0.5), run)
+    counts = np.bincount(slices, minlength=occ.table.shape[0] * patch.p_h)
+    starts = np.cumsum(counts) - counts
+    # one run per (image row, cell column), in flat-id order
+    i = np.arange(gh)
+    cell_row, in_cell = i // patch.p_h, (i % patch.p_h)[:, None]
+    occ_slice = (occ.ids[cell_row] * patch.p_h + in_cell).ravel()
+    int_slice = (inten.ids[cell_row] * patch.p_h + in_cell).ravel()
+    n = counts[occ_slice]
+    base = (i[:, None] * gw + np.arange(0, gw, patch.p_w)).ravel() * gl
+    local = offsets[np.repeat(starts[occ_slice] - (np.cumsum(n) - n), n) + np.arange(n.sum())]
+    means = inten.table.reshape(-1)[np.repeat(int_slice * run, n) + local]
+    np.clip(means, 0.0, 1.0, out=means)
+    return Voxels(spec, np.repeat(base, n) + local, means, 0)

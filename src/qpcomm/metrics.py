@@ -7,12 +7,13 @@ decode and reports fidelity plus communication volume.  It is two stages: a
 sender stage (``_send``) that depends on the scene alone, and a trial.
 ``_send`` finds the scene's occupied voxels once, the sparse truth every
 trial measures against, and quantizes the frame from their patch-vector
-nonzeros; no dense grid is built before the channel.  Each scene's one
-dense grid is the occupancy mask BCE reads, and each trial's is the raw
-occupancy tensor it is measured against; the reconstruction that intensity
-MSE and the decoder read is a ``Voxels``, like the truth.  A trial is
-``deliver`` (packetize -> channel), then ``reconstruct`` (receive -> fill
--> decode), then the measurements; ``qpc simulate`` runs the same two
+nonzeros; no dense grid is built before the channel.  The receiver keeps
+each stream as ``CellRows``, (h, w) row ids into a (K + 1, D) table, and
+its reconstruction, which intensity MSE and the decoder read, is a
+``Voxels`` like the truth.  A trial's one grid-sized array is BCE's (H, W,
+L) array of per-voxel terms.  A trial is ``deliver`` (packetize ->
+channel), then ``reconstruct`` (receive -> fill -> decode), then the
+measurements; ``qpc simulate`` runs the same two
 functions, and ``qpc decode`` runs ``reconstruct`` on all of its frame's
 packets.  Each stage that draws takes its seed as an argument; no config
 carries one.  ``deliver`` takes the trial seed and passes its sub-seed 1
@@ -50,15 +51,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .channel import ChannelConfig, transmit
-from .codec import DecodeConfig, decode_voxels, encode_voxels, intensity_mse, occupancy_bce
-from .geometry import (
-    PatchSpec,
-    PointCloud,
-    VoxelGridSpec,
-    assemble_grid,
-    occupied_voxels,
-    threshold_voxels,
-)
+from .codec import DecodeConfig, decode_voxels, encode_voxels, intensity_mse, occupancy_bce_rows
+from .geometry import PatchSpec, PointCloud, VoxelGridSpec, occupied_voxels, threshold_voxels
 from .quantizer import Codebook
 from .seeds import derive_seed
 from .tolerance import FillPolicy
@@ -137,15 +131,14 @@ def reconstruct(
     delivered, spec: VoxelGridSpec, patch: PatchSpec, cb_occ: Codebook, cb_int: Codebook,
     policy: FillPolicy, decode_cfg: DecodeConfig, seed: int,
 ):
-    """The receiver: ``receive`` the delivered packets, assemble the
-    occupancy tensor, the one (H, W, L) array it builds, threshold it into
-    ``Voxels`` valued from the intensity vectors (``threshold_voxels``) and
-    ``decode_voxels`` them with ``seed``.  Returns the ``LossMask``, the raw
-    occupancy tensor, the reconstructed ``Voxels`` and the decoded cloud."""
-    occ_vec, int_vec, mask = receive(delivered, spec, patch, cb_occ, cb_int, policy)
-    occ_raw = assemble_grid(occ_vec, patch, spec)
-    voxels = threshold_voxels(occ_raw, int_vec, patch, spec)
-    return mask, occ_raw, voxels, decode_voxels(voxels, decode_cfg, seed)
+    """The receiver: ``receive`` the delivered packets as each stream's
+    ``CellRows``, threshold them into ``Voxels`` (``threshold_voxels``) and
+    ``decode_voxels`` them with ``seed``; no vector grid or (H, W, L) array
+    is built.  Returns the ``LossMask``, the occupancy ``CellRows`` BCE
+    reads, the reconstructed ``Voxels`` and the decoded cloud."""
+    occ, inten, mask = receive(delivered, spec, patch, cb_occ, cb_int, policy)
+    voxels = threshold_voxels(occ, inten, patch, spec)
+    return mask, occ, voxels, decode_voxels(voxels, decode_cfg, seed)
 
 
 def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_policy, mtu):
@@ -161,13 +154,12 @@ def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_po
         # reach, so the point arrays the scene trees keep are copied here
         indexes = [helpers.submit(_index, np.ascontiguousarray(s.xyz)) for s in scenes]
         sent = [_send(scene, cb_occ, cb_int, spec, patch) for scene in scenes]
-        occupancies = [truth.occupancy() for truth, _ in sent]
         indexes = [future.result() for future in indexes]
         for si, channel_cfg, seed in trials:
             truth, frame = sent[si]
             tree, leaf_xyz = indexes[si]
             delivered, _ = deliver(frame, channel_cfg, mtu, seed)
-            mask, occ_raw, recon_voxels, recon = reconstruct(
+            mask, occ, recon_voxels, recon = reconstruct(
                 delivered, spec, patch, cb_occ, cb_int, fill_policy, decode_cfg,
                 derive_seed(seed, 2),
             )
@@ -181,7 +173,7 @@ def _roundtrips(scenes, trials, cb_occ, cb_int, spec, patch, decode_cfg, fill_po
                     _chamfer, tree, leaf_xyz, recon_tree, cpus // lanes)))
             reports.append(EvalReport(
                 chamfer_m=None,
-                occupancy_bce=occupancy_bce(occupancies[si], occ_raw),
+                occupancy_bce=occupancy_bce_rows(truth, occ, patch),
                 intensity_mse=intensity_mse(truth, recon_voxels) if truth.ids.size else None,
                 comm_log2_bytes=log2_volume(frame.payload_nbits),
                 cell_loss_rate=mask.cell_loss_rate,

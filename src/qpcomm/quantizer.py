@@ -210,7 +210,8 @@ class _Search:
     the last term for float32 underflow, flushed or gradual.  ``‖x‖`` is
     summed over a row's nonzeros alone: the zeros add exactly nothing, and
     its rounding, like the einsum's it replaces, is one of the second-order
-    terms the band's doubling covers.
+    terms the band's doubling covers.  A NaN score leaves its row no entry
+    within the band, so a row with none raises ``FloatingPointError``.
 
     *Band.*  ``nearest``'s float64 sum is within
     ``δ = γ_{D+2}·‖v − e‖² + 2D·2⁻¹⁰⁷⁴`` of the exact distance (``u = 2⁻⁵³``).
@@ -303,11 +304,16 @@ class _Search:
             band = 4 * g32 * h + 2 * g64 * reach * top + 4 * (tiny32 * max(1.0, top) + tiny64)
             band = band + (4 * g32 * top + 2 * g64 * reach) * norms
             band = np.nextafter(band.astype(np.float32), np.float32(np.inf))
-            scores = coarse_e[:, :m] @ self.coarse[rows, :m].T  # (K, rows)
+            # both operands are finite, yet the BLAS kernel can raise a spurious
+            # invalid flag; the zero-candidate check below catches a real NaN
+            with np.errstate(invalid="ignore"):
+                scores = coarse_e[:, :m] @ self.coarse[rows, :m].T  # (K, rows)
             # one ulp up from the rounded sum, so never below the exact min Ŝ + W
             limit = np.nextafter(scores.min(axis=0) + band, np.float32(np.inf))
             candidates = scores <= limit
             count, best = tally @ candidates.astype(tally.dtype)
+            if not count.all():  # a NaN score leaves its row no candidate
+                raise FloatingPointError("non-finite score in the nearest-entry search")
             best = best.astype(np.int64)
             near = np.flatnonzero(count > 1)
             if near.size:

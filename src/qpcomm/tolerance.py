@@ -6,7 +6,10 @@ portion counts as fully lost, so expanding a mask to voxel space marks the
 entire p_h x p_w x L block of every lost cell.  Lost cells are substituted
 before reconstruction: with nothing (``empty``), with a constant vector
 fitted to training data (``learned_constant``, the least-squares constant),
-or by copying the nearest surviving cell (``neighbor_copy``).
+or by copying the nearest surviving cell (``neighbor_copy``).  Every vector
+a cell can carry is one row of a (K + 1, D) table, the codebook's entries
+plus the fill constant or zeros, so ``fill_rows`` substitutes row ids and
+expands nothing; ``fill`` is its vector-grid view.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .codec import IndexMap
-from .geometry import PatchSpec, VoxelGridSpec
+from .geometry import CellRows, PatchSpec, VoxelGridSpec
 from .quantizer import Codebook
 
 POLICY_EMPTY = "empty"
@@ -160,51 +163,55 @@ def _nearest_present(lost: np.ndarray) -> np.ndarray:
     return label[flat]
 
 
-def fill(
+def fill_rows(
     im: IndexMap,
     mask: LossMask,
     policy: FillPolicy,
     cb_occ: Codebook,
     cb_int: Codebook,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Substitute lost cells and return the (h, w, D) occupancy and intensity
-    vector grids ready for reconstruction.
+) -> tuple[CellRows, CellRows]:
+    """Substitute lost cells and return the occupancy and intensity
+    ``CellRows`` ready for reconstruction.
 
-    Present cells always carry their code vectors.  ``neighbor_copy`` falls
-    back to the learned constants when every cell is lost, and raises if no
-    constant is available when one is needed.
+    Each table is its codebook's entries plus row K: the fill constant under
+    ``learned_constant``, zeros otherwise.  A present cell takes its index,
+    a lost cell row K, or under ``neighbor_copy`` the row of its nearest
+    present cell (``_nearest_present``).  ``neighbor_copy`` falls back to the
+    learned constants when every cell is lost, and raises if no constant is
+    available when one is needed.
     """
     if (mask.h, mask.w) != (im.h, im.w):
         raise ValueError("mask dims do not match the index map")
-    # fancy indexing returns new arrays: the codebooks are never written
-    occ_vec = cb_occ.entries[im.occ_indices]
-    int_vec = cb_int.entries[im.int_indices]
+    occ_ids, int_ids = im.occ_indices.copy(), im.int_indices.copy()
+    extra_occ, extra_int = np.zeros(cb_occ.dim), np.zeros(cb_int.dim)
     lost = mask.lost
-    if not lost.any():
-        return occ_vec, int_vec
-
     kind = policy.kind
     if kind == POLICY_NEIGHBOR and lost.all():
         kind = POLICY_LEARNED
-    if kind == POLICY_EMPTY:
-        occ_vec[lost] = 0.0
-        int_vec[lost] = 0.0
-    elif kind == POLICY_LEARNED:
+    if kind == POLICY_LEARNED and lost.any():
         if policy.fill_occ is None or policy.fill_int is None:
             raise ValueError("neighbor_copy needs fill vectors when every cell is lost")
         if policy.fill_occ.shape[0] != cb_occ.dim or policy.fill_int.shape[0] != cb_int.dim:
             raise ValueError("fill vector dimension mismatch")
-        occ_vec[lost] = policy.fill_occ
-        int_vec[lost] = policy.fill_int
-    else:  # neighbor_copy with at least one present cell
-        src = _nearest_present(lost)
-        # views of the contiguous vector grids, so the copies land in them
-        flat_occ = occ_vec.reshape(-1, cb_occ.dim)
-        flat_int = int_vec.reshape(-1, cb_int.dim)
-        dst = np.flatnonzero(lost.ravel())
-        flat_occ[dst] = flat_occ[src]
-        flat_int[dst] = flat_int[src]
-    return occ_vec, int_vec
+        extra_occ, extra_int = policy.fill_occ, policy.fill_int
+    if kind != POLICY_NEIGHBOR:
+        occ_ids[lost] = cb_occ.k
+        int_ids[lost] = cb_int.k
+    elif lost.any():  # at least one cell is present
+        src, dst = _nearest_present(lost), np.flatnonzero(lost.ravel())
+        occ_ids.reshape(-1)[dst] = occ_ids.reshape(-1)[src]
+        int_ids.reshape(-1)[dst] = int_ids.reshape(-1)[src]
+    # vstack copies: the codebooks are never written
+    return (CellRows(occ_ids, np.vstack([cb_occ.entries, extra_occ])),
+            CellRows(int_ids, np.vstack([cb_int.entries, extra_int])))
+
+
+def fill(im: IndexMap, mask: LossMask, policy: FillPolicy, cb_occ: Codebook,
+         cb_int: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """The (h, w, D) occupancy and intensity vector grids of :func:`fill_rows`:
+    present cells carry their code vectors, lost cells their substitutes."""
+    occ, inten = fill_rows(im, mask, policy, cb_occ, cb_int)
+    return occ.vectors(), inten.vectors()
 
 
 def nearest_rank_threshold(values: np.ndarray, p: float) -> float:

@@ -31,7 +31,7 @@ all-or-nothing cell rule, and every cell is lost when any header byte is.
 ``receive`` is the one receive path: it places the packets once, into the
 frame the receiver's grid, patch and codebooks give (no buffer is ever
 longer than that frame), decodes that frame under the rule and fills the
-lost cells.
+lost cells, as row ids into each codebook's entries plus one fill row.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from .codec import IndexMap
-from .geometry import PatchSpec, VoxelGridSpec
+from .geometry import CellRows, PatchSpec, VoxelGridSpec
 from .pcio import FormatError
 from .quantizer import Codebook
-from .tolerance import FillPolicy, LossMask, fill
+from .tolerance import FillPolicy, LossMask, fill_rows
 
 FRAME_MAGIC = b"QPFR"
 FRAME_VERSION = 1
@@ -288,13 +288,15 @@ def receive(
     cb_occ: Codebook,
     cb_int: Codebook,
     policy: FillPolicy,
-) -> tuple[np.ndarray, np.ndarray, LossMask]:
+) -> tuple[CellRows, CellRows, LossMask]:
     """The receiver: place the delivered packets into the frame the grid,
     patch and codebooks give, mark every latent cell whose bits touch a
     missing byte as lost, and fill the lost cells.
 
-    Returns the (h, w, D) occupancy and intensity vector grids plus the loss
-    mask.  The grid, patch and codebooks are pre-shared, so they fix the
+    Returns the occupancy and intensity ``CellRows`` of :func:`fill_rows`,
+    (h, w) row ids into each codebook's entries plus one fill row, and the
+    loss mask; no vector grid is built.  The grid, patch and codebooks are
+    pre-shared, so they fix the
     frame length before any packet is read, and no buffer is longer than
     that frame, which :func:`deserialize` decodes on every path: a lost
     header byte loses every cell, and each lost cell is filled.  A header
@@ -326,8 +328,7 @@ def receive(
         raise FormatError("packets extend past the receiver's frame length")
     frame.payload = buf[HEADER_LEN:].tobytes()
     im, mask = deserialize(frame, ~present)
-    occ_vec, int_vec = fill(im, mask, policy, cb_occ, cb_int)
-    return occ_vec, int_vec, mask
+    return (*fill_rows(im, mask, policy, cb_occ, cb_int), mask)
 
 
 def log2_volume(index_bits: int) -> float:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from qpcomm.geometry import (
+    CellRows,
     IntensityGrid,
     OccupancyGrid,
     PointCloud,
@@ -66,6 +67,13 @@ def received(im, cb_occ, cb_int, cfg, seed=0):
                        seed)[3]
 
 
+def vector_rows(vectors):
+    """The ``CellRows`` of an (h, w, D) vector grid: one table row per cell,
+    cell (i, j) reading row i·w + j."""
+    h, w, dim = np.shape(vectors)
+    return CellRows(np.arange(h * w).reshape(h, w), np.reshape(vectors, (h * w, dim)))
+
+
 def reference_chamfer(a, b):
     """Chamfer distance as first implemented: balanced trees, each cloud
     queried in its own order.  The library's result must equal it bit for
@@ -118,13 +126,16 @@ def reference_decode_grids(occ, inten, cfg, seed=0, attempts=16):
 
 def reference_reconstruct(delivered, spec, patch, cb_occ, cb_int, policy, decode_cfg, seed):
     """``metrics.reconstruct`` as first implemented, through dense grids:
-    ``receive``, both streams assembled into (H, W, L) tensors, occupancy
-    thresholded at 0.5, intensity clamped to [0, 1] and zeroed where
-    unoccupied, then ``reference_decode_grids``.  Returns the raw occupancy
-    tensor, the intensity grid and the decoded cloud.  The sparse receiver
-    must give the same tensor and cloud bit for bit, and
-    ``reference_intensity_mse`` of the grid must equal the trial's MSE."""
-    occ_vec, int_vec, _ = receive(delivered, spec, patch, cb_occ, cb_int, policy)
+    ``receive``'s rows expanded to (h, w, D) vector grids, both streams
+    assembled into (H, W, L) tensors, occupancy thresholded at 0.5,
+    intensity clamped to [0, 1] and zeroed where unoccupied, then
+    ``reference_decode_grids``.  Returns the raw occupancy tensor, the
+    intensity grid and the decoded cloud.  The receiver, which reads the
+    rows without expanding them, must give the same cloud bit for bit;
+    ``reference_intensity_mse`` of the grid must equal the trial's MSE, and
+    ``reference_bce`` of the tensor its BCE."""
+    occ_rows, int_rows, _ = receive(delivered, spec, patch, cb_occ, cb_int, policy)
+    occ_vec, int_vec = occ_rows.table[occ_rows.ids], int_rows.table[int_rows.ids]
     occ_raw = assemble_grid(occ_vec, patch, spec)
     occ = (occ_raw >= 0.5).astype(np.uint8)
     inten = np.clip(assemble_grid(int_vec, patch, spec), 0.0, 1.0)
@@ -146,6 +157,14 @@ def reference_bce(truth, predicted_probs):
     p = np.clip(np.asarray(predicted_probs, dtype=np.float64), 1e-7, 1.0 - 1e-7)
     y = truth.data.astype(np.float64)
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
+
+
+def missing_bytes(packets, nbytes):
+    """The bytes of an ``nbytes`` stream that no packet carries."""
+    missing = np.ones(nbytes, dtype=bool)
+    for p in packets:
+        missing[p.byte_offset : p.byte_offset + len(p.payload)] = False
+    return missing
 
 
 def build_straddle_fixture():

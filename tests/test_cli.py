@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import vector_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from qpcomm import metrics, pcio
 from qpcomm.channel import ChannelConfig
 from qpcomm.cli import PRESETS, build_parser, main
 from qpcomm.codec import DecodeConfig, decode_voxels
-from qpcomm.geometry import PatchSpec, VoxelGridSpec, assemble_grid, threshold_voxels
+from qpcomm.geometry import PatchSpec, VoxelGridSpec, threshold_voxels
 from qpcomm.pcio import read_qpcd, write_qpcd
 from qpcomm.quantizer import Codebook, read_codebook, write_codebook
 from qpcomm.seeds import derive_seed
@@ -656,8 +657,8 @@ class TestTraceReplay:
             assert report["cells_lost"] == report["cells_total"] == h * w
             consts = (0.0, 0.0) if fill == "empty" else (fill_occ, fill_int)
             occ_vec, int_vec = (np.broadcast_to(c, shape) for c in consts)
-            voxels = threshold_voxels(assemble_grid(occ_vec, frame.patch, frame.spec), int_vec,
-                                      frame.patch, frame.spec)
+            voxels = threshold_voxels(vector_rows(occ_vec), vector_rows(int_vec), frame.patch,
+                                      frame.spec)
             want = decode_voxels(voxels, DecodeConfig(), derive_seed(3, 2))
             write_qpcd(workspace / "want.qpcd", want)
             assert (workspace / "sim.qpcd").read_bytes() == (workspace / "want.qpcd").read_bytes()

@@ -35,6 +35,8 @@ from qpcomm.geometry import (
     PatchSpec,
     PointCloud,
     Voxels,
+    _to_patch_vectors,
+    assemble_grid,
     patchify,
     training_vectors,
     voxelize,
@@ -371,17 +373,21 @@ class TestLosses:
         assert occupancy_bce(occ, p) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("truth", ["random", "all_0", "all_1"])
-    @pytest.mark.parametrize("dims", [(1, 1, 1), (4, 4, 2), (33, 17, 9)])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (4, 4, 2), (33, 17, 9), (2, 2, 3)])
     def test_bce_bit_equal_to_two_term_formula(self, truth, dims):
         rng = np.random.default_rng(7)
         spec = desk_spec(dims)
         y = {"random": rng.random(dims) < 0.4, "all_0": np.zeros(dims),
              "all_1": np.ones(dims)}[truth]
         occ = OccupancyGrid(spec, y)
+        # one patch per grid row (h = 1, p_w = 1): for p_h > 1 and w > 1,
+        # assemble_grid returns a view that is not C-ordered
+        patch = PatchSpec(dims[0], 1)
         # inside [0, 1], outside it, and exactly 0 and 1 (both clamped)
         for p in (rng.random(dims), rng.uniform(-1.0, 2.0, dims), y * 1.0, 1.0 - y):
             before = p.copy()
-            assert occupancy_bce(occ, p) == reference_bce(occ, p)
+            view = assemble_grid(_to_patch_vectors(p, patch, spec), patch, spec)
+            assert occupancy_bce(occ, p) == occupancy_bce(occ, view) == reference_bce(occ, p)
             np.testing.assert_array_equal(p, before)
 
     def test_bce_shape_mismatch(self):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from helpers import vector_rows
 
 from qpcomm.geometry import (
     MAX_POINTS,
+    CellRows,
     IntensityGrid,
     OccupancyGrid,
     PatchSpec,
@@ -257,8 +259,8 @@ class TestPatchify:
 
 
 class TestUnpatchify:
-    """The inverse of ``patchify``: ``assemble_grid`` of the occupancy
-    vectors, then ``threshold_voxels`` with the intensity vectors."""
+    """The inverse of ``patchify``: ``threshold_voxels`` of the occupancy and
+    intensity vectors as ``CellRows``, one table row per cell."""
 
     def test_roundtrip_identity(self):
         spec = small_spec(dims=(6, 4, 3), cell=(0.2, 0.2, 0.2))
@@ -267,7 +269,7 @@ class TestUnpatchify:
         for _ in range(20):
             occ, inten = random_grids(spec, rng)
             ov, iv = patchify(occ, inten, patch)
-            voxels = threshold_voxels(assemble_grid(ov, patch, spec), iv, patch, spec)
+            voxels = threshold_voxels(vector_rows(ov), vector_rows(iv), patch, spec)
             ids = np.flatnonzero(occ.data)
             np.testing.assert_array_equal(voxels.ids, ids)
             assert voxels.means.tobytes() == inten.data.reshape(-1)[ids].tobytes()
@@ -278,21 +280,22 @@ class TestUnpatchify:
     def test_threshold_boundary(self):
         spec = VoxelGridSpec((0, 0, 0), (1, 1, 1), (1, 1, 1))
         patch = PatchSpec(1, 1)
-        voxels = threshold_voxels(np.full((1, 1, 1), 0.5), np.zeros((1, 1, 1)), patch, spec)
+        voxels = threshold_voxels(vector_rows(np.full((1, 1, 1), 0.5)),
+                                  vector_rows(np.zeros((1, 1, 1))), patch, spec)
         np.testing.assert_array_equal(voxels.ids, [0])
-        voxels = threshold_voxels(np.full((1, 1, 1), np.nextafter(0.5, 0)),
-                                  np.full((1, 1, 1), 0.9), patch, spec)
+        voxels = threshold_voxels(vector_rows(np.full((1, 1, 1), np.nextafter(0.5, 0))),
+                                  vector_rows(np.full((1, 1, 1), 0.9)), patch, spec)
         assert voxels.ids.size == voxels.means.size == 0  # unoccupied despite the intensity
 
     def test_intensity_clamped(self):
         spec = VoxelGridSpec((0, 0, 0), (1, 1, 1), (1, 1, 3))
-        voxels = threshold_voxels(np.ones((1, 1, 3)), np.array([[[1.7, -0.4, 0.3]]]),
-                                  PatchSpec(1, 1), spec)
+        voxels = threshold_voxels(vector_rows(np.ones((1, 1, 3))),
+                                  vector_rows(np.array([[[1.7, -0.4, 0.3]]])), PatchSpec(1, 1), spec)
         np.testing.assert_array_equal(voxels.means, [1.0, 0.0, 0.3])
 
     @pytest.mark.parametrize("patch", [PatchSpec(1, 1), PatchSpec(2, 2)])
     def test_threshold_grids_keeps_inputs(self, patch):
-        # with 1x1 patches assemble_grid returns a view of the vectors
+        # vector_rows' tables are views of the vectors
         spec = small_spec()
         rng = np.random.default_rng(5)
         h, w = patch.latent_shape(spec)
@@ -300,7 +303,7 @@ class TestUnpatchify:
         iv = rng.uniform(-0.5, 1.5, ov.shape)
         ov_copy, iv_copy = ov.copy(), iv.copy()
         occ_raw, int_raw = assemble_grid(ov, patch, spec), assemble_grid(iv, patch, spec)
-        voxels = threshold_voxels(occ_raw, iv, patch, spec)
+        voxels = threshold_voxels(vector_rows(ov), vector_rows(iv), patch, spec)
         np.testing.assert_array_equal(voxels.occupancy().data, occ_raw >= 0.5)
         np.testing.assert_array_equal(
             voxels.intensity().data, np.where(occ_raw >= 0.5, np.clip(int_raw, 0, 1), 0)
@@ -308,13 +311,33 @@ class TestUnpatchify:
         np.testing.assert_array_equal(ov, ov_copy)
         np.testing.assert_array_equal(iv, iv_copy)
 
+    @pytest.mark.parametrize("dims, patch", [((6, 4, 3), PatchSpec(3, 2)),
+                                             ((2, 2, 3), PatchSpec(2, 1)),
+                                             ((4, 6, 2), PatchSpec(1, 3))])
+    def test_rows_read_as_their_vectors(self, dims, patch):
+        # cells share rows of a small table, including one never read; the
+        # voxels are those of the expanded vectors, thresholded densely
+        spec = small_spec(dims=dims)
+        rng = np.random.default_rng(6)
+        h, w = patch.latent_shape(spec)
+        dim = patch.vector_dim(spec)
+        occ = CellRows(rng.integers(3, size=(h, w)), rng.uniform(-0.5, 1.5, (4, dim)))
+        inten = CellRows(rng.integers(4, size=(h, w)), rng.uniform(-0.5, 1.5, (4, dim)))
+        voxels = threshold_voxels(occ, inten, patch, spec)
+        occ_raw = assemble_grid(occ.vectors(), patch, spec)
+        int_raw = assemble_grid(inten.vectors(), patch, spec)
+        ids = np.flatnonzero(occ_raw >= 0.5)
+        np.testing.assert_array_equal(voxels.ids, ids)
+        assert voxels.means.tobytes() == np.clip(int_raw.reshape(-1)[ids], 0, 1).tobytes()
+
     def test_shape_mismatch_errors(self):
         spec = small_spec()
         with pytest.raises(ValueError, match="inconsistent"):
             assemble_grid(np.zeros((2, 2, 7)), PatchSpec(2, 2), spec)
         patch = PatchSpec(2, 2)
-        for occ_raw, int_vec in [(np.zeros((4, 4, 2)), np.zeros((2, 2, 7))),
-                                 (np.zeros((4, 2, 4)), np.zeros((2, 2, 8))),
-                                 (np.zeros((4, 4, 2)), np.zeros((4, 2, 4)))]:
+        for occ_vec, int_vec in [(np.zeros((2, 2, 8)), np.zeros((2, 2, 7))),
+                                 (np.zeros((2, 2, 7)), np.zeros((2, 2, 8))),
+                                 (np.zeros((2, 1, 8)), np.zeros((2, 2, 8))),
+                                 (np.zeros((2, 2, 8)), np.zeros((4, 2, 4)))]:
             with pytest.raises(ValueError, match="not the grid's"):
-                threshold_voxels(occ_raw, int_vec, patch, spec)
+                threshold_voxels(vector_rows(occ_vec), vector_rows(int_vec), patch, spec)

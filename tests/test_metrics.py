@@ -11,19 +11,29 @@ from helpers import (
     dense_voxelize,
     desk_spec,
     dividing,
+    missing_bytes,
+    reference_bce,
     reference_chamfer,
     reference_intensity_mse,
     reference_reconstruct,
     representable_scene,
     trained_codebooks_for,
+    vector_rows,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from qpcomm import metrics
 from qpcomm.channel import ChannelConfig, transmit
-from qpcomm.codec import DecodeConfig, decode_voxels, encode, encode_voxels, occupancy_bce
+from qpcomm.codec import (
+    DecodeConfig,
+    decode_voxels,
+    encode,
+    encode_voxels,
+    occupancy_bce,
+    occupancy_bce_rows,
+)
 from qpcomm.geometry import (
     OccupancyGrid,
     PatchSpec,
@@ -45,8 +55,17 @@ from qpcomm.metrics import (
 )
 from qpcomm.quantizer import KIND_INT, Codebook
 from qpcomm.seeds import derive_seed
-from qpcomm.tolerance import POLICIES, FillPolicy, fit_fill_vector
-from qpcomm.wire import MIN_MTU, HEADER_LEN, Pose, comm_volume_log2_bytes, packetize, serialize
+from qpcomm.tolerance import POLICIES, FillPolicy, fill, fit_fill_vector
+from qpcomm.wire import (
+    MIN_MTU,
+    HEADER_LEN,
+    Pose,
+    comm_volume_log2_bytes,
+    deserialize,
+    packetize,
+    receive,
+    serialize,
+)
 
 
 def brute_chamfer(a, b):
@@ -86,8 +105,10 @@ LAYER_FUNCTIONS = [
     ("qpcomm.codec", "encode_voxels"),
     ("qpcomm.codec", "decode_voxels"),
     ("qpcomm.codec", "occupancy_bce"),
+    ("qpcomm.codec", "occupancy_bce_rows"),
     ("qpcomm.codec", "intensity_mse"),
     ("qpcomm.tolerance", "fill"),
+    ("qpcomm.tolerance", "fill_rows"),
     ("qpcomm.wire", "serialize"),
     ("qpcomm.wire", "packetize"),
     ("qpcomm.wire", "deserialize"),
@@ -226,13 +247,10 @@ def test_sender_builds_no_dense_grid():
     assert peak < 8 * spec.n_voxels, peak
 
 
-def test_receiver_builds_one_dense_grid():
-    # the sender test's grid and scene, with codebooks whose every entry holds
-    # one occupied voxel, so each of the 128 x 128 cells decodes a point.
-    # receive's two (h, w, D) vector grids take two float64 (H, W, L) arrays'
-    # worth, the raw occupancy tensor BCE reads a third; the reconstruction
-    # itself is sparse, so the peak stays below 3.5 such arrays (the dense
-    # reconstruction, with both streams assembled, peaked at 5.25)
+def _receiver_setup():
+    """The sender test's grid and scene, with codebooks whose every entry
+    holds one occupied voxel, so each of the 128 x 128 cells decodes a point:
+    the scene's ``Voxels``, its packets and the receiver's arguments."""
     spec = VoxelGridSpec((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), (512, 512, 32))
     patch = PatchSpec(4, 4)
     rng = np.random.default_rng(31)
@@ -243,17 +261,42 @@ def test_receiver_builds_one_dense_grid():
     entries = np.zeros((64, dim))
     entries[np.arange(64), rng.integers(dim, size=64)] = 1.0
     cb_occ, cb_int = Codebook.from_entries(entries), Codebook.from_entries(entries / 2, KIND_INT)
-    _, frame = metrics._send(cloud, cb_occ, cb_int, spec, patch)
-    packets = packetize(frame, frame.total_nbytes)
+    truth, frame = metrics._send(cloud, cb_occ, cb_int, spec, patch)
+    return truth, packetize(frame, frame.total_nbytes), (spec, patch, cb_occ, cb_int)
+
+
+def test_receiver_builds_one_dense_grid():
+    # the receiver keeps row ids into (K + 1, D) tables and builds no vector
+    # grid or (H, W, L) array, so reconstruct's peak stays below a quarter of
+    # one float64 (H, W, L) array (the vector grids and the assembled
+    # occupancy tensor peaked at 3.13 such arrays)
+    _, packets, (spec, patch, cb_occ, cb_int) = _receiver_setup()
     tracemalloc.start()
     try:
-        _, occ_raw, voxels, recon = metrics.reconstruct(
+        _, occ, voxels, recon = metrics.reconstruct(
             packets, spec, patch, cb_occ, cb_int, FillPolicy.empty(), DecodeConfig(), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert occ_raw.shape == spec.dims and len(recon) == voxels.ids.size == 128 * 128
-    assert peak < 3.5 * 8 * spec.n_voxels, peak
+    assert occ.ids.shape == (128, 128) and len(recon) == voxels.ids.size == 128 * 128
+    assert peak < 0.25 * 8 * spec.n_voxels, peak
+
+
+def test_trial_bce_builds_one_term_array():
+    # BCE gathers each voxel's term from the occupancy rows into one float64
+    # (H, W, L) array and takes the logs of the table only, so its peak stays
+    # below 1.25 such arrays (the dense clip and logs peaked at 2.13)
+    truth, packets, (spec, patch, cb_occ, cb_int) = _receiver_setup()
+    _, occ, _, _ = metrics.reconstruct(
+        packets, spec, patch, cb_occ, cb_int, FillPolicy.empty(), DecodeConfig(), 0)
+    tracemalloc.start()
+    try:
+        bce = occupancy_bce_rows(truth, occ, patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bce == occupancy_bce(truth.occupancy(), assemble_grid(occ.vectors(), patch, spec))
+    assert peak < 1.25 * 8 * spec.n_voxels, peak
 
 
 # values at the receiver's edges: the occupancy threshold and just below it,
@@ -261,10 +304,16 @@ def test_receiver_builds_one_dense_grid():
 EDGE_VALUES = np.array([0.5, np.nextafter(0.5, 0.0), 0.0, -0.0, 1.0, 1.5, -0.25])
 
 
+@st.composite
+def layouts(draw):
+    """A grid of at most 8 x 8 x 4 voxels and a patch that tiles it."""
+    dims = draw(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)))
+    return dims, PatchSpec(draw(dividing(dims[0])), draw(dividing(dims[1])))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)),
-    data=st.data(),
+    layout=layouts(),
     k=st.sampled_from([1, 2, 3, 5, 8]),
     kind=st.sampled_from(POLICIES),
     p=st.sampled_from([0.0, 0.3, 1.0]),
@@ -274,12 +323,14 @@ EDGE_VALUES = np.array([0.5, np.nextafter(0.5, 0.0), 0.0, -0.0, 1.0, 1.5, -0.25]
     n_points=st.integers(0, 40),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_reconstruct_equals_the_dense_oracle(dims, data, k, kind, p, sigma, ppv, clip, n_points,
-                                             seed):
+# h = 1 and p_w = 1, where assemble_grid returns a view that is not C-ordered
+@example(layout=((2, 2, 3), PatchSpec(2, 1)), k=3, kind="neighbor_copy", p=0.3, sigma=None, ppv=1,
+         clip=True, n_points=12, seed=5)
+def test_reconstruct_equals_the_dense_oracle(layout, k, kind, p, sigma, ppv, clip, n_points, seed):
     # codebook entries and fill vectors mix EDGE_VALUES with values in
     # [-0.5, 1.5]; a drop rate of 1 loses the header, so every cell is filled
+    dims, patch = layout
     spec = desk_spec(dims)
-    patch = PatchSpec(data.draw(dividing(dims[0])), data.draw(dividing(dims[1])))
     rng = np.random.default_rng(seed)
     dim = patch.vector_dim(spec)
 
@@ -297,10 +348,17 @@ def test_reconstruct_equals_the_dense_oracle(dims, data, k, kind, p, sigma, ppv,
 
     _, frame = metrics._send(cloud, cb_occ, cb_int, spec, patch)
     delivered, _ = metrics.deliver(frame, channel, MIN_MTU, seed)
+    # the received rows, expanded, are fill of what deserialize decodes
+    want_im, want_mask = deserialize(frame, missing_bytes(delivered, frame.total_nbytes))
+    *rows, mask = receive(delivered, spec, patch, cb_occ, cb_int, policy)
+    assert mask.lost.tobytes() == want_mask.lost.tobytes()
+    for got, want_vectors in zip(rows, fill(want_im, want_mask, policy, cb_occ, cb_int),
+                                 strict=True):
+        assert got.table[got.ids].tobytes() == want_vectors.tobytes()
+
     args = (delivered, spec, patch, cb_occ, cb_int, policy, cfg, derive_seed(seed, 2))
-    _, occ_raw, _, recon = metrics.reconstruct(*args)
+    recon = metrics.reconstruct(*args)[3]
     want_raw, want_inten, want = reference_reconstruct(*args)
-    assert occ_raw.tobytes() == want_raw.tobytes()
     assert recon.points.tobytes() == want.points.tobytes()
 
     report = evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, channel, cfg, policy,
@@ -308,10 +366,7 @@ def test_reconstruct_equals_the_dense_oracle(dims, data, k, kind, p, sigma, ppv,
     occ, inten, _ = dense_voxelize(cloud, spec)
     assert report.intensity_mse == (reference_intensity_mse(occ, inten, want_inten)
                                     if occ.any() else None)
-    # against the oracle's tensor: assemble_grid may return a non-contiguous
-    # view, whose mean sums in memory order, so the two-term formula's C-order
-    # mean can differ in the last bit
-    assert report.occupancy_bce == occupancy_bce(OccupancyGrid(spec, occ), want_raw)
+    assert report.occupancy_bce == reference_bce(OccupancyGrid(spec, occ), want_raw)
 
 
 class TestEvaluateRoundtrip:
@@ -375,7 +430,7 @@ class TestEvaluateRoundtrip:
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         indexed, chamfer_started, waits = threading.Event(), threading.Event(), []
         index, chamfer_ = metrics._index, metrics._chamfer
-        voxels_, bce = metrics.occupied_voxels, metrics.occupancy_bce
+        voxels_, bce = metrics.occupied_voxels, metrics.occupancy_bce_rows
 
         def signal(event, fn):
             def run(*args):
@@ -394,7 +449,7 @@ class TestEvaluateRoundtrip:
         monkeypatch.setattr(metrics, "_index", signal(indexed, index))
         monkeypatch.setattr(metrics, "_chamfer", signal(chamfer_started, chamfer_))
         monkeypatch.setattr(metrics, "occupied_voxels", wait_for(indexed, voxels_))
-        monkeypatch.setattr(metrics, "occupancy_bce", wait_for(chamfer_started, bce))
+        monkeypatch.setattr(metrics, "occupancy_bce_rows", wait_for(chamfer_started, bce))
         rep = evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
                                  DecodeConfig(), policy, seed=1, mtu=64)
         assert waits == [True, True] and rep.chamfer_m is not None
@@ -427,7 +482,7 @@ class TestEvaluateRoundtrip:
         def fail(*args):
             raise ValueError("bce failed")
 
-        monkeypatch.setattr(metrics, "occupancy_bce", fail)
+        monkeypatch.setattr(metrics, "occupancy_bce_rows", fail)
         with pytest.raises(ValueError, match="bce failed"):
             evaluate_roundtrip(cloud, cb_occ, cb_int, spec, patch, ChannelConfig(0.0),
                                DecodeConfig(), policy, seed=1, mtu=64)
@@ -467,7 +522,7 @@ class TestEvaluateRoundtrip:
         int_vec = np.broadcast_to(np.zeros(dim) if empty else learned.fill_int, shape)
         truth = voxelize(cloud, spec).occupancy
         assert rep.occupancy_bce == occupancy_bce(truth, assemble_grid(occ_vec, patch, spec))
-        voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+        voxels = threshold_voxels(vector_rows(occ_vec), vector_rows(int_vec), patch, spec)
         recon = decode_voxels(voxels, DecodeConfig(), derive_seed(seed, 2))
         assert rep.chamfer_m == (chamfer(cloud, recon) if len(recon) else None)
         assert (rep.chamfer_m is None) == empty
@@ -700,7 +755,8 @@ class TestSweep:
             reports = sweep(scenes, [0.0, 0.5], 3, cb_occ, cb_int, spec, patch, policy,
                             mtu=64, master_seed=2).reports
         assert {name for name, _ in callers} >= {
-            "occupied_voxels", "encode_voxels", "assign", "transmit", "fill", "occupancy_bce"}
+            "occupied_voxels", "encode_voxels", "assign", "transmit", "fill_rows",
+            "occupancy_bce_rows"}
         assert {ident for _, ident in callers} == {here}
         n_measured = sum(r.chamfer_m is not None for r in reports)
         assert len(query_threads) == n_measured > 0 and here not in query_threads
@@ -713,7 +769,7 @@ class TestSweep:
         # each trial hands its Chamfer off before its BCE
         spec, patch, cloud, cb_occ, cb_int, policy = pipeline
         lock, made, finished, peaks = threading.Lock(), [0], [0], []
-        bce, chamfer_ = metrics.occupancy_bce, metrics._chamfer
+        bce, chamfer_ = metrics.occupancy_bce_rows, metrics._chamfer
 
         def counted_bce(*args):
             with lock:
@@ -728,7 +784,7 @@ class TestSweep:
                 finished[0] += 1
             return d
 
-        monkeypatch.setattr(metrics, "occupancy_bce", counted_bce)
+        monkeypatch.setattr(metrics, "occupancy_bce_rows", counted_bce)
         monkeypatch.setattr(metrics, "_chamfer", slow_chamfer)
         monkeypatch.setattr(metrics, "_cpus", lambda: 2)
         result = sweep([cloud], [0.0, 0.3], 3, cb_occ, cb_int, spec, patch, policy,

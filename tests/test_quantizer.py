@@ -449,6 +449,18 @@ class TestBlockedSearch:
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
 
+    def test_nan_score_raises(self):
+        # a NaN score leaves its row no candidate within the band: the search
+        # raises rather than return an index
+        rng = np.random.default_rng(29)
+        vectors, entries = rng.random((20, 8)), rng.random((5, 8))
+        search = quantizer._Search(vectors.shape, *quantizer._nonzeros(vectors), 5)
+        expected = nearest_rows(Codebook.from_entries(entries), vectors)
+        np.testing.assert_array_equal(search(entries), expected)
+        search.coarse[3, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite score"):
+            search(entries)
+
 
 class TestRejectsUnboundedInput:
     """A row or entry whose squared norm is not finite (NaN, inf, or values

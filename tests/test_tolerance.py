@@ -8,12 +8,13 @@ from helpers import (
     received,
     representable_scene,
     trained_codebooks_for,
+    vector_rows,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpcomm.codec import DecodeConfig, decode_voxels, encode
-from qpcomm.geometry import PatchSpec, assemble_grid, threshold_voxels
+from qpcomm.geometry import PatchSpec, threshold_voxels
 from qpcomm.tolerance import (
     POLICIES,
     FillPolicy,
@@ -22,6 +23,7 @@ from qpcomm.tolerance import (
     confidence_filter,
     expand_to_grid,
     fill,
+    fill_rows,
     fit_fill_vector,
     mask_random,
     nearest_rank_threshold,
@@ -150,7 +152,7 @@ class TestFill:
         mask = LossMask.none(im.h, im.w)
         occ_vec, int_vec = fill(im, mask, FillPolicy.learned_constant(f_occ, f_int), cb_occ, cb_int)
         cfg = DecodeConfig()
-        voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+        voxels = threshold_voxels(vector_rows(occ_vec), vector_rows(int_vec), patch, spec)
         a = decode_voxels(voxels, cfg, 8)
         b = received(im, cb_occ, cb_int, cfg, 8)
         np.testing.assert_array_equal(a.points, b.points)
@@ -159,7 +161,7 @@ class TestFill:
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup
         mask = LossMask(np.ones((im.h, im.w), dtype=bool))
         occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-        voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+        voxels = threshold_voxels(vector_rows(occ_vec), vector_rows(int_vec), patch, spec)
         assert voxels.ids.size == 0
 
     def test_neighbor_copy_two_cell_fixture(self, fill_setup):
@@ -217,7 +219,7 @@ class TestFill:
         for seed in range(5):
             mask = mask_random(im.h, im.w, 0.4, seed=seed)
             occ_vec, int_vec = fill(im, mask, FillPolicy.empty(), cb_occ, cb_int)
-            voxels = threshold_voxels(assemble_grid(occ_vec, patch, spec), int_vec, patch, spec)
+            voxels = threshold_voxels(vector_rows(occ_vec), vector_rows(int_vec), patch, spec)
             assert voxels.ids.size <= len(base)
 
     @pytest.mark.parametrize("ratio", [0.0, 0.4, 1.0])
@@ -227,9 +229,12 @@ class TestFill:
         before = [cb.entries.copy() for cb in (cb_occ, cb_int)]
         mask = mask_random(im.h, im.w, ratio, seed=2)
         vectors = fill(im, mask, FillPolicy(kind, f_occ, f_int), cb_occ, cb_int)
-        for cb, entries, vec in zip((cb_occ, cb_int), before, vectors, strict=True):
+        rows = fill_rows(im, mask, FillPolicy(kind, f_occ, f_int), cb_occ, cb_int)
+        for cb, entries, vec, row in zip((cb_occ, cb_int), before, vectors, rows, strict=True):
             np.testing.assert_array_equal(cb.entries, entries)
             assert not np.shares_memory(vec, cb.entries)
+            assert not np.shares_memory(row.table, cb.entries)
+            np.testing.assert_array_equal(row.table[: cb.k], entries)
 
     def test_mask_shape_mismatch(self, fill_setup):
         spec, patch, cloud, im, cb_occ, cb_int, *_ = fill_setup

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import build_straddle_fixture
+from helpers import build_straddle_fixture, missing_bytes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -80,14 +80,6 @@ def byte_overlap_lost(im, missing):
     return expected
 
 
-def missing_bytes(packets, nbytes):
-    """The bytes of an ``nbytes`` stream that no packet carries."""
-    missing = np.ones(nbytes, dtype=bool)
-    for p in packets:
-        missing[p.byte_offset : p.byte_offset + len(p.payload)] = False
-    return missing
-
-
 def receive_indices(packets, im):
     """``receive`` with codebooks whose entry i is the constant vector i and
     the empty fill, so the vectors read back as the index map the receiver
@@ -99,7 +91,7 @@ def receive_indices(packets, im):
     )
     occ, inten, mask = receive(packets, im.spec, im.patch, cb_occ, cb_int, FillPolicy.empty())
     got = IndexMap(
-        occ[..., 0].astype(np.int64), inten[..., 0].astype(np.int64),
+        occ.vectors()[..., 0].astype(np.int64), inten.vectors()[..., 0].astype(np.int64),
         im.k_occ, im.k_int, im.spec, im.patch,
     )
     return got, mask
@@ -505,12 +497,14 @@ class TestReceive:
     def test_full_delivery_is_the_code_vectors(self, setup):
         im, cb_occ, cb_int, fill_occ, fill_int = setup
         packets = packetize(serialize(im, Pose()), 64)
-        occ_vec, int_vec, mask = receive(
+        occ, inten, mask = receive(
             packets[::-1], im.spec, im.patch, cb_occ, cb_int, FillPolicy.empty()
         )
         assert mask.n_lost == 0
-        np.testing.assert_array_equal(occ_vec, cb_occ.entries[im.occ_indices])
-        np.testing.assert_array_equal(int_vec, cb_int.entries[im.int_indices])
+        np.testing.assert_array_equal(occ.ids, im.occ_indices)
+        np.testing.assert_array_equal(inten.ids, im.int_indices)
+        np.testing.assert_array_equal(occ.vectors(), cb_occ.entries[im.occ_indices])
+        np.testing.assert_array_equal(inten.vectors(), cb_int.entries[im.int_indices])
 
     @pytest.mark.parametrize("policy", ["empty", "learned_constant", "neighbor_copy"])
     def test_header_loss_fills_every_cell(self, setup, policy):
@@ -518,7 +512,8 @@ class TestReceive:
         packets = packetize(serialize(im, Pose()), 64)
         fp = FillPolicy(policy, fill_occ, fill_int)
         for delivered in ([], packets[1:]):
-            occ_vec, int_vec, mask = receive(delivered, im.spec, im.patch, cb_occ, cb_int, fp)
+            occ, inten, mask = receive(delivered, im.spec, im.patch, cb_occ, cb_int, fp)
+            occ_vec, int_vec = occ.vectors(), inten.vectors()
             assert mask.lost.shape == (im.h, im.w) and mask.lost.all()
             want_occ, want_int = (
                 (np.zeros_like(fill_occ), np.zeros_like(fill_int))
@@ -547,9 +542,10 @@ class TestReceive:
                 missing = missing_bytes(delivered, frame.total_nbytes)
                 want_im, want_mask = deserialize(frame, missing)
                 want = (*fill(want_im, want_mask, fp, cb_occ, cb_int), want_mask.lost)
-                occ_vec, int_vec, mask = receive(delivered, im.spec, im.patch, cb_occ, cb_int, fp)
-                for a, b in zip((occ_vec, int_vec, mask.lost), want):
-                    np.testing.assert_array_equal(a, b)
+                occ, inten, mask = receive(delivered, im.spec, im.patch, cb_occ, cb_int, fp)
+                got = (occ.table[occ.ids], inten.table[inten.ids], mask.lost)
+                for a, b in zip(got, want, strict=True):
+                    assert a.tobytes() == b.tobytes()
 
     def test_header_disagreeing_with_receiver_rejected(self, setup):
         im, cb_occ, cb_int, fill_occ, fill_int = setup
